@@ -21,7 +21,6 @@ from .errors import (
     TooLargeError,
 )
 from .integrate import (
-    TimeGrid,
     Trajectory,
     expand_piecewise_schedule,
     integrate_adjoint_backward,
@@ -33,13 +32,9 @@ from .integrate import (
 from .model import (
     FUNCTIONAL_LEGACY,
     FUNCTIONAL_NEW,
-    AdjointVec,
-    ControlPair,
     ModelParams,
     RunningCost,
-    StateVec,
     adjoint_rhs,
-    clamp,
     hamiltonian,
     optimal_controls,
     running_cost,
@@ -66,11 +61,9 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointVec",
     "BruteForceResult",
     "CheckResult",
     "ConfigError",
-    "ControlPair",
     "FUNCTIONAL_LEGACY",
     "FUNCTIONAL_NEW",
     "MissingControlsError",
@@ -83,14 +76,11 @@ __all__ = [
     "ShootingOptions",
     "SirControlError",
     "SolveReport",
-    "StateVec",
     "SweepRow",
-    "TimeGrid",
     "TooLargeError",
     "Trajectory",
     "adjoint_rhs",
     "brute_force_best",
-    "clamp",
     "control_gradient",
     "control_levels",
     "decompose_objective",

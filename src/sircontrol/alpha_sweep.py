@@ -5,16 +5,13 @@ convention, so the comparison that motivates the corrected functional is
 a single artifact: the legacy form rewards a rising death rate (its
 optimal value falls as alpha grows), the new form does not.
 
-Serial execution warm-starts each solve from the previous alpha's
-converged initial costate; parallel execution trades that for
-process-level concurrency (each point cold-starts).  Either way one row
-per alpha is emitted in input order, and failed solves are retained with
-their converged flag down rather than dropped.
+Each solve warm-starts from the previous alpha's converged initial
+costate.  One row per alpha is emitted in input order, and failed solves
+are retained with their converged flag down rather than dropped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .model import FUNCTIONAL_LEGACY, FUNCTIONAL_NEW, ModelParams, running_cost
@@ -66,16 +63,10 @@ def _solve_point(
     return row, rep_new, rep_legacy
 
 
-def _solve_point_cold(args) -> SweepRow:
-    base, alpha, opts = args
-    return _solve_point(base, alpha, opts, None, None)[0]
-
-
 def sweep_alpha(
     base: ModelParams,
     alphas,
     opts: ShootingOptions | None = None,
-    parallel: bool = False,
 ) -> list[SweepRow]:
     """Solve both functionals at every alpha; one row per alpha, input order."""
     opts = opts or ShootingOptions()
@@ -86,10 +77,6 @@ def sweep_alpha(
         raise ValueError("alphas must be >= 0")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-
-    if parallel:
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(_solve_point_cold, [(base, a, opts) for a in alphas]))
 
     rows: list[SweepRow] = []
     warm_new = warm_legacy = None

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     sircontrol solve          --config cfg --out traj.csv
-    sircontrol sweep          --config cfg --out sweep.csv [--parallel]
+    sircontrol sweep          --config cfg --out sweep.csv
     sircontrol oracle-compare --config cfg --out compare.csv
     sircontrol check          [--config cfg] [--out report.txt]
 
@@ -37,24 +37,6 @@ EXIT_NO_CONVERGENCE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
-_DEFAULT_CHECK_CONFIG = "\n".join(
-    f"{key} = {value}"
-    for key, value in (
-        ("beta", DEFAULT_CHECK_PARAMS.beta),
-        ("alpha", DEFAULT_CHECK_PARAMS.alpha),
-        ("c1", DEFAULT_CHECK_PARAMS.c1),
-        ("c2", DEFAULT_CHECK_PARAMS.c2),
-        ("c3", DEFAULT_CHECK_PARAMS.c3),
-        ("u1_max", DEFAULT_CHECK_PARAMS.u1_max),
-        ("u2_max", DEFAULT_CHECK_PARAMS.u2_max),
-        ("horizon", DEFAULT_CHECK_PARAMS.horizon),
-        ("s0", DEFAULT_CHECK_PARAMS.s0),
-        ("i0", DEFAULT_CHECK_PARAMS.i0),
-        ("r0", DEFAULT_CHECK_PARAMS.r0),
-    )
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sircontrol",
@@ -70,15 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (solve, sweep, compare):
         cmd.add_argument("--config", required=True, help="configuration file (key = value lines)")
         cmd.add_argument("--out", required=True, help="output file path")
-    sweep.add_argument("--parallel", action="store_true", help="solve sweep points in parallel")
     check.add_argument("--config", help="configuration file (defaults to the built-in scenario)")
     check.add_argument("--out", help="also write the report to this path")
     return parser
 
 
-def _load_config(path: str | None) -> ResolvedConfig:
-    text = _DEFAULT_CHECK_CONFIG if path is None else Path(path).read_text(encoding="utf-8")
-    return parse_config(text)
+def _load_config(path: str) -> ResolvedConfig:
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 def _cmd_solve(args) -> int:
@@ -98,7 +78,7 @@ def _cmd_sweep(args) -> int:
         alphas = [config.alpha_min]
     else:
         alphas = [float(a) for a in np.linspace(config.alpha_min, config.alpha_max, config.alpha_points)]
-    rows = sweep_alpha(config.params, alphas, config.shooting, parallel=args.parallel)
+    rows = sweep_alpha(config.params, alphas, config.shooting)
     write_text(args.out, sweep_csv(rows, config))
     n_failed = sum((not r.converged_new) + (not r.converged_legacy) for r in rows)
     sys.stdout.write(f"swept {len(rows)} alpha points, {n_failed} failed solves -> {args.out}\n")
@@ -119,8 +99,8 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = _load_config(args.config)
-    results = run_self_check(config.params)
+    params = DEFAULT_CHECK_PARAMS if args.config is None else _load_config(args.config).params
+    results = run_self_check(params)
     lines = [
         f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}" for res in results
     ]

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 from .errors import ConfigError
 from .model import FUNCTIONALS, PARAM_CHECKS, ModelParams
-from .solvers import ShootingOptions
+from .solvers import SHOOTING_CHECKS, ShootingOptions
 
 __all__ = ["ResolvedConfig", "parse_config", "config_lines"]
 
@@ -135,20 +135,10 @@ def parse_config(text: str) -> ResolvedConfig:
 
     # Each invariant predicate reads only its own field, so fields that
     # parsed fine are validated even when sibling keys are broken.
-    model_fields = dict.fromkeys(_MODEL_FLOAT_KEYS, None) | {"n_steps": None, "functional": None}
-    candidate = SimpleNamespace(**{k: values.get(k) for k in model_fields})
-    for field, ok, reason in PARAM_CHECKS:
+    candidate = SimpleNamespace(**values)
+    for field, ok, reason in PARAM_CHECKS + SHOOTING_CHECKS:
         if values.get(field) is not None and not ok(candidate):
             problems.append((field, reason))
-
-    if values.get("residual_tol") is not None and not values["residual_tol"] > 0.0:
-        problems.append(("residual_tol", "must be positive"))
-    if values.get("max_newton_iters") is not None and values["max_newton_iters"] < 1:
-        problems.append(("max_newton_iters", "must be >= 1"))
-    if values.get("fd_epsilon") is not None and not values["fd_epsilon"] > 0.0:
-        problems.append(("fd_epsilon", "must be positive"))
-    if values.get("damping_halvings") is not None and values["damping_halvings"] < 0:
-        problems.append(("damping_halvings", "must be >= 0"))
     if values.get("alpha_min") is not None and values["alpha_min"] < 0.0:
         problems.append(("alpha_min", "must be >= 0"))
     if (
@@ -168,7 +158,7 @@ def parse_config(text: str) -> ResolvedConfig:
     if problems:
         raise ConfigError(problems)
 
-    params = ModelParams(**{k: values[k] for k in model_fields})
+    params = ModelParams(**{k: values[k] for k in (*_MODEL_FLOAT_KEYS, "n_steps", "functional")})
     shooting = ShootingOptions(
         residual_tol=values["residual_tol"],
         max_newton_iters=values["max_newton_iters"],

@@ -19,8 +19,20 @@ The backward pass needs state values at RK4 half-steps; those come from
 cubic Hermite interpolation of the stored node samples with endpoint
 derivatives from the state equations, which preserves 4th-order accuracy.
 
-Inner loops run on plain Python floats: the systems are tiny (at most 8
-scalar equations) and per-step numpy dispatch would dominate the cost.
+No model equation is written here: every stage, and every Hermite
+endpoint derivative, calls the kernels of ``model.py`` (state_rhs,
+adjoint_rhs, optimal_controls).  Inner loops run on plain Python floats:
+the systems are tiny (at most 8 scalar equations) and per-step numpy
+dispatch would dominate the cost.
+
+The three passes, and the enumeration lanes of ``brute_force.py``, keep
+their own RK4 loops because they carry different data: 8 unknowns with
+the clamp law at every stage, 6 under fixed controls, 2 costates along an
+interpolated state, and numpy lanes.  One shared RK4 loop would have to
+branch on its caller, and its callbacks would add calls to loops whose
+cost is mostly calls already.  Each loop binds the kernels to locals,
+unpacks their tuples straight into locals and records one tuple per
+node, which keeps it as fast as the hand-inlined arithmetic it replaced.
 """
 
 from __future__ import annotations
@@ -32,10 +44,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MissingControlsError, NonFiniteError
-from .model import ModelParams, RunningCost
+from .model import ModelParams, RunningCost, adjoint_rhs, optimal_controls, state_rhs
 
 __all__ = [
-    "TimeGrid",
     "Trajectory",
     "rk4_step",
     "integrate_coupled",
@@ -44,27 +55,6 @@ __all__ = [
     "interval_boundaries",
     "expand_piecewise_schedule",
 ]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid on [0, horizon] with n_steps intervals (n_steps+1 nodes)."""
-
-    horizon: float
-    n_steps: int
-
-    def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-
-    @property
-    def h(self) -> float:
-        return self.horizon / self.n_steps
-
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.h
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -166,51 +156,6 @@ def rk4_step(f: Callable, t: float, y, h: float):
     return y_new
 
 
-def _coupled_rhs(s, i, p1, p2, beta, alpha, a_i, w1, w2, u1_max, u2_max):
-    """Stage derivatives of the coupled system, clamp law applied in place.
-
-    Returns (ds, di, dr, dd, dp1, dp2, dz, dzc, u1, u2); r, d, z and the
-    cost channels never feed back, so they are outputs only.
-    """
-    u1 = -p1 * s / (2.0 * w1)
-    if u1 <= 0.0:
-        u1 = 0.0
-    elif u1 >= u1_max:
-        u1 = u1_max
-    u2 = -p2 * i / (2.0 * w2)
-    if u2 <= 0.0:
-        u2 = 0.0
-    elif u2 >= u2_max:
-        u2 = u2_max
-
-    infection = beta * s * i
-    vaccination = u1 * s
-    treatment = u2 * i
-    deaths = alpha * i
-    beta_i = beta * i
-    beta_s = beta * s
-
-    dzc = w1 * u1 * u1 + w2 * u2 * u2
-    return (
-        -infection - vaccination,
-        infection - treatment - deaths,
-        vaccination + treatment,
-        deaths,
-        p1 * beta_i + p1 * u1 - p2 * beta_i,
-        a_i + p1 * beta_s - p2 * beta_s + p2 * u2 + p2 * alpha,
-        dzc + a_i * i,
-        dzc,
-        u1,
-        u2,
-    )
-
-
-def _check_finite(values, t: float):
-    for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteError(t)
-
-
 def integrate_coupled(
     psi0: tuple[float, float], cost: RunningCost, p: ModelParams
 ) -> Trajectory:
@@ -228,75 +173,61 @@ def integrate_coupled(
     beta, alpha = p.beta, p.alpha
     a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
     u1m, u2m = p.u1_max, p.u2_max
-
-    ts = np.arange(n + 1) * h
-    out = {name: np.empty(n + 1) for name in ("s", "i", "r", "d", "p1", "p2", "u1", "u2", "z", "zc")}
+    law, rhs, adjoint, isfinite = optimal_controls, state_rhs, adjoint_rhs, math.isfinite
 
     s, i, r, d = p.s0, p.i0, p.r0, 0.0
     p1, p2 = float(psi0[0]), float(psi0[1])
     z = 0.0
     zc = 0.0
-
+    rows = []
     for k in range(n + 1):
-        k1 = _coupled_rhs(s, i, p1, p2, beta, alpha, a_i, w1, w2, u1m, u2m)
-        out["s"][k] = s
-        out["i"][k] = i
-        out["r"][k] = r
-        out["d"][k] = d
-        out["p1"][k] = p1
-        out["p2"][k] = p2
-        out["u1"][k] = k1[8]
-        out["u2"][k] = k1[9]
-        out["z"][k] = z
-        out["zc"][k] = zc
+        u1, u2 = law(s, i, p1, p2, w1, w2, u1m, u2m)
+        rows.append((s, i, r, d, p1, p2, u1, u2, z, zc))
         if k == n:
             break
+        k1s, k1i, k1r, k1d, k1z, k1c = rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
+        k1p1, k1p2 = adjoint(s, i, p1, p2, u1, u2, beta, alpha, a_i)
 
-        k2 = _coupled_rhs(
-            s + h2 * k1[0], i + h2 * k1[1], p1 + h2 * k1[4], p2 + h2 * k1[5],
-            beta, alpha, a_i, w1, w2, u1m, u2m,
-        )
-        k3 = _coupled_rhs(
-            s + h2 * k2[0], i + h2 * k2[1], p1 + h2 * k2[4], p2 + h2 * k2[5],
-            beta, alpha, a_i, w1, w2, u1m, u2m,
-        )
-        k4 = _coupled_rhs(
-            s + h * k3[0], i + h * k3[1], p1 + h * k3[4], p2 + h * k3[5],
-            beta, alpha, a_i, w1, w2, u1m, u2m,
-        )
-        s = s + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        i = i + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        r = r + h6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        d = d + h6 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        p1 = p1 + h6 * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-        p2 = p2 + h6 * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
-        z = z + h6 * (k1[6] + 2.0 * k2[6] + 2.0 * k3[6] + k4[6])
-        zc = zc + h6 * (k1[7] + 2.0 * k2[7] + 2.0 * k3[7] + k4[7])
-        _check_finite((s, i, p1, p2, z), (k + 1) * h)
+        xs = s + h2 * k1s
+        xi = i + h2 * k1i
+        x1 = p1 + h2 * k1p1
+        x2 = p2 + h2 * k1p2
+        u1, u2 = law(xs, xi, x1, x2, w1, w2, u1m, u2m)
+        k2s, k2i, k2r, k2d, k2z, k2c = rhs(xs, xi, u1, u2, beta, alpha, a_i, w1, w2)
+        k2p1, k2p2 = adjoint(xs, xi, x1, x2, u1, u2, beta, alpha, a_i)
 
+        xs = s + h2 * k2s
+        xi = i + h2 * k2i
+        x1 = p1 + h2 * k2p1
+        x2 = p2 + h2 * k2p2
+        u1, u2 = law(xs, xi, x1, x2, w1, w2, u1m, u2m)
+        k3s, k3i, k3r, k3d, k3z, k3c = rhs(xs, xi, u1, u2, beta, alpha, a_i, w1, w2)
+        k3p1, k3p2 = adjoint(xs, xi, x1, x2, u1, u2, beta, alpha, a_i)
+
+        xs = s + h * k3s
+        xi = i + h * k3i
+        x1 = p1 + h * k3p1
+        x2 = p2 + h * k3p2
+        u1, u2 = law(xs, xi, x1, x2, w1, w2, u1m, u2m)
+        k4s, k4i, k4r, k4d, k4z, k4c = rhs(xs, xi, u1, u2, beta, alpha, a_i, w1, w2)
+        k4p1, k4p2 = adjoint(xs, xi, x1, x2, u1, u2, beta, alpha, a_i)
+
+        s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        r = r + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        d = d + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        p1 = p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
+        p2 = p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
+        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        zc = zc + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        if not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2) and isfinite(z)):
+            raise NonFiniteError((k + 1) * h)
+
+    ss, ii, rr, dd, pp1, pp2, uu1, uu2, zz, zzc = np.array(rows, dtype=float).T
     return Trajectory(
-        t=ts,
-        s=out["s"], i=out["i"], r=out["r"], d=out["d"],
-        z=out["z"], z_control=out["zc"],
-        u1=out["u1"], u2=out["u2"],
-        psi1=out["p1"], psi2=out["p2"],
-    )
-
-
-def _state_rhs_scalar(s, i, u1, u2, beta, alpha, a_i, w1, w2):
-    """Stage derivatives of the state + cost channels under fixed controls."""
-    infection = beta * s * i
-    vaccination = u1 * s
-    treatment = u2 * i
-    deaths = alpha * i
-    dzc = w1 * u1 * u1 + w2 * u2 * u2
-    return (
-        -infection - vaccination,
-        infection - treatment - deaths,
-        vaccination + treatment,
-        deaths,
-        dzc + a_i * i,
-        dzc,
+        t=np.arange(n + 1) * h,
+        s=ss, i=ii, r=rr, d=dd, z=zz, z_control=zzc,
+        u1=uu1, u2=uu2, psi1=pp1, psi2=pp2,
     )
 
 
@@ -325,55 +256,37 @@ def integrate_state_forward(
     h6 = h / 6.0
     beta, alpha = p.beta, p.alpha
     a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
+    rhs, isfinite = state_rhs, math.isfinite
     u1_list = u1_arr.tolist()
     u2_list = u2_arr.tolist()
-
-    ts = np.arange(n + 1) * h
-    ss = np.empty(n + 1)
-    ii = np.empty(n + 1)
-    rr = np.empty(n + 1)
-    dd = np.empty(n + 1)
-    zz = np.empty(n + 1)
-    zzc = np.empty(n + 1)
 
     s, i, r, d = p.s0, p.i0, p.r0, 0.0
     z = 0.0
     zc = 0.0
+    rows = []
     for k in range(n + 1):
-        ss[k] = s
-        ii[k] = i
-        rr[k] = r
-        dd[k] = d
-        zz[k] = z
-        zzc[k] = zc
+        rows.append((s, i, r, d, z, zc))
         if k == n:
             break
         u1 = u1_list[k]
         u2 = u2_list[k]
-        k1 = _state_rhs_scalar(s, i, u1, u2, beta, alpha, a_i, w1, w2)
-        k2 = _state_rhs_scalar(s + h2 * k1[0], i + h2 * k1[1], u1, u2, beta, alpha, a_i, w1, w2)
-        k3 = _state_rhs_scalar(s + h2 * k2[0], i + h2 * k2[1], u1, u2, beta, alpha, a_i, w1, w2)
-        k4 = _state_rhs_scalar(s + h * k3[0], i + h * k3[1], u1, u2, beta, alpha, a_i, w1, w2)
-        s = s + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        i = i + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        r = r + h6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        d = d + h6 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        z = z + h6 * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-        zc = zc + h6 * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
-        _check_finite((s, i, z), (k + 1) * h)
+        k1s, k1i, k1r, k1d, k1z, k1c = rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
+        k2s, k2i, k2r, k2d, k2z, k2c = rhs(s + h2 * k1s, i + h2 * k1i, u1, u2, beta, alpha, a_i, w1, w2)
+        k3s, k3i, k3r, k3d, k3z, k3c = rhs(s + h2 * k2s, i + h2 * k2i, u1, u2, beta, alpha, a_i, w1, w2)
+        k4s, k4i, k4r, k4d, k4z, k4c = rhs(s + h * k3s, i + h * k3i, u1, u2, beta, alpha, a_i, w1, w2)
+        s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        r = r + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        d = d + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        zc = zc + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        if not (isfinite(s) and isfinite(i) and isfinite(z)):
+            raise NonFiniteError((k + 1) * h)
 
+    ss, ii, rr, dd, zz, zzc = np.array(rows, dtype=float).T
     return Trajectory(
-        t=ts, s=ss, i=ii, r=rr, d=dd, z=zz, z_control=zzc,
+        t=np.arange(n + 1) * h, s=ss, i=ii, r=rr, d=dd, z=zz, z_control=zzc,
         u1=u1_arr.copy(), u2=u2_arr.copy(),
-    )
-
-
-def _adjoint_rhs_scalar(p1, p2, s, i, u1, u2, beta, alpha, a_i):
-    beta_i = beta * i
-    beta_s = beta * s
-    return (
-        p1 * beta_i + p1 * u1 - p2 * beta_i,
-        a_i + p1 * beta_s - p2 * beta_s + p2 * u2 + p2 * alpha,
     )
 
 
@@ -404,43 +317,41 @@ def integrate_adjoint_backward(
     h6 = h / 6.0
     h8 = h / 8.0
     beta, alpha = p.beta, p.alpha
-    a_i = cost.a_i
+    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
 
-    s_list = state_traj.s.tolist()
-    i_list = state_traj.i.tolist()
-    u1_list = state_traj.u1.tolist()
-    u2_list = state_traj.u2.tolist()
+    # Hermite midpoints of all intervals at once, state_rhs running on
+    # numpy lanes.  Endpoint derivatives use the interval's control (the
+    # state's right-limit derivative at t_k belongs to the next interval).
+    s, i = state_traj.s, state_traj.i
+    v1, v2 = state_traj.u1[:-1], state_traj.u2[:-1]
+    fs_l, fi_l, _, _, _, _ = state_rhs(s[:-1], i[:-1], v1, v2, beta, alpha, a_i, w1, w2)
+    fs_r, fi_r, _, _, _, _ = state_rhs(s[1:], i[1:], v1, v2, beta, alpha, a_i, w1, w2)
+    s_mid = (0.5 * (s[:-1] + s[1:]) + h8 * (fs_l - fs_r)).tolist()
+    i_mid = (0.5 * (i[:-1] + i[1:]) + h8 * (fi_l - fi_r)).tolist()
 
-    psi1 = np.empty(n + 1)
-    psi2 = np.empty(n + 1)
+    s_list = s.tolist()
+    i_list = i.tolist()
+    u1_list = v1.tolist()
+    u2_list = v2.tolist()
+    adjoint, isfinite = adjoint_rhs, math.isfinite
+
     p1 = 0.0
     p2 = 0.0
-    psi1[n] = p1
-    psi2[n] = p2
-
+    rows = [(p1, p2)]
     for k in range(n, 0, -1):
         u1 = u1_list[k - 1]
         u2 = u2_list[k - 1]
-        s_l, i_l = s_list[k - 1], i_list[k - 1]
+        s_l, i_l, s_m, i_m = s_list[k - 1], i_list[k - 1], s_mid[k - 1], i_mid[k - 1]
         s_r, i_r = s_list[k], i_list[k]
+        k1p1, k1p2 = adjoint(s_r, i_r, p1, p2, u1, u2, beta, alpha, a_i)
+        k2p1, k2p2 = adjoint(s_m, i_m, p1 - h2 * k1p1, p2 - h2 * k1p2, u1, u2, beta, alpha, a_i)
+        k3p1, k3p2 = adjoint(s_m, i_m, p1 - h2 * k2p1, p2 - h2 * k2p2, u1, u2, beta, alpha, a_i)
+        k4p1, k4p2 = adjoint(s_l, i_l, p1 - h * k3p1, p2 - h * k3p2, u1, u2, beta, alpha, a_i)
+        p1 = p1 - h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
+        p2 = p2 - h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
+        if not (isfinite(p1) and isfinite(p2)):
+            raise NonFiniteError((k - 1) * h)
+        rows.append((p1, p2))
 
-        # Endpoint derivatives with the interval's control (the state's
-        # right-limit derivative at t_k belongs to the next interval).
-        fs_l = -beta * s_l * i_l - u1 * s_l
-        fi_l = beta * s_l * i_l - u2 * i_l - alpha * i_l
-        fs_r = -beta * s_r * i_r - u1 * s_r
-        fi_r = beta * s_r * i_r - u2 * i_r - alpha * i_r
-        s_mid = 0.5 * (s_l + s_r) + h8 * (fs_l - fs_r)
-        i_mid = 0.5 * (i_l + i_r) + h8 * (fi_l - fi_r)
-
-        k1 = _adjoint_rhs_scalar(p1, p2, s_r, i_r, u1, u2, beta, alpha, a_i)
-        k2 = _adjoint_rhs_scalar(p1 - h2 * k1[0], p2 - h2 * k1[1], s_mid, i_mid, u1, u2, beta, alpha, a_i)
-        k3 = _adjoint_rhs_scalar(p1 - h2 * k2[0], p2 - h2 * k2[1], s_mid, i_mid, u1, u2, beta, alpha, a_i)
-        k4 = _adjoint_rhs_scalar(p1 - h * k3[0], p2 - h * k3[1], s_l, i_l, u1, u2, beta, alpha, a_i)
-        p1 = p1 - h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        p2 = p2 - h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        _check_finite((p1, p2), (k - 1) * h)
-        psi1[k - 1] = p1
-        psi2[k - 1] = p2
-
+    psi1, psi2 = np.array(rows[::-1], dtype=float).T
     return psi1, psi2

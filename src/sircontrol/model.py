@@ -29,14 +29,22 @@ maximizer of the Hamiltonian over the control box is the clamped law
     u1* = clamp(-psi1*S / (2*w1), 0, u1_max)
     u2* = clamp(-psi2*I / (2*w2), 0, u2_max)
 
-Everything here is a pure function over immutable value types.
+This module is the only place where these equations are written.  Every
+integrator, the enumeration lanes, the forward-backward update and the
+diagnostics call the four kernels below (state_rhs, adjoint_rhs,
+hamiltonian, optimal_controls), so the cross-checks integrate exactly the
+same system.  The kernels take flat arguments and return plain tuples:
+the RK4 loops call them several times per step on Python floats, where
+building value objects would cost more than the arithmetic, and the
+same code runs unchanged on numpy lanes or whole trajectory arrays.
+Everything here is a pure function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 FUNCTIONAL_NEW = "new"
 FUNCTIONAL_LEGACY = "legacy"
@@ -139,99 +147,76 @@ def running_cost(p: ModelParams) -> RunningCost:
     return RunningCost(a_i=p.c1, w1=p.c3, w2=p.c2)
 
 
-class StateVec(NamedTuple):
-    s: float
-    i: float
-    r: float
-    d: float
-
-
-class AdjointVec(NamedTuple):
-    psi1: float
-    psi2: float
-
-
-class ControlPair(NamedTuple):
-    u1: float
-    u2: float
-
-
-def clamp(value: float, lo: float, hi: float) -> float:
-    """Clamp to the closed interval [lo, hi]; boundary ties go to the bound.
-
-    Inclusive comparisons so an exactly-zero stationary point comes back
-    as +0.0, never -0.0.
-    """
-    if value <= lo:
-        return lo
-    if value >= hi:
-        return hi
-    return value
-
-
-def state_rhs(x: StateVec, u: ControlPair, p: ModelParams) -> StateVec:
-    """Time derivative of (S, I, R, D) under controls u.
+def state_rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2):
+    """Time derivatives (dS, dI, dR, dD, dz, dz_control) under controls (u1, u2).
 
     The four flows (infection, vaccination, treatment, death) each appear
-    once with either sign, so the components sum to zero in exact
-    arithmetic: the system is closed.
+    once with either sign, so dS + dI + dR + dD is zero in exact
+    arithmetic: the system is closed.  dz is the running cost
+    a_i*I + w1*u1^2 + w2*u2^2 and dz_control its control-effort part.
+    Works on floats and on numpy lanes alike.
     """
-    infection = p.beta * x.s * x.i
-    vaccination = u.u1 * x.s
-    treatment = u.u2 * x.i
-    deaths = p.alpha * x.i
-    return StateVec(
-        s=-infection - vaccination,
-        i=infection - treatment - deaths,
-        r=vaccination + treatment,
-        d=deaths,
+    infection = beta * s * i
+    vaccination = u1 * s
+    treatment = u2 * i
+    deaths = alpha * i
+    dzc = w1 * u1 * u1 + w2 * u2 * u2
+    return (
+        -infection - vaccination,
+        infection - treatment - deaths,
+        vaccination + treatment,
+        deaths,
+        dzc + a_i * i,
+        dzc,
     )
 
 
-def adjoint_rhs(
-    psi: AdjointVec, x: StateVec, u: ControlPair, cost: RunningCost, p: ModelParams
-) -> AdjointVec:
-    """Time derivative of the costates (psi1, psi2).
+def adjoint_rhs(s, i, psi1, psi2, u1, u2, beta, alpha, a_i):
+    """Time derivatives (dpsi1, dpsi2) of the costates.
 
     dpsi1/dt = psi1*beta*I + psi1*u1 - psi2*beta*I
     dpsi2/dt = a_i + psi1*beta*S - psi2*beta*S + psi2*u2 + psi2*alpha
 
     The a_i term is the only inhomogeneity; with a_i = 0 and zero terminal
-    data the costates vanish identically.
+    data the costates vanish identically.  Works on floats and on numpy
+    lanes alike.
     """
-    beta_i = p.beta * x.i
-    beta_s = p.beta * x.s
-    dpsi1 = psi.psi1 * beta_i + psi.psi1 * u.u1 - psi.psi2 * beta_i
-    dpsi2 = cost.a_i + psi.psi1 * beta_s - psi.psi2 * beta_s + psi.psi2 * u.u2 + psi.psi2 * p.alpha
-    return AdjointVec(psi1=dpsi1, psi2=dpsi2)
-
-
-def hamiltonian(
-    x: StateVec, psi: AdjointVec, u: ControlPair, cost: RunningCost, p: ModelParams
-) -> float:
-    """Control Hamiltonian: -(running cost) + psi . (state dynamics).
-
-    Constant along extremals of this autonomous problem, which makes its
-    spread along a converged trajectory a cheap global diagnostic.
-    """
-    infection = p.beta * x.s * x.i
-    load = cost.w1 * u.u1 * u.u1 + cost.w2 * u.u2 * u.u2 + cost.a_i * x.i
+    beta_i = beta * i
+    beta_s = beta * s
     return (
-        -load
-        + psi.psi1 * (-infection - u.u1 * x.s)
-        + psi.psi2 * (infection - u.u2 * x.i - p.alpha * x.i)
+        psi1 * beta_i + psi1 * u1 - psi2 * beta_i,
+        a_i + psi1 * beta_s - psi2 * beta_s + psi2 * u2 + psi2 * alpha,
     )
 
 
-def optimal_controls(
-    x: StateVec, psi: AdjointVec, cost: RunningCost, p: ModelParams
-) -> ControlPair:
-    """Pointwise maximizer of the Hamiltonian over the control box.
+def hamiltonian(s, i, psi1, psi2, u1, u2, beta, alpha, a_i, w1, w2):
+    """Control Hamiltonian: -(running cost) + psi . (state dynamics).
+
+    Constant along extremals of this autonomous problem, which makes its
+    spread along a converged trajectory a cheap global diagnostic.  Works
+    on floats and on whole trajectory arrays alike.
+    """
+    ds, di, _, _, dz, _ = state_rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
+    return -dz + psi1 * ds + psi2 * di
+
+
+def optimal_controls(s, i, psi1, psi2, w1, w2, u1_max, u2_max):
+    """Pointwise maximizer (u1, u2) of the Hamiltonian over the control box.
 
     The control-dependent part splits into two convex single-variable
     quadratics, so each maximizer is the stationary point clamped to its
-    admissible interval.
+    admissible interval.  Scalars only.  The comparisons are inclusive, so
+    a boundary tie resolves to the bound and an exactly-zero stationary
+    point comes back as +0.0, never -0.0.
     """
-    u1 = clamp(-psi.psi1 * x.s / (2.0 * cost.w1), 0.0, p.u1_max)
-    u2 = clamp(-psi.psi2 * x.i / (2.0 * cost.w2), 0.0, p.u2_max)
-    return ControlPair(u1=u1, u2=u2)
+    u1 = -psi1 * s / (2.0 * w1)
+    if u1 <= 0.0:
+        u1 = 0.0
+    elif u1 >= u1_max:
+        u1 = u1_max
+    u2 = -psi2 * i / (2.0 * w2)
+    if u2 <= 0.0:
+        u2 = 0.0
+    elif u2 >= u2_max:
+        u2 = u2_max
+    return u1, u2

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MissingControlsError
 from .integrate import Trajectory
-from .model import RunningCost
+from .model import RunningCost, state_rhs
 
 
 class ObjectiveSplit(NamedTuple):
@@ -38,7 +38,8 @@ def evaluate_objective(traj: Trajectory, cost: RunningCost) -> float:
 def evaluate_objective_trapezoid(traj: Trajectory, cost: RunningCost) -> float:
     """Trapezoid quadrature of the sampled integrand; O(h^2) cross-check."""
     _require_controls(traj)
-    g = cost.w1 * traj.u1 ** 2 + cost.w2 * traj.u2 ** 2 + cost.a_i * traj.i
+    # The running cost (state_rhs's dz) does not depend on beta or alpha.
+    _, _, _, _, g, _ = state_rhs(traj.s, traj.i, traj.u1, traj.u2, 0.0, 0.0, cost.a_i, cost.w1, cost.w2)
     h = traj.t[1] - traj.t[0]
     return float(h * (np.sum(g) - 0.5 * (g[0] + g[-1])))
 

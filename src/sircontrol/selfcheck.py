@@ -13,14 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    AdjointVec,
-    ControlPair,
-    ModelParams,
-    StateVec,
-    hamiltonian,
-    running_cost,
-)
+from .model import ModelParams, hamiltonian, running_cost
 from .integrate import integrate_state_forward
 from .solvers import solve_shooting
 
@@ -77,15 +70,10 @@ def check_hamiltonian_constancy(p: ModelParams) -> CheckResult:
     if not report.converged:
         return CheckResult("hamiltonian-constancy", False, "shooting solve did not converge")
     traj = report.trajectory
-    values = np.array([
-        hamiltonian(
-            StateVec(traj.s[k], traj.i[k], traj.r[k], traj.d[k]),
-            AdjointVec(traj.psi1[k], traj.psi2[k]),
-            ControlPair(traj.u1[k], traj.u2[k]),
-            cost, p4,
-        )
-        for k in range(len(traj.t))
-    ])
+    values = hamiltonian(
+        traj.s, traj.i, traj.psi1, traj.psi2, traj.u1, traj.u2,
+        p4.beta, p4.alpha, cost.a_i, cost.w1, cost.w2,
+    )
     spread = float((values.max() - values.min()) / (1.0 + abs(values.mean())))
     ok = spread <= 1e-5
     return CheckResult(

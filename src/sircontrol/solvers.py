@@ -15,8 +15,8 @@ it:
                             relaxed clamp-law control update until the
                             control schedule reaches a fixed point.
 
-They share nothing but the integrator, so their agreement on the
-objective is a meaningful cross-check.  control_gradient supplies the
+They share nothing but the model's kernels and the RK4 scheme, so their
+agreement on the objective is a meaningful cross-check.  control_gradient supplies the
 adjoint-based derivative of the objective with respect to a
 piecewise-constant schedule, used for finite-difference verification.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .integrate import (
     integrate_state_forward,
     interval_boundaries,
 )
-from .model import ModelParams, RunningCost
+from .model import ModelParams, RunningCost, optimal_controls
 
 __all__ = [
     "ShootingOptions",
@@ -59,6 +60,16 @@ _MULTISTART_OFFSETS = (
 )
 
 
+# Validation table of ShootingOptions: (field, predicate, reason), read by
+# its constructor and by the config parser, like model.PARAM_CHECKS.
+SHOOTING_CHECKS: list[tuple[str, Callable[["ShootingOptions"], bool], str]] = [
+    ("residual_tol", lambda o: o.residual_tol > 0.0, "must be positive"),
+    ("max_newton_iters", lambda o: o.max_newton_iters >= 1, "must be >= 1"),
+    ("fd_epsilon", lambda o: o.fd_epsilon > 0.0, "must be positive"),
+    ("damping_halvings", lambda o: o.damping_halvings >= 0, "must be >= 0"),
+]
+
+
 @dataclass(frozen=True)
 class ShootingOptions:
     """Tunables of the shooting solve.
@@ -77,14 +88,10 @@ class ShootingOptions:
     multistart_offsets: tuple[tuple[float, float], ...] = _MULTISTART_OFFSETS
 
     def __post_init__(self):
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
-        if not self.fd_epsilon > 0.0:
-            raise ValueError("fd_epsilon must be positive")
-        if self.damping_halvings < 0:
-            raise ValueError("damping_halvings must be >= 0")
+        bad = [(f, reason) for f, ok, reason in SHOOTING_CHECKS if not ok(self)]
+        if bad:
+            msg = "; ".join(f"{f} {reason}" for f, reason in bad)
+            raise ValueError(f"invalid shooting options: {msg}")
 
 
 @dataclass(frozen=True)
@@ -264,6 +271,7 @@ def solve_forward_backward(
     n = p.n_steps
     u1 = np.zeros(n + 1)
     u2 = np.zeros(n + 1)
+    law, w1, w2, u1m, u2m = optimal_controls, cost.w1, cost.w2, p.u1_max, p.u2_max
     traj = None
     psi1 = psi2 = None
     converged = False
@@ -272,11 +280,10 @@ def solve_forward_backward(
     for iters in range(1, max_iters + 1):
         traj = integrate_state_forward(u1, u2, cost, p)
         psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
-        # + 0.0 canonicalizes the signed zero a zero costate produces.
-        u1_law = np.clip(-psi1 * traj.s / (2.0 * cost.w1), 0.0, p.u1_max) + 0.0
-        u2_law = np.clip(-psi2 * traj.i / (2.0 * cost.w2), 0.0, p.u2_max) + 0.0
-        u1_next = (1.0 - relaxation) * u1 + relaxation * u1_law
-        u2_next = (1.0 - relaxation) * u2 + relaxation * u2_law
+        nodes = zip(traj.s.tolist(), traj.i.tolist(), psi1.tolist(), psi2.tolist())
+        u_law = np.array([law(s, i, q1, q2, w1, w2, u1m, u2m) for s, i, q1, q2 in nodes])
+        u1_next = (1.0 - relaxation) * u1 + relaxation * u_law[:, 0]
+        u2_next = (1.0 - relaxation) * u2 + relaxation * u_law[:, 1]
         scale = 1.0 + max(float(np.max(np.abs(u1_next))), float(np.max(np.abs(u2_next))))
         change = max(
             float(np.max(np.abs(u1_next - u1))), float(np.max(np.abs(u2_next - u2)))

@@ -11,10 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from sircontrol import (
-    AdjointVec,
-    ControlPair,
     ModelParams,
-    StateVec,
     brute_force_best,
     control_gradient,
     evaluate_objective,
@@ -178,15 +175,10 @@ def test_criterion_07_hamiltonian_constancy():
     cost = running_cost(p)
     rep = solve_shooting(cost, p)
     traj = rep.trajectory
-    values = np.array([
-        hamiltonian(
-            StateVec(traj.s[k], traj.i[k], traj.r[k], traj.d[k]),
-            AdjointVec(traj.psi1[k], traj.psi2[k]),
-            ControlPair(traj.u1[k], traj.u2[k]),
-            cost, p,
-        )
-        for k in range(len(traj.t))
-    ])
+    values = hamiltonian(
+        traj.s, traj.i, traj.psi1, traj.psi2, traj.u1, traj.u2,
+        p.beta, p.alpha, cost.a_i, cost.w1, cost.w2,
+    )
     spread = float((values.max() - values.min()) / (1.0 + abs(values.mean())))
     ok = rep.converged and spread <= 1e-5
     report(7, ok, f"normalized Hamiltonian spread {spread:.2e} <= 1e-5 at n_steps = 4000")

@@ -77,14 +77,3 @@ class TestSweepAlpha:
             sweep_alpha(small_params, [0.2, 0.1])
         with pytest.raises(ValueError):
             sweep_alpha(small_params, [0.1, 0.1])
-
-    def test_parallel_mode_matches_serial_results(self):
-        p = make_baseline_params(n_steps=400)
-        alphas = [0.1, 0.3]
-        serial = sweep_alpha(p, alphas, parallel=False)
-        parallel = sweep_alpha(p, alphas, parallel=True)
-        assert [r.alpha for r in parallel] == alphas
-        for a, b in zip(serial, parallel):
-            assert b.converged_new and b.converged_legacy
-            assert b.objective_new == pytest.approx(a.objective_new, rel=1e-6)
-            assert b.objective_legacy == pytest.approx(a.objective_legacy, rel=1e-6)

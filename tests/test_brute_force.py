@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sircontrol import (
+    NonFiniteError,
     RunningCost,
     TooLargeError,
     brute_force_best,
@@ -15,6 +16,7 @@ from sircontrol import (
     running_cost,
     solve_shooting,
 )
+from sircontrol.brute_force import _batch_objectives
 
 from conftest import make_baseline_params
 
@@ -65,7 +67,48 @@ class TestBruteForce:
             expand_piecewise_schedule(result.u2_levels, bounds, baseline_params.n_steps),
             baseline_cost, baseline_params,
         )
-        assert result.objective == pytest.approx(evaluate_objective(traj, baseline_cost), rel=1e-12)
+        assert result.objective == evaluate_objective(traj, baseline_cost)
+
+    @pytest.mark.parametrize("functional", ["new", "legacy"])
+    def test_lanes_equal_scalar_integrator_bit_for_bit(self, functional):
+        # Lanes and the scalar pass share state_rhs, so every lane's
+        # objective is the scalar integrator's number exactly; interior
+        # levels and uneven 3-way splits of the grid included.
+        p = make_baseline_params(functional=functional)
+        cost = running_cost(p)
+        batches = (
+            [([0.3], [0.6]), ([0.9], [0.0]), ([0.15], [0.45])],
+            [([0.45, 0.0], [0.9, 0.225]), ([0.2, 0.7], [0.1, 0.8])],
+            [([0.9, 0.3, 0.6], [0.0, 0.675, 0.45]), ([0.2, 0.7, 0.1], [0.5, 0.5, 0.9])],
+        )
+        for schedules in batches:
+            u1_grid = np.array([u1 for u1, _ in schedules])
+            u2_grid = np.array([u2 for _, u2 in schedules])
+            bounds = interval_boundaries(p.n_steps, u1_grid.shape[1])
+            lanes = _batch_objectives(u1_grid, u2_grid, bounds, cost, p)
+            for lane, (u1, u2) in zip(lanes, schedules):
+                traj = integrate_state_forward(
+                    expand_piecewise_schedule(u1, bounds, p.n_steps),
+                    expand_piecewise_schedule(u2, bounds, p.n_steps),
+                    cost, p,
+                )
+                assert lane == evaluate_objective(traj, cost)
+
+    def test_diverged_schedules_never_win(self):
+        # At beta = 0.5 all but three of the nine schedules overflow to
+        # NaN; the best finite one, (0.9, 0.9), must still be found.
+        p = make_baseline_params(beta=0.5, n_steps=80)
+        cost = running_cost(p)
+        result = brute_force_best(cost, p, n_intervals=1, levels_per_control=3)
+        assert result.u1_levels.tolist() == [0.9]
+        assert result.u2_levels.tolist() == [0.9]
+        full = np.full(p.n_steps + 1, 0.9)
+        assert result.objective == evaluate_objective(integrate_state_forward(full, full, cost, p), cost)
+
+    def test_raises_when_every_schedule_diverges(self):
+        p = make_baseline_params(beta=5.0, n_steps=20)
+        with pytest.raises(NonFiniteError):
+            brute_force_best(running_cost(p), p, n_intervals=1, levels_per_control=2)
 
     def test_deterministic_repeat(self, baseline_params, baseline_cost):
         a = brute_force_best(baseline_cost, baseline_params, n_intervals=2, levels_per_control=3)

@@ -8,7 +8,6 @@ import pytest
 from sircontrol import (
     NonFiniteError,
     RunningCost,
-    TimeGrid,
     Trajectory,
     evaluate_objective,
     evaluate_objective_trapezoid,
@@ -53,19 +52,6 @@ class TestRk4Step:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             rk4_step(lambda t, y: -y, 0.0, 1.0, 0.0)
-
-
-class TestTimeGrid:
-    def test_uniform_nodes(self):
-        grid = TimeGrid(horizon=10.0, n_steps=4)
-        assert grid.h == 2.5
-        assert np.array_equal(grid.nodes(), [0.0, 2.5, 5.0, 7.5, 10.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeGrid(horizon=0.0, n_steps=4)
-        with pytest.raises(ValueError):
-            TimeGrid(horizon=1.0, n_steps=0)
 
 
 def max_decay_error(n_steps: int) -> float:
@@ -249,21 +235,16 @@ class TestAdjointBackward:
 
 class TestHamiltonianConstancy:
     def test_constant_along_coupled_extremal(self):
-        from sircontrol import AdjointVec, ControlPair, StateVec, hamiltonian, solve_shooting
+        from sircontrol import hamiltonian, solve_shooting
 
         p = make_baseline_params(n_steps=4000)
         cost = running_cost(p)
         report = solve_shooting(cost, p)
         assert report.converged
         traj = report.trajectory
-        values = np.array([
-            hamiltonian(
-                StateVec(traj.s[k], traj.i[k], traj.r[k], traj.d[k]),
-                AdjointVec(traj.psi1[k], traj.psi2[k]),
-                ControlPair(traj.u1[k], traj.u2[k]),
-                cost, p,
-            )
-            for k in range(len(traj.t))
-        ])
+        values = hamiltonian(
+            traj.s, traj.i, traj.psi1, traj.psi2, traj.u1, traj.u2,
+            p.beta, p.alpha, cost.a_i, cost.w1, cost.w2,
+        )
         spread = (values.max() - values.min()) / (1.0 + abs(values.mean()))
         assert spread <= 1e-5

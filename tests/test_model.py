@@ -1,16 +1,14 @@
 """Pointwise mathematics: dynamics, costates, Hamiltonian, clamp law."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sircontrol import (
-    AdjointVec,
-    ControlPair,
     ModelParams,
     RunningCost,
-    StateVec,
     adjoint_rhs,
-    clamp,
     hamiltonian,
     optimal_controls,
     running_cost,
@@ -29,27 +27,47 @@ def params(**overrides) -> ModelParams:
     return ModelParams(**base)
 
 
+SOURCE = RunningCost(a_i=0.4, w1=1.0, w2=1.0)
+
+
+def flows(s, i, u1, u2, p, cost=SOURCE):
+    return state_rhs(s, i, u1, u2, p.beta, p.alpha, cost.a_i, cost.w1, cost.w2)
+
+
+def costate_rates(s, i, psi1, psi2, u1, u2, cost, p):
+    return adjoint_rhs(s, i, psi1, psi2, u1, u2, p.beta, p.alpha, cost.a_i)
+
+
+def ham(s, i, psi1, psi2, u1, u2, cost, p):
+    return hamiltonian(s, i, psi1, psi2, u1, u2, p.beta, p.alpha, cost.a_i, cost.w1, cost.w2)
+
+
+def law(s, i, psi1, psi2, cost, p):
+    return optimal_controls(s, i, psi1, psi2, cost.w1, cost.w2, p.u1_max, p.u2_max)
+
+
 class TestStateRhs:
     def test_direct_substitution(self):
         p = params()
-        dx = state_rhs(StateVec(2.0, 3.0, 0.0, 0.0), ControlPair(0.1, 0.3), p)
-        assert dx.s == pytest.approx(-3.2, abs=1e-12)
-        assert dx.i == pytest.approx(1.5, abs=1e-12)
-        assert dx.r == pytest.approx(1.1, abs=1e-12)
-        assert dx.d == pytest.approx(0.6, abs=1e-12)
+        ds, di, dr, dd, dz, dzc = flows(2.0, 3.0, 0.1, 0.3, p)
+        assert ds == pytest.approx(-3.2, abs=1e-12)
+        assert di == pytest.approx(1.5, abs=1e-12)
+        assert dr == pytest.approx(1.1, abs=1e-12)
+        assert dd == pytest.approx(0.6, abs=1e-12)
+        assert dzc == pytest.approx(0.1, abs=1e-12)
+        assert dz == pytest.approx(1.3, abs=1e-12)
 
     def test_decoupled_decay(self):
         p = params(beta=0.0, s0=1.0, i0=1.0)
-        dx = state_rhs(StateVec(1.0, 1.0, 0.0, 0.0), ControlPair(0.0, 0.0), p)
-        assert dx == (0.0, -0.2, 0.0, 0.2)
+        assert flows(1.0, 1.0, 0.0, 0.0, p)[:4] == (0.0, -0.2, 0.0, 0.2)
 
     def test_infection_free_face(self):
         p = params()
         for s, u1 in ((5.0, 0.0), (0.7, 0.3), (12.0, 0.9)):
-            dx = state_rhs(StateVec(s, 0.0, 1.0, 2.0), ControlPair(u1, 0.5), p)
-            assert dx.i == 0.0
-            assert dx.d == 0.0
-            assert dx.r == u1 * s
+            _, di, dr, dd, _, _ = flows(s, 0.0, u1, 0.5, p)
+            assert di == 0.0
+            assert dd == 0.0
+            assert dr == u1 * s
 
     def test_components_sum_to_zero(self):
         # Closed system: the four flows cancel pairwise; floating-point
@@ -57,9 +75,9 @@ class TestStateRhs:
         rng = np.random.default_rng(7)
         p = params()
         for _ in range(200):
-            x = StateVec(*rng.uniform(0.0, 100.0, 3), rng.uniform(0.0, 100.0))
-            u = ControlPair(rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9))
-            dx = state_rhs(x, u, p)
+            s, i, _, _ = rng.uniform(0.0, 100.0, 4)
+            u1, u2 = rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9)
+            dx = flows(s, i, u1, u2, p)[:4]
             scale = sum(abs(v) for v in dx) + 1.0
             assert abs(sum(dx)) <= 1e-13 * scale
 
@@ -67,53 +85,43 @@ class TestStateRhs:
 class TestAdjointRhs:
     def test_direct_substitution(self):
         p = params()
-        cost = RunningCost(a_i=0.4, w1=1.0, w2=1.0)
-        dpsi = adjoint_rhs(
-            AdjointVec(1.0, -1.0), StateVec(2.0, 3.0, 0.0, 0.0), ControlPair(0.1, 0.3), cost, p
-        )
-        assert dpsi.psi1 == pytest.approx(3.1, abs=1e-12)
-        assert dpsi.psi2 == pytest.approx(1.9, abs=1e-12)
+        dpsi1, dpsi2 = costate_rates(2.0, 3.0, 1.0, -1.0, 0.1, 0.3, SOURCE, p)
+        assert dpsi1 == pytest.approx(3.1, abs=1e-12)
+        assert dpsi2 == pytest.approx(1.9, abs=1e-12)
 
     def test_zero_costate_homogeneous_equilibrium(self):
         p = params()
         cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
-        dpsi = adjoint_rhs(AdjointVec(0.0, 0.0), StateVec(2.0, 3.0, 0.0, 0.0), ControlPair(0.1, 0.3), cost, p)
-        assert dpsi == (0.0, 0.0)
+        assert costate_rates(2.0, 3.0, 0.0, 0.0, 0.1, 0.3, cost, p) == (0.0, 0.0)
 
     def test_source_term_only(self):
         p = params()
-        cost = RunningCost(a_i=0.4, w1=1.0, w2=1.0)
-        dpsi = adjoint_rhs(AdjointVec(0.0, 0.0), StateVec(2.0, 3.0, 0.0, 0.0), ControlPair(0.1, 0.3), cost, p)
-        assert dpsi == (0.0, 0.4)
+        assert costate_rates(2.0, 3.0, 0.0, 0.0, 0.1, 0.3, SOURCE, p) == (0.0, 0.4)
 
     def test_homogeneous_part_scales_linearly(self):
         rng = np.random.default_rng(11)
         p = params()
         cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
         for _ in range(100):
-            psi = AdjointVec(*rng.normal(0.0, 5.0, 2))
-            x = StateVec(*rng.uniform(0.0, 50.0, 4))
-            u = ControlPair(rng.uniform(0, 0.9), rng.uniform(0, 0.9))
+            psi1, psi2 = rng.normal(0.0, 5.0, 2)
+            s, i, _, _ = rng.uniform(0.0, 50.0, 4)
+            u1, u2 = rng.uniform(0, 0.9), rng.uniform(0, 0.9)
             lam = rng.uniform(-3.0, 3.0)
-            base = adjoint_rhs(psi, x, u, cost, p)
-            scaled = adjoint_rhs(AdjointVec(lam * psi.psi1, lam * psi.psi2), x, u, cost, p)
-            assert scaled.psi1 == pytest.approx(lam * base.psi1, rel=1e-12, abs=1e-12)
-            assert scaled.psi2 == pytest.approx(lam * base.psi2, rel=1e-12, abs=1e-12)
+            base = costate_rates(s, i, psi1, psi2, u1, u2, cost, p)
+            scaled = costate_rates(s, i, lam * psi1, lam * psi2, u1, u2, cost, p)
+            assert scaled[0] == pytest.approx(lam * base[0], rel=1e-12, abs=1e-12)
+            assert scaled[1] == pytest.approx(lam * base[1], rel=1e-12, abs=1e-12)
 
 
 class TestHamiltonian:
     def test_direct_substitution(self):
         p = params()
-        cost = RunningCost(a_i=0.4, w1=1.0, w2=1.0)
-        value = hamiltonian(
-            StateVec(2.0, 3.0, 0.0, 0.0), AdjointVec(1.0, -1.0), ControlPair(0.1, 0.3), cost, p
-        )
-        assert value == pytest.approx(-6.0, abs=1e-12)
+        assert ham(2.0, 3.0, 1.0, -1.0, 0.1, 0.3, SOURCE, p) == pytest.approx(-6.0, abs=1e-12)
 
     def test_all_terms_vanish(self):
         p = params()
         cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
-        assert hamiltonian(StateVec(2.0, 3.0, 0.0, 0.0), AdjointVec(0.0, 0.0), ControlPair(0.0, 0.0), cost, p) == 0.0
+        assert ham(2.0, 3.0, 0.0, 0.0, 0.0, 0.0, cost, p) == 0.0
 
     def test_zero_control_reduction(self):
         # H at u = 0 collapses to -a_i*I + (psi2 - psi1)*beta*S*I - psi2*alpha*I.
@@ -121,14 +129,10 @@ class TestHamiltonian:
         p = params()
         cost = RunningCost(a_i=0.4, w1=2.0, w2=3.0)
         for _ in range(50):
-            x = StateVec(*rng.uniform(0.0, 20.0, 4))
-            psi = AdjointVec(*rng.normal(0.0, 2.0, 2))
-            got = hamiltonian(x, psi, ControlPair(0.0, 0.0), cost, p)
-            want = (
-                -cost.a_i * x.i
-                + (psi.psi2 - psi.psi1) * p.beta * x.s * x.i
-                - psi.psi2 * p.alpha * x.i
-            )
+            s, i, _, _ = rng.uniform(0.0, 20.0, 4)
+            psi1, psi2 = rng.normal(0.0, 2.0, 2)
+            got = ham(s, i, psi1, psi2, 0.0, 0.0, cost, p)
+            want = -cost.a_i * i + (psi2 - psi1) * p.beta * s * i - psi2 * p.alpha * i
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -136,31 +140,31 @@ class TestOptimalControls:
     def test_negative_stationary_point_clamps_to_zero(self):
         p = params()
         cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
-        u = optimal_controls(StateVec(3.0, 1.0, 0.0, 0.0), AdjointVec(1.0, 0.0), cost, p)
-        assert u.u1 == 0.0
+        u1, _ = law(3.0, 1.0, 1.0, 0.0, cost, p)
+        assert u1 == 0.0
 
     def test_oversized_stationary_point_clamps_to_max(self):
         p = params(u1_max=0.9)
         cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
-        u = optimal_controls(StateVec(2.0, 1.0, 0.0, 0.0), AdjointVec(-1.0, 0.0), cost, p)
-        assert u.u1 == 0.9
+        u1, _ = law(2.0, 1.0, -1.0, 0.0, cost, p)
+        assert u1 == 0.9
 
     def test_interior_stationary_point(self):
         p = params(u2_max=0.9)
         cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
-        u = optimal_controls(StateVec(1.0, 2.0, 0.0, 0.0), AdjointVec(0.0, -0.5), cost, p)
-        assert u.u2 == pytest.approx(0.5, abs=1e-15)
+        _, u2 = law(1.0, 2.0, 0.0, -0.5, cost, p)
+        assert u2 == pytest.approx(0.5, abs=1e-15)
 
     def test_always_inside_the_box(self):
         rng = np.random.default_rng(17)
         p = params(u1_max=0.7, u2_max=0.4)
         cost = RunningCost(a_i=1.0, w1=0.3, w2=2.0)
         for _ in range(300):
-            x = StateVec(*rng.uniform(0.0, 100.0, 4))
-            psi = AdjointVec(*rng.normal(0.0, 10.0, 2))
-            u = optimal_controls(x, psi, cost, p)
-            assert 0.0 <= u.u1 <= p.u1_max
-            assert 0.0 <= u.u2 <= p.u2_max
+            s, i, _, _ = rng.uniform(0.0, 100.0, 4)
+            psi1, psi2 = rng.normal(0.0, 10.0, 2)
+            u1, u2 = law(s, i, psi1, psi2, cost, p)
+            assert 0.0 <= u1 <= p.u1_max
+            assert 0.0 <= u2 <= p.u2_max
 
     def test_interior_control_is_stationary(self):
         rng = np.random.default_rng(19)
@@ -168,14 +172,14 @@ class TestOptimalControls:
         cost = RunningCost(a_i=1.0, w1=0.8, w2=1.7)
         hits = 0
         for _ in range(300):
-            x = StateVec(*rng.uniform(0.1, 10.0, 4))
-            psi = AdjointVec(*rng.normal(0.0, 1.0, 2))
-            u = optimal_controls(x, psi, cost, p)
-            if 0.0 < u.u1 < p.u1_max:
+            s, i, _, _ = rng.uniform(0.1, 10.0, 4)
+            psi1, psi2 = rng.normal(0.0, 1.0, 2)
+            u1, u2 = law(s, i, psi1, psi2, cost, p)
+            if 0.0 < u1 < p.u1_max:
                 hits += 1
-                assert 2.0 * cost.w1 * u.u1 + psi.psi1 * x.s == pytest.approx(0.0, abs=1e-12)
-            if 0.0 < u.u2 < p.u2_max:
-                assert 2.0 * cost.w2 * u.u2 + psi.psi2 * x.i == pytest.approx(0.0, abs=1e-12)
+                assert 2.0 * cost.w1 * u1 + psi1 * s == pytest.approx(0.0, abs=1e-12)
+            if 0.0 < u2 < p.u2_max:
+                assert 2.0 * cost.w2 * u2 + psi2 * i == pytest.approx(0.0, abs=1e-12)
         assert hits > 50  # the sampling actually exercises interior branches
 
     def test_maximizes_hamiltonian_over_random_controls(self):
@@ -183,22 +187,26 @@ class TestOptimalControls:
         p = params(u1_max=0.9, u2_max=0.6)
         cost = RunningCost(a_i=0.5, w1=1.2, w2=0.7)
         for _ in range(20):
-            x = StateVec(*rng.uniform(0.0, 30.0, 4))
-            psi = AdjointVec(*rng.normal(0.0, 3.0, 2))
-            u_star = optimal_controls(x, psi, cost, p)
-            h_star = hamiltonian(x, psi, u_star, cost, p)
+            s, i, _, _ = rng.uniform(0.0, 30.0, 4)
+            psi1, psi2 = rng.normal(0.0, 3.0, 2)
+            u_star = law(s, i, psi1, psi2, cost, p)
+            h_star = ham(s, i, psi1, psi2, *u_star, cost, p)
             for _ in range(100):
-                u = ControlPair(rng.uniform(0.0, p.u1_max), rng.uniform(0.0, p.u2_max))
-                assert h_star >= hamiltonian(x, psi, u, cost, p) - 1e-12
+                u1, u2 = rng.uniform(0.0, p.u1_max), rng.uniform(0.0, p.u2_max)
+                assert h_star >= ham(s, i, psi1, psi2, u1, u2, cost, p) - 1e-12
 
 
 class TestClamp:
     def test_boundary_ties_resolve_to_the_bound(self):
-        assert clamp(0.0, 0.0, 1.0) == 0.0
-        assert clamp(1.0, 0.0, 1.0) == 1.0
-        assert clamp(-0.5, 0.0, 1.0) == 0.0
-        assert clamp(1.5, 0.0, 1.0) == 1.0
-        assert clamp(0.25, 0.0, 1.0) == 0.25
+        # With S = I = 1 and w = 1/2 the stationary point is -psi, so each
+        # case places it exactly: on a bound, outside, or inside [0, 1].
+        p = params(u1_max=1.0, u2_max=1.0)
+        cost = RunningCost(a_i=0.0, w1=0.5, w2=0.5)
+        for stationary, want in ((0.0, 0.0), (1.0, 1.0), (-0.5, 0.0), (1.5, 1.0), (0.25, 0.25)):
+            assert law(1.0, 1.0, -stationary, -stationary, cost, p) == (want, want)
+        # A zero costate gives the stationary point -0.0; the law returns +0.0.
+        for u in law(1.0, 1.0, 0.0, 0.0, cost, p):
+            assert math.copysign(1.0, u) == 1.0
 
 
 class TestValidation:

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from sircontrol import (
-    AdjointVec,
     NoConvergenceError,
     RunningCost,
     ShootingOptions,
-    StateVec,
     control_gradient,
     evaluate_objective,
     expand_piecewise_schedule,
@@ -87,13 +85,12 @@ class TestSolveShooting:
     def test_controls_satisfy_clamp_law_pointwise(self, baseline_params, baseline_cost):
         traj = solve_shooting(baseline_cost, baseline_params).trajectory
         for k in range(0, baseline_params.n_steps + 1, 97):
-            law = optimal_controls(
-                StateVec(traj.s[k], traj.i[k], traj.r[k], traj.d[k]),
-                AdjointVec(traj.psi1[k], traj.psi2[k]),
-                baseline_cost, baseline_params,
+            u1, u2 = optimal_controls(
+                traj.s[k], traj.i[k], traj.psi1[k], traj.psi2[k],
+                baseline_cost.w1, baseline_cost.w2, baseline_params.u1_max, baseline_params.u2_max,
             )
-            assert traj.u1[k] == law.u1
-            assert traj.u2[k] == law.u2
+            assert traj.u1[k] == u1
+            assert traj.u2[k] == u2
 
     def test_beats_trivial_policies(self, baseline_params, baseline_cost):
         report = solve_shooting(baseline_cost, baseline_params)
