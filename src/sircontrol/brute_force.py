@@ -6,17 +6,28 @@ contains 0 and u_max, integrate each with the same RK4 scheme and grid as
 the main solvers, and keep the minimizer.  The search's value is its
 dumbness; no heuristics.
 
-The enumeration is evaluated in batches with numpy, one array lane per
-schedule.  The lanes call the same ``model.state_rhs`` kernel as the
-scalar integrator, so each lane's objective equals integrate_state_forward
-on that schedule bit for bit; their RK4 loop stays separate from the
-scalar ones because it advances arrays, not floats.  Results are
-deterministic: schedules are scanned in lexicographic order, ties keep the
-earliest, and a diverged (non-finite) schedule never wins.
+Schedules that share their first j intervals' levels share their
+trajectory up to the end of interval j, so the enumeration walks the
+prefix tree depth first: starting from one root lane (s0, i0, z = 0), each
+lane of depth j expands into its L^2 children (one per (u1, u2) level
+pair of interval j), which are advanced over that interval's steps_j fine
+steps as numpy lanes.  Each distinct prefix is integrated once, so the
+walk costs sum_j L^(2(j+1)) * steps_j lane-steps instead of
+L^(2m) * n_steps.  Children are expanded in chunks of at most _BATCH
+lanes, so no more than about m * _BATCH lanes are held at once.
+
+The lanes call the same ``model.state_rhs`` kernel as the scalar
+integrator and every lane does the arithmetic of one full-length scalar
+pass, so each objective equals integrate_state_forward on that schedule
+bit for bit.  Results are deterministic: a schedule's index reads its
+levels as base-L digits (u1 on intervals 0..m-1, then u2), an exact tie
+goes to the smaller index whatever the walk order, and a diverged
+(non-finite) schedule never wins.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +36,7 @@ from .errors import NonFiniteError, TooLargeError
 from .integrate import interval_boundaries
 from .model import ModelParams, RunningCost, state_rhs
 
-__all__ = ["BruteForceResult", "control_levels", "brute_force_best"]
+__all__ = ["BruteForceResult", "control_levels", "exceeds_guard", "brute_force_best"]
 
 ENUMERATION_GUARD = 10**6
 _BATCH = 65536
@@ -39,6 +50,7 @@ class BruteForceResult:
     u2_levels: np.ndarray
     objective: float
     n_schedules: int
+    lane_steps: int  # RK4 steps the prefix walk integrated, summed over lanes
 
     def __post_init__(self):
         self.u1_levels.setflags(write=False)
@@ -54,18 +66,21 @@ def control_levels(u_max: float, n_levels: int) -> np.ndarray:
     return u_max * (np.arange(n_levels) / (n_levels - 1))
 
 
-def _batch_objectives(
-    u1_grid: np.ndarray,
-    u2_grid: np.ndarray,
-    bounds: np.ndarray,
-    cost: RunningCost,
-    p: ModelParams,
-) -> np.ndarray:
-    """Terminal objective of every schedule in the batch.
+def exceeds_guard(n_intervals: int, levels_per_control: int) -> bool:
+    """True when levels^(2*n_intervals) schedules exceed ENUMERATION_GUARD.
 
-    u1_grid/u2_grid have shape (batch, n_intervals); interval j drives the
-    fine steps [bounds[j], bounds[j+1]).  Classical RK4, one numpy lane per
-    schedule.
+    Any base >= 2 raised to the guard's bit length already exceeds the
+    guard, so the exponent is capped there: the answer stays exact and a
+    huge n_intervals costs no huge power.
+    """
+    exponent = min(2 * n_intervals, ENUMERATION_GUARD.bit_length())
+    return levels_per_control**exponent > ENUMERATION_GUARD
+
+
+def _advance_lanes(s, i, z, u1, u2, n_steps: int, cost: RunningCost, p: ModelParams):
+    """Classical RK4 over n_steps fine steps, one numpy lane per schedule.
+
+    u1/u2 hold each lane's constant controls for the interval.
     """
     h = p.horizon / p.n_steps
     h2 = h / 2.0
@@ -73,23 +88,62 @@ def _batch_objectives(
     beta, alpha = p.beta, p.alpha
     a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
     rhs = state_rhs
+    for _k in range(n_steps):
+        k1s, k1i, _, _, k1z, _ = rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
+        k2s, k2i, _, _, k2z, _ = rhs(s + h2 * k1s, i + h2 * k1i, u1, u2, beta, alpha, a_i, w1, w2)
+        k3s, k3i, _, _, k3z, _ = rhs(s + h2 * k2s, i + h2 * k2i, u1, u2, beta, alpha, a_i, w1, w2)
+        k4s, k4i, _, _, k4z, _ = rhs(s + h * k3s, i + h * k3i, u1, u2, beta, alpha, a_i, w1, w2)
+        s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+    return s, i, z
 
-    m = u1_grid.shape[0]
-    s = np.full(m, float(p.s0))
-    i = np.full(m, float(p.i0))
-    z = np.zeros(m)
-    for j in range(len(bounds) - 1):
-        u1 = np.ascontiguousarray(u1_grid[:, j])
-        u2 = np.ascontiguousarray(u2_grid[:, j])
-        for _k in range(bounds[j], bounds[j + 1]):
-            k1s, k1i, _, _, k1z, _ = rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
-            k2s, k2i, _, _, k2z, _ = rhs(s + h2 * k1s, i + h2 * k1i, u1, u2, beta, alpha, a_i, w1, w2)
-            k3s, k3i, _, _, k3z, _ = rhs(s + h2 * k2s, i + h2 * k2i, u1, u2, beta, alpha, a_i, w1, w2)
-            k4s, k4i, _, _, k4z, _ = rhs(s + h * k3s, i + h * k3i, u1, u2, beta, alpha, a_i, w1, w2)
-            s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-            i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-            z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    return z
+
+def _walk_schedules(
+    cost: RunningCost,
+    p: ModelParams,
+    n_intervals: int,
+    levels_per_control: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Depth-first walk of the schedule prefix tree.
+
+    Yields (schedule indices, objectives, lane-steps so far) for each chunk
+    of complete schedules, in walk order, not index order.  The last
+    yield follows the last integration, so its count is the total.
+    """
+    n_levels = levels_per_control
+    n_pairs = n_levels * n_levels
+    levels1 = control_levels(p.u1_max, n_levels)
+    levels2 = control_levels(p.u2_max, n_levels)
+    steps = np.diff(interval_boundaries(p.n_steps, n_intervals)).tolist()
+    u2_weight = n_levels**n_intervals
+
+    # Each frame holds the lanes of one tree depth (prefixes of that many
+    # intervals) and the next child index to expand.  idx1/idx2 are the
+    # prefix's u1 and u2 digits read as base-L numbers.
+    root = (np.array([float(p.s0)]), np.array([float(p.i0)]), np.zeros(1),
+            np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    frames = [[root, 0]]
+    lane_steps = 0
+    while frames:
+        (s, i, z, idx1, idx2), start = frames[-1]
+        stop = min(start + _BATCH, len(s) * n_pairs)
+        if start == stop:
+            frames.pop()
+            continue
+        frames[-1][1] = stop
+        depth = len(frames) - 1
+        parent, pair = np.divmod(np.arange(start, stop), n_pairs)
+        d1, d2 = np.divmod(pair, n_levels)
+        lanes = _advance_lanes(
+            s[parent], i[parent], z[parent], levels1[d1], levels2[d2], steps[depth], cost, p
+        )
+        prefix = (idx1[parent] * n_levels + d1, idx2[parent] * n_levels + d2)
+        lane_steps += len(parent) * steps[depth]
+        if depth == n_intervals - 1:
+            yield prefix[0] * u2_weight + prefix[1], lanes[2], lane_steps
+        else:
+            frames.append([(*lanes, *prefix), 0])
 
 
 def brute_force_best(
@@ -106,45 +160,39 @@ def brute_force_best(
     Schedules whose objective is not finite are skipped; raises
     NonFiniteError when that leaves none.
     """
-    total = levels_per_control ** (2 * n_intervals)
-    if total > ENUMERATION_GUARD:
+    if exceeds_guard(n_intervals, levels_per_control):
         raise TooLargeError(
-            f"{levels_per_control}^(2*{n_intervals}) = {total} schedules "
+            f"{levels_per_control}^(2*{n_intervals}) schedules "
             f"exceeds the enumeration guard ({ENUMERATION_GUARD})"
         )
 
-    levels1 = control_levels(p.u1_max, levels_per_control)
-    levels2 = control_levels(p.u2_max, levels_per_control)
-    bounds = interval_boundaries(p.n_steps, n_intervals)
-
-    # Digit j of a schedule index (base L, most significant first) selects
-    # the level of: u1 on intervals 0..m-1, then u2 on intervals 0..m-1.
-    n_digits = 2 * n_intervals
-    weights = levels_per_control ** (n_digits - 1 - np.arange(n_digits))
-
     best_obj = np.inf
     best_idx = -1
-    for start in range(0, total, _BATCH):
-        idx = np.arange(start, min(start + _BATCH, total))
-        digits = (idx[:, None] // weights[None, :]) % levels_per_control
-        u1_grid = levels1[digits[:, :n_intervals]]
-        u2_grid = levels2[digits[:, n_intervals:]]
-        # Diverged lanes are expected on stiff instances; they rank as +inf
-        # so that a NaN cannot win argmin and hide the batch's minimum.
-        with np.errstate(over="ignore", invalid="ignore"):
-            objs = _batch_objectives(u1_grid, u2_grid, bounds, cost, p)
-        objs[~np.isfinite(objs)] = np.inf
-        j = int(np.argmin(objs))
-        if objs[j] < best_obj:
-            best_obj = float(objs[j])
-            best_idx = int(idx[j])
+    lane_steps = 0
+    # Diverged lanes are expected on stiff instances; they rank as +inf so
+    # that a NaN cannot hide a chunk's minimum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, objs, lane_steps in _walk_schedules(cost, p, n_intervals, levels_per_control):
+            objs = np.where(np.isfinite(objs), objs, np.inf)
+            obj = objs.min()
+            if obj == np.inf:
+                continue
+            # The walk does not visit schedules in index order, so an exact
+            # tie goes to the smaller index explicitly.
+            first = int(idx[objs == obj].min())
+            if (obj, first) < (best_obj, best_idx):
+                best_obj, best_idx = float(obj), first
     if best_idx < 0:
         raise NonFiniteError(p.horizon, "every enumerated schedule diverged")
 
-    best_digits = (best_idx // weights) % levels_per_control
+    # Digits of the index (base L, most significant first) select the level
+    # of u1 on intervals 0..m-1, then of u2 on intervals 0..m-1.
+    n_levels = levels_per_control
+    digits = [best_idx // n_levels**k % n_levels for k in reversed(range(2 * n_intervals))]
     return BruteForceResult(
-        u1_levels=levels1[best_digits[:n_intervals]].astype(float),
-        u2_levels=levels2[best_digits[n_intervals:]].astype(float),
+        u1_levels=control_levels(p.u1_max, n_levels)[digits[:n_intervals]],
+        u2_levels=control_levels(p.u2_max, n_levels)[digits[n_intervals:]],
         objective=best_obj,
-        n_schedules=total,
+        n_schedules=n_levels ** (2 * n_intervals),
+        lane_steps=lane_steps,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+from .brute_force import ENUMERATION_GUARD, exceeds_guard
 from .errors import ConfigError
 from .model import FUNCTIONALS, PARAM_CHECKS, ModelParams
 from .solvers import SHOOTING_CHECKS, ShootingOptions
@@ -150,10 +151,18 @@ def parse_config(text: str) -> ResolvedConfig:
             problems.append(("alpha_points", "must be >= 1"))
         elif values["alpha_points"] > 1 and not values["alpha_max"] > values["alpha_min"]:
             problems.append(("alpha_max", "must exceed alpha_min for a multi-point sweep"))
-    if values.get("oracle_intervals") is not None and values["oracle_intervals"] < 1:
+    intervals, levels = values.get("oracle_intervals"), values.get("oracle_levels")
+    if intervals is not None and intervals < 1:
         problems.append(("oracle_intervals", "must be >= 1"))
-    if values.get("oracle_levels") is not None and values["oracle_levels"] < 1:
+    elif intervals is not None and values.get("n_steps") is not None and intervals > values["n_steps"]:
+        problems.append(("oracle_intervals", "must not exceed n_steps"))
+    if levels is not None and levels < 1:
         problems.append(("oracle_levels", "must be >= 1"))
+    elif intervals is not None and levels is not None and exceeds_guard(intervals, levels):
+        problems.append((
+            "oracle_levels",
+            f"oracle_levels^(2*oracle_intervals) exceeds the enumeration guard ({ENUMERATION_GUARD})",
+        ))
 
     if problems:
         raise ConfigError(problems)

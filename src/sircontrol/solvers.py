@@ -96,7 +96,14 @@ class ShootingOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve, returned even on failure (converged=False)."""
+    """Outcome of one solve, returned even on failure (converged=False).
+
+    newton_iters counts the iterations of the start whose trajectory is
+    reported only (for the forward-backward sweep, its sweeps);
+    starts_tried and coupled_integrations count the work of every start
+    the shooting solve tried, diverged ones included, and stay 0 for the
+    forward-backward sweep.
+    """
 
     trajectory: Trajectory
     objective: float
@@ -104,6 +111,8 @@ class SolveReport:
     newton_iters: int
     converged: bool
     solver: str
+    starts_tried: int
+    coupled_integrations: int
 
     @property
     def initial_costate(self) -> tuple[float, float]:
@@ -138,16 +147,18 @@ def _residual_of(traj: Trajectory) -> tuple[float, float, float]:
 def _newton_from(
     start: tuple[float, float], cost: RunningCost, p: ModelParams, opts: ShootingOptions
 ):
-    """Damped Newton from one start; returns (traj, norm, iters, converged).
+    """Damped Newton from one start; returns (outcome, integrations).
 
-    Returns None when the very first integration diverges (a hopeless
-    start the multistart loop should just skip).
+    outcome is (traj, norm, iters, converged), or None when the very first
+    integration diverges (a hopeless start the multistart loop should just
+    skip); integrations counts the coupled passes made, probes included.
     """
     pa, pb = float(start[0]), float(start[1])
+    integrations = 1
     try:
         traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError:
-        return None
+        return None, integrations
     r1, r2, norm = _residual_of(traj)
 
     iters = 0
@@ -157,16 +168,17 @@ def _newton_from(
         for j in range(2):
             delta = opts.fd_epsilon * max(1.0, abs(pa) if j == 0 else abs(pb))
             probe = (pa + delta, pb) if j == 0 else (pa, pb + delta)
+            integrations += 1
             try:
                 q1, q2 = shooting_residual(probe, cost, p)
             except NonFiniteError:
-                return traj, norm, iters, False
+                return (traj, norm, iters, False), integrations
             cols.append(((q1 - r1) / delta, (q2 - r2) / delta))
         a, c = cols[0]
         b, d = cols[1]
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
-            return traj, norm, iters, False
+            return (traj, norm, iters, False), integrations
         step1 = (-r1 * d + r2 * b) / det
         step2 = (-r2 * a + r1 * c) / det
 
@@ -176,6 +188,7 @@ def _newton_from(
         accepted = False
         for _ in range(opts.damping_halvings + 1):
             trial = (pa + lam * step1, pb + lam * step2)
+            integrations += 1
             try:
                 trial_traj = integrate_coupled(trial, cost, p)
             except NonFiniteError:
@@ -190,9 +203,9 @@ def _newton_from(
             lam *= 0.5
         iters += 1
         if not accepted:
-            return traj, norm, iters, False
+            return (traj, norm, iters, False), integrations
 
-    return traj, norm, iters, norm <= opts.residual_tol
+    return (traj, norm, iters, norm <= opts.residual_tol), integrations
 
 
 def solve_shooting(
@@ -223,8 +236,11 @@ def solve_shooting(
             unique_starts.append(st)
 
     best = None
+    starts_tried = integrations = 0
     for st in unique_starts:
-        outcome = _newton_from(st, cost, p, opts)
+        outcome, calls = _newton_from(st, cost, p, opts)
+        starts_tried += 1
+        integrations += calls
         if outcome is None:
             continue
         traj, norm, iters, converged = outcome
@@ -244,6 +260,8 @@ def solve_shooting(
         newton_iters=iters,
         converged=converged,
         solver="shooting",
+        starts_tried=starts_tried,
+        coupled_integrations=integrations,
     )
 
 
@@ -305,6 +323,8 @@ def solve_forward_backward(
         newton_iters=iters,
         converged=converged,
         solver="forward-backward",
+        starts_tried=0,
+        coupled_integrations=0,
     )
 
 

@@ -16,7 +16,7 @@ from sircontrol import (
     running_cost,
     solve_shooting,
 )
-from sircontrol.brute_force import _batch_objectives
+from sircontrol import brute_force
 
 from conftest import make_baseline_params
 
@@ -71,28 +71,54 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("functional", ["new", "legacy"])
     def test_lanes_equal_scalar_integrator_bit_for_bit(self, functional):
-        # Lanes and the scalar pass share state_rhs, so every lane's
-        # objective is the scalar integrator's number exactly; interior
-        # levels and uneven 3-way splits of the grid included.
-        p = make_baseline_params(functional=functional)
+        # Every schedule of 3 intervals x 3 levels, on the uneven split
+        # 33/33/34 with the interior level 0.45: the prefix walk shares
+        # state_rhs and the per-lane arithmetic with the scalar pass, so
+        # each objective is the scalar integrator's number exactly, and
+        # each schedule index comes out exactly once.
+        p = make_baseline_params(functional=functional, n_steps=100)
         cost = running_cost(p)
-        batches = (
-            [([0.3], [0.6]), ([0.9], [0.0]), ([0.15], [0.45])],
-            [([0.45, 0.0], [0.9, 0.225]), ([0.2, 0.7], [0.1, 0.8])],
-            [([0.9, 0.3, 0.6], [0.0, 0.675, 0.45]), ([0.2, 0.7, 0.1], [0.5, 0.5, 0.9])],
-        )
-        for schedules in batches:
-            u1_grid = np.array([u1 for u1, _ in schedules])
-            u2_grid = np.array([u2 for _, u2 in schedules])
-            bounds = interval_boundaries(p.n_steps, u1_grid.shape[1])
-            lanes = _batch_objectives(u1_grid, u2_grid, bounds, cost, p)
-            for lane, (u1, u2) in zip(lanes, schedules):
+        levels = control_levels(0.9, 3)
+        bounds = interval_boundaries(p.n_steps, 3)
+        assert np.diff(bounds).tolist() == [33, 33, 34]
+        assert levels[1] == 0.45
+        seen = []
+        for idx, objs, _ in brute_force._walk_schedules(cost, p, n_intervals=3, levels_per_control=3):
+            for index, obj in zip(idx.tolist(), objs.tolist()):
+                digits = [index // 3**k % 3 for k in reversed(range(6))]
                 traj = integrate_state_forward(
-                    expand_piecewise_schedule(u1, bounds, p.n_steps),
-                    expand_piecewise_schedule(u2, bounds, p.n_steps),
+                    expand_piecewise_schedule(levels[digits[:3]], bounds, p.n_steps),
+                    expand_piecewise_schedule(levels[digits[3:]], bounds, p.n_steps),
                     cost, p,
                 )
-                assert lane == evaluate_objective(traj, cost)
+                assert obj == evaluate_objective(traj, cost)
+                seen.append(index)
+        assert sorted(seen) == list(range(3**6))
+
+    @pytest.mark.parametrize("batch", [7, 1])
+    def test_chunk_edges_do_not_change_the_result(self, monkeypatch, batch):
+        # Chunks of 7 or 1 lanes split the L^2 = 9 children of a prefix
+        # across chunks; the walk must still visit every schedule once.
+        p = make_baseline_params(n_steps=30)
+        cost = running_cost(p)
+        default = brute_force_best(cost, p, n_intervals=3, levels_per_control=3)
+        monkeypatch.setattr(brute_force, "_BATCH", batch)
+        chunked = brute_force_best(cost, p, n_intervals=3, levels_per_control=3)
+        assert np.array_equal(chunked.u1_levels, default.u1_levels)
+        assert np.array_equal(chunked.u2_levels, default.u2_levels)
+        assert chunked.objective == default.objective
+        assert chunked.n_schedules == default.n_schedules == 3**6
+        assert chunked.lane_steps == default.lane_steps
+
+    @pytest.mark.parametrize(
+        "n_intervals, levels, lane_steps",
+        # sum_j L^(2(j+1)) * steps_j; 3 intervals split 2000 steps 666/667/667
+        [(3, 5, 10_855_400), (3, 4, 2_913_440), (1, 2, 4 * 2000)],
+    )
+    def test_lane_steps_count_each_prefix_once(self, baseline_params, baseline_cost,
+                                               n_intervals, levels, lane_steps):
+        result = brute_force_best(baseline_cost, baseline_params, n_intervals, levels)
+        assert result.lane_steps == lane_steps
 
     def test_diverged_schedules_never_win(self):
         # At beta = 0.5 all but three of the nine schedules overflow to

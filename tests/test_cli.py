@@ -122,6 +122,25 @@ class TestExitCodes:
         assert main(["solve", "--config", str(bad), "--out", str(out)]) == 2
         assert "c1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "oracle_size",
+        ["n_steps = 4\noracle_intervals = 5\n", "oracle_intervals = 5\noracle_levels = 4\n"],
+        ids=["intervals_over_steps", "over_guard"],
+    )
+    def test_oracle_size_error_exits_2_before_solving(self, tmp_path, capsys, monkeypatch, oracle_size):
+        import sircontrol.cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the configuration was rejected")
+
+        monkeypatch.setattr(sircontrol.cli, "solve_shooting", no_solve)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(BASELINE_CFG + oracle_size)
+        out = tmp_path / "x.csv"
+        assert main(["oracle-compare", "--config", str(bad), "--out", str(out)]) == 2
+        assert "oracle_" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(out)]) == 2

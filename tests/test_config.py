@@ -106,6 +106,28 @@ def test_sweep_grid_validation():
     assert single.alpha_points == 1
 
 
+def test_oracle_size_is_validated_with_the_other_problems():
+    # Sizes the enumeration cannot run are config errors, reported with
+    # the other problems, not failures after the shooting solve.
+    text = MINIMAL.replace("c1 = 1", "c1 = 0")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "n_steps = 4\noracle_intervals = 5\n")
+    assert ("oracle_intervals", "must not exceed n_steps") in err.value.problems
+    assert ("c1", "must be positive") in err.value.problems
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "oracle_intervals = 5\noracle_levels = 4\n")
+    fields = [field for field, _ in err.value.problems]
+    assert fields.count("oracle_levels") == 1
+    assert "c1" in fields
+    # 10^(2*3) sits exactly on the guard, and a huge interval count is
+    # rejected without computing its power.
+    edge = parse_config(MINIMAL + "oracle_intervals = 3\noracle_levels = 10\n")
+    assert (edge.oracle_intervals, edge.oracle_levels) == (3, 10)
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "n_steps = 1000000000\noracle_intervals = 999999999\noracle_levels = 10\n")
+    assert [field for field, _ in err.value.problems] == ["oracle_levels"]
+
+
 def test_config_lines_round_trip():
     config = parse_config(MINIMAL)
     text = "\n".join(config_lines(config))

@@ -115,6 +115,31 @@ class TestSolveShooting:
             require_converged(report)
         assert err.value.report is report
 
+    @pytest.mark.parametrize("max_newton_iters, starts", [(50, 1), (1, 9)])
+    def test_report_counts_the_work_of_every_start(self, monkeypatch, max_newton_iters, starts):
+        # One Newton iteration does not reach the tolerance from any start,
+        # so max_newton_iters = 1 runs (0, 0) and all 8 multistart offsets.
+        import sircontrol.solvers
+
+        p = make_baseline_params(n_steps=200)
+        cost = running_cost(p)
+        opts = ShootingOptions(max_newton_iters=max_newton_iters)
+        seen = []
+        original = sircontrol.solvers.integrate_coupled
+
+        def counting(psi0, *args):
+            seen.append(tuple(psi0))
+            return original(psi0, *args)
+
+        monkeypatch.setattr(sircontrol.solvers, "integrate_coupled", counting)
+        report = solve_shooting(cost, p, opts)
+        scale = cost.a_i * p.horizon
+        grid = {(0.0, 0.0)} | {(dx * scale, dy * scale) for dx, dy in opts.multistart_offsets}
+        assert report.coupled_integrations == len(seen)
+        assert report.starts_tried == sum(psi0 in grid for psi0 in seen) == starts
+        assert report.converged == (starts == 1)
+        assert report.newton_iters <= max_newton_iters
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             ShootingOptions(residual_tol=0.0)
