@@ -33,7 +33,7 @@ print(f"converged:        {report.converged} "
       f"residual {report.residual_norm:.2e})")
 print(f"objective:        {report.objective:.6f}")
 
-split = decompose_objective(traj, cost)
+split = decompose_objective(traj)
 print(f"  control effort: {split.control_cost:.6f}")
 print(f"  node losses:    {split.state_cost:.6f} "
       f"(= c3 * D(T) = {params.c3} * {defective_terminal(traj):.6f})")
@@ -41,9 +41,9 @@ print(f"  node losses:    {split.state_cost:.6f} "
 # How much the optimal schedule buys compared to doing nothing or
 # running both controls flat out.
 zeros = np.zeros(params.n_steps + 1)
-do_nothing = evaluate_objective(integrate_state_forward(zeros, zeros, cost, params), cost)
+do_nothing = evaluate_objective(integrate_state_forward(zeros, zeros, cost, params))
 flat_out = evaluate_objective(
-    integrate_state_forward(zeros + params.u1_max, zeros + params.u2_max, cost, params), cost
+    integrate_state_forward(zeros + params.u1_max, zeros + params.u2_max, cost, params)
 )
 print(f"\ndo-nothing cost:  {do_nothing:.2f}")
 print(f"flat-out cost:    {flat_out:.2f}")

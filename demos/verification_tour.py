@@ -63,7 +63,7 @@ def objective(u1v, u2v):
         expand_piecewise_schedule(u2v, bounds, params.n_steps),
         cost, params,
     )
-    return evaluate_objective(traj, cost)
+    return evaluate_objective(traj)
 
 
 step = 1e-4

@@ -14,8 +14,6 @@ from .brute_force import BruteForceResult, brute_force_best, control_levels
 from .config import ResolvedConfig, parse_config
 from .errors import (
     ConfigError,
-    MissingControlsError,
-    NoConvergenceError,
     NonFiniteError,
     SirControlError,
     TooLargeError,
@@ -27,7 +25,6 @@ from .integrate import (
     integrate_coupled,
     integrate_state_forward,
     interval_boundaries,
-    rk4_step,
 )
 from .model import (
     FUNCTIONAL_LEGACY,
@@ -52,7 +49,6 @@ from .solvers import (
     ShootingOptions,
     SolveReport,
     control_gradient,
-    require_converged,
     shooting_residual,
     solve_forward_backward,
     solve_shooting,
@@ -66,9 +62,7 @@ __all__ = [
     "ConfigError",
     "FUNCTIONAL_LEGACY",
     "FUNCTIONAL_NEW",
-    "MissingControlsError",
     "ModelParams",
-    "NoConvergenceError",
     "NonFiniteError",
     "ObjectiveSplit",
     "ResolvedConfig",
@@ -95,8 +89,6 @@ __all__ = [
     "interval_boundaries",
     "optimal_controls",
     "parse_config",
-    "require_converged",
-    "rk4_step",
     "running_cost",
     "run_self_check",
     "shooting_residual",

@@ -65,7 +65,7 @@ def _cmd_solve(args) -> int:
     config = _load_config(args.config)
     cost = running_cost(config.params)
     report = solve_shooting(cost, config.params, config.shooting)
-    summary = solve_summary(report, config, cost)
+    summary = solve_summary(report, config)
     write_text(args.out, trajectory_csv(report, config))
     write_text(f"{args.out}.summary.txt", summary)
     sys.stdout.write(summary)
@@ -74,10 +74,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    if config.alpha_points == 1:
-        alphas = [config.alpha_min]
-    else:
-        alphas = [float(a) for a in np.linspace(config.alpha_min, config.alpha_max, config.alpha_points)]
+    alphas = [float(a) for a in np.linspace(config.alpha_min, config.alpha_max, config.alpha_points)]
     rows = sweep_alpha(config.params, alphas, config.shooting)
     write_text(args.out, sweep_csv(rows, config))
     n_failed = sum((not r.converged_new) + (not r.converged_legacy) for r in rows)

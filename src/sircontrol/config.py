@@ -3,41 +3,26 @@
 The grammar is deliberately trivial: one ``key = value`` pair per line,
 ``#`` starts a comment, blank lines ignored.  Unknown keys are rejected
 and every violation is reported at once, not just the first.
+
+The keys are not listed here: they are the fields of ResolvedConfig, with
+its dataclass fields (params, shooting) expanded into theirs.  Each field
+gives its key's type, its default and its place in the header; a field
+without a default is a required key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from types import SimpleNamespace
+from typing import get_type_hints
 
 from .brute_force import ENUMERATION_GUARD, exceeds_guard
 from .errors import ConfigError
-from .model import FUNCTIONALS, PARAM_CHECKS, ModelParams
+from .model import PARAM_CHECKS, ModelParams
 from .solvers import SHOOTING_CHECKS, ShootingOptions
 
 __all__ = ["ResolvedConfig", "parse_config", "config_lines"]
-
-_MODEL_FLOAT_KEYS = (
-    "beta", "alpha", "c1", "c2", "c3", "u1_max", "u2_max", "horizon", "s0", "i0", "r0",
-)
-_REQUIRED_KEYS = _MODEL_FLOAT_KEYS
-
-# key -> (type tag, default); required keys have no default
-_OPTIONAL_KEYS = {
-    "n_steps": ("int", 2000),
-    "functional": ("functional", "new"),
-    "residual_tol": ("float", ShootingOptions.residual_tol),
-    "max_newton_iters": ("int", ShootingOptions.max_newton_iters),
-    "fd_epsilon": ("float", ShootingOptions.fd_epsilon),
-    "damping_halvings": ("int", ShootingOptions.damping_halvings),
-    "alpha_min": ("float", 0.05),
-    "alpha_max": ("float", 0.5),
-    "alpha_points": ("int", 10),
-    "oracle_intervals": ("int", 3),
-    "oracle_levels": ("int", 4),
-}
-
-KEY_ORDER = tuple(_MODEL_FLOAT_KEYS) + tuple(_OPTIONAL_KEYS)
 
 
 @dataclass(frozen=True)
@@ -46,46 +31,44 @@ class ResolvedConfig:
 
     params: ModelParams
     shooting: ShootingOptions
-    alpha_min: float
-    alpha_max: float
-    alpha_points: int
-    oracle_intervals: int
-    oracle_levels: int
+    alpha_min: float = 0.05
+    alpha_max: float = 0.5
+    alpha_points: int = 10
+    oracle_intervals: int = 3
+    oracle_levels: int = 4
 
     def resolved_values(self) -> dict[str, object]:
         """All keys in canonical order, for reproducibility headers."""
-        p, s = self.params, self.shooting
         return {
-            "beta": p.beta, "alpha": p.alpha,
-            "c1": p.c1, "c2": p.c2, "c3": p.c3,
-            "u1_max": p.u1_max, "u2_max": p.u2_max,
-            "horizon": p.horizon, "s0": p.s0, "i0": p.i0, "r0": p.r0,
-            "n_steps": p.n_steps, "functional": p.functional,
-            "residual_tol": s.residual_tol,
-            "max_newton_iters": s.max_newton_iters,
-            "fd_epsilon": s.fd_epsilon,
-            "damping_halvings": s.damping_halvings,
-            "alpha_min": self.alpha_min, "alpha_max": self.alpha_max,
-            "alpha_points": self.alpha_points,
-            "oracle_intervals": self.oracle_intervals,
-            "oracle_levels": self.oracle_levels,
+            key: getattr(getattr(self, section) if section else self, key)
+            for section, key, _, _ in _KEYS
         }
 
 
-def _parse_value(key: str, raw: str, kind: str, problems: list[tuple[str, str]]):
-    if kind == "functional":
-        value = raw.strip().lower()
-        if value not in FUNCTIONALS:
-            problems.append((key, "must be 'new' or 'legacy'"))
-            return None
-        return value
-    try:
-        if kind == "int":
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        problems.append((key, f"cannot parse {raw!r} as {kind}"))
-        return None
+def _typed_fields(cls) -> list[tuple[str, type, object]]:
+    """(name, type, default or MISSING) of a dataclass's fields, in order."""
+    hints = get_type_hints(cls)  # f.type is only a string here
+    return [(f.name, hints[f.name], f.default) for f in fields(cls)]
+
+
+def _config_keys():
+    """Every key as (section, key, type, default or MISSING), in header order,
+    and the sections as {name: dataclass}.
+
+    A section is a dataclass-typed field of ResolvedConfig (params,
+    shooting); section is None for ResolvedConfig's own fields.
+    """
+    keys, sections = [], {}
+    for name, kind, default in _typed_fields(ResolvedConfig):
+        if is_dataclass(kind):
+            sections[name] = kind
+            keys.extend((name, *field) for field in _typed_fields(kind))
+        else:
+            keys.append((None, name, kind, default))
+    return keys, sections
+
+
+_KEYS, _SECTIONS = _config_keys()
 
 
 def parse_config(text: str) -> ResolvedConfig:
@@ -95,6 +78,7 @@ def parse_config(text: str) -> ResolvedConfig:
     syntax problems, unknown or duplicate keys, unparsable values, missing
     required keys and model-invariant violations.
     """
+    schema = {key: (kind, default) for _, key, kind, default in _KEYS}
     problems: list[tuple[str, str]] = []
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -107,7 +91,7 @@ def parse_config(text: str) -> ResolvedConfig:
         key, value = stripped.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
+        if key not in schema:
             problems.append((key, "unknown key"))
             continue
         if key in raw:
@@ -119,18 +103,14 @@ def parse_config(text: str) -> ResolvedConfig:
         raw[key] = value
 
     values: dict[str, object] = {}
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
-            problems.append((key, "required key missing"))
-        else:
-            parsed = _parse_value(key, raw[key], "float", problems)
-            if parsed is not None:
-                values[key] = parsed
-    for key, (kind, default) in _OPTIONAL_KEYS.items():
+    for key, (kind, default) in schema.items():
         if key in raw:
-            parsed = _parse_value(key, raw[key], kind, problems)
-            if parsed is not None:
-                values[key] = parsed
+            try:
+                values[key] = raw[key].lower() if kind is str else kind(raw[key])
+            except ValueError:
+                problems.append((key, f"cannot parse {raw[key]!r} as {kind.__name__}"))
+        elif default is MISSING:
+            problems.append((key, "required key missing"))
         else:
             values[key] = default
 
@@ -140,16 +120,15 @@ def parse_config(text: str) -> ResolvedConfig:
     for field, ok, reason in PARAM_CHECKS + SHOOTING_CHECKS:
         if values.get(field) is not None and not ok(candidate):
             problems.append((field, reason))
-    if values.get("alpha_min") is not None and values["alpha_min"] < 0.0:
-        problems.append(("alpha_min", "must be >= 0"))
-    if (
-        values.get("alpha_min") is not None
-        and values.get("alpha_max") is not None
-        and values.get("alpha_points") is not None
-    ):
-        if values["alpha_points"] < 1:
-            problems.append(("alpha_points", "must be >= 1"))
-        elif values["alpha_points"] > 1 and not values["alpha_max"] > values["alpha_min"]:
+    alpha_min, alpha_max, points = (values.get(k) for k in ("alpha_min", "alpha_max", "alpha_points"))
+    if alpha_min is not None and not (math.isfinite(alpha_min) and alpha_min >= 0.0):
+        problems.append(("alpha_min", "must be a finite number >= 0"))
+    if alpha_max is not None and not math.isfinite(alpha_max):
+        problems.append(("alpha_max", "must be a finite number"))
+    if points is not None and points < 1:
+        problems.append(("alpha_points", "must be >= 1"))
+    elif points is not None and points > 1 and None not in (alpha_min, alpha_max):
+        if not alpha_max > alpha_min:
             problems.append(("alpha_max", "must exceed alpha_min for a multi-point sweep"))
     intervals, levels = values.get("oracle_intervals"), values.get("oracle_levels")
     if intervals is not None and intervals < 1:
@@ -167,33 +146,16 @@ def parse_config(text: str) -> ResolvedConfig:
     if problems:
         raise ConfigError(problems)
 
-    params = ModelParams(**{k: values[k] for k in (*_MODEL_FLOAT_KEYS, "n_steps", "functional")})
-    shooting = ShootingOptions(
-        residual_tol=values["residual_tol"],
-        max_newton_iters=values["max_newton_iters"],
-        fd_epsilon=values["fd_epsilon"],
-        damping_halvings=values["damping_halvings"],
-    )
-    return ResolvedConfig(
-        params=params,
-        shooting=shooting,
-        alpha_min=values["alpha_min"],
-        alpha_max=values["alpha_max"],
-        alpha_points=values["alpha_points"],
-        oracle_intervals=values["oracle_intervals"],
-        oracle_levels=values["oracle_levels"],
-    )
+    own: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    for section, key, _, _ in _KEYS:
+        (sections[section] if section else own)[key] = values[key]
+    return ResolvedConfig(**own, **{name: _SECTIONS[name](**kw) for name, kw in sections.items()})
 
 
 def config_lines(config: ResolvedConfig) -> list[str]:
     """Canonical ``key = value`` lines of a resolved configuration."""
-    out = []
-    for key, value in config.resolved_values().items():
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        out.append(f"{key} = {rendered}")
-    return out
+    return [
+        f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
+        for key, value in config.resolved_values().items()
+    ]

@@ -22,24 +22,8 @@ class NonFiniteError(SirControlError):
         super().__init__(msg)
 
 
-class MissingControlsError(SirControlError):
-    """A trajectory without control samples was passed where they are required."""
-
-
 class TooLargeError(SirControlError):
     """The brute-force enumeration guard tripped."""
-
-
-class NoConvergenceError(SirControlError):
-    """A solve failed to converge.
-
-    The partial report (converged flag false, best residual reached) is
-    attached so callers can still inspect diagnostics.
-    """
-
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)
 
 
 class ConfigError(SirControlError):

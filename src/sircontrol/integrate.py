@@ -39,16 +39,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingControlsError, NonFiniteError
+from .errors import NonFiniteError
 from .model import ModelParams, RunningCost, adjoint_rhs, optimal_controls, state_rhs
 
 __all__ = [
     "Trajectory",
-    "rk4_step",
     "integrate_coupled",
     "integrate_state_forward",
     "integrate_adjoint_backward",
@@ -66,10 +65,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Time-gridded samples of one integration run.
 
-    State samples (s, i, r, d) and cumulative costs (z total, z_control
-    the control-effort part) are always present.  Control samples are
-    present except on hand-built trajectories; costate samples (psi1,
-    psi2) are absent on state-only runs.  Arrays are read-only.
+    State samples (s, i, r, d), cumulative costs (z total, z_control the
+    control-effort part) and control samples (u1, u2) are always present;
+    costate samples (psi1, psi2) are absent on state-only runs.  Arrays
+    are read-only.
     """
 
     t: np.ndarray
@@ -79,12 +78,14 @@ class Trajectory:
     d: np.ndarray
     z: np.ndarray
     z_control: np.ndarray
-    u1: np.ndarray | None = None
-    u2: np.ndarray | None = None
+    u1: np.ndarray
+    u2: np.ndarray
     psi1: np.ndarray | None = None
     psi2: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.u1 is None or self.u2 is None:
+            raise ValueError("a trajectory needs its control samples u1 and u2")
         n = len(self.t)
         for name in ("s", "i", "r", "d", "z", "z_control", "u1", "u2", "psi1", "psi2"):
             arr = getattr(self, name)
@@ -98,14 +99,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.t) - 1
-
-    @property
-    def has_controls(self) -> bool:
-        return self.u1 is not None and self.u2 is not None
-
-    @property
-    def has_adjoint(self) -> bool:
-        return self.psi1 is not None and self.psi2 is not None
 
     def with_adjoint(self, psi1: np.ndarray, psi2: np.ndarray) -> "Trajectory":
         return replace(self, psi1=np.array(psi1, dtype=float), psi2=np.array(psi2, dtype=float))
@@ -136,24 +129,6 @@ def expand_piecewise_schedule(levels: Sequence[float], boundaries: np.ndarray, n
         out[boundaries[j]:boundaries[j + 1]] = levels_arr[j]
     out[n_steps] = levels_arr[-1]
     return out
-
-
-def rk4_step(f: Callable, t: float, y, h: float):
-    """One classical RK4 update y + (h/6)(k1 + 2k2 + 2k3 + k4).
-
-    Works on floats and numpy arrays alike; local error O(h^5) for smooth f.
-    Raises NonFiniteError if the update produces NaN or infinity.
-    """
-    if not h > 0.0:
-        raise ValueError("step size must be positive")
-    k1 = f(t, y)
-    k2 = f(t + h / 2.0, y + (h / 2.0) * k1)
-    k3 = f(t + h / 2.0, y + (h / 2.0) * k2)
-    k4 = f(t + h, y + h * k3)
-    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y_new)):
-        raise NonFiniteError(t + h)
-    return y_new
 
 
 def integrate_coupled(
@@ -306,8 +281,6 @@ def integrate_adjoint_backward(
 
     Returns (psi1, psi2) node arrays.
     """
-    if not state_traj.has_controls:
-        raise MissingControlsError("adjoint pass needs the trajectory's control samples")
     n = state_traj.n_steps
     if n != p.n_steps:
         raise ValueError(f"trajectory has {n} steps, params expect {p.n_steps}")

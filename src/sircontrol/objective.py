@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MissingControlsError
 from .integrate import Trajectory
 from .model import RunningCost, state_rhs
 
@@ -24,20 +23,13 @@ class ObjectiveSplit(NamedTuple):
     state_cost: float
 
 
-def _require_controls(traj: Trajectory):
-    if not traj.has_controls:
-        raise MissingControlsError("trajectory carries no control samples")
-
-
-def evaluate_objective(traj: Trajectory, cost: RunningCost) -> float:
+def evaluate_objective(traj: Trajectory) -> float:
     """Objective value z(T) from the augmented cost integration."""
-    _require_controls(traj)
     return float(traj.z[-1])
 
 
 def evaluate_objective_trapezoid(traj: Trajectory, cost: RunningCost) -> float:
     """Trapezoid quadrature of the sampled integrand; O(h^2) cross-check."""
-    _require_controls(traj)
     # The running cost (state_rhs's dz) does not depend on beta or alpha.
     _, _, _, _, g, _ = state_rhs(traj.s, traj.i, traj.u1, traj.u2, 0.0, 0.0, cost.a_i, cost.w1, cost.w2)
     h = traj.t[1] - traj.t[0]
@@ -49,7 +41,7 @@ def defective_terminal(traj: Trajectory) -> float:
     return float(traj.d[-1])
 
 
-def decompose_objective(traj: Trajectory, cost: RunningCost) -> ObjectiveSplit:
+def decompose_objective(traj: Trajectory) -> ObjectiveSplit:
     """Split the objective into control effort and state load.
 
     control_cost integrates w1*u1^2 + w2*u2^2, state_cost integrates
@@ -57,7 +49,6 @@ def decompose_objective(traj: Trajectory, cost: RunningCost) -> ObjectiveSplit:
     For the "new" functional the state part equals c3 * D(T) up to
     floating-point rounding of identical quadratures.
     """
-    _require_controls(traj)
     total = float(traj.z[-1])
     control = float(traj.z_control[-1])
     return ObjectiveSplit(control_cost=control, state_cost=total - control)

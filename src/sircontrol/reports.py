@@ -91,9 +91,9 @@ def oracle_compare_csv(
     return "\n".join(lines) + "\n"
 
 
-def solve_summary(report: SolveReport, config: ResolvedConfig, cost) -> str:
+def solve_summary(report: SolveReport, config: ResolvedConfig) -> str:
     traj = report.trajectory
-    split = decompose_objective(traj, cost)
+    split = decompose_objective(traj)
     status = "converged" if report.converged else "NOT CONVERGED"
     lines = header_lines(config, "solve")
     lines.extend([

@@ -22,7 +22,6 @@ __all__ = ["CheckResult", "run_self_check", "DEFAULT_CHECK_PARAMS"]
 DEFAULT_CHECK_PARAMS = ModelParams(
     beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
     u1_max=0.9, u2_max=0.9, horizon=10.0, s0=95.0, i0=5.0, r0=0.0,
-    n_steps=2000, functional="new",
 )
 
 

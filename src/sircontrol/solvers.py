@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonFiniteError
+from .errors import NonFiniteError
 from .integrate import (
     Trajectory,
     expand_piecewise_schedule,
@@ -47,7 +47,6 @@ __all__ = [
     "solve_shooting",
     "solve_forward_backward",
     "control_gradient",
-    "require_converged",
 ]
 
 # Offsets of the multistart grid for the initial costates, applied in this
@@ -63,9 +62,9 @@ _MULTISTART_OFFSETS = (
 # Validation table of ShootingOptions: (field, predicate, reason), read by
 # its constructor and by the config parser, like model.PARAM_CHECKS.
 SHOOTING_CHECKS: list[tuple[str, Callable[["ShootingOptions"], bool], str]] = [
-    ("residual_tol", lambda o: o.residual_tol > 0.0, "must be positive"),
+    ("residual_tol", lambda o: 0.0 < o.residual_tol < math.inf, "must be positive"),
     ("max_newton_iters", lambda o: o.max_newton_iters >= 1, "must be >= 1"),
-    ("fd_epsilon", lambda o: o.fd_epsilon > 0.0, "must be positive"),
+    ("fd_epsilon", lambda o: 0.0 < o.fd_epsilon < math.inf, "must be positive"),
     ("damping_halvings", lambda o: o.damping_halvings >= 0, "must be >= 0"),
 ]
 
@@ -78,14 +77,12 @@ class ShootingOptions:
     max_newton_iters   Newton iteration cap per start
     fd_epsilon         relative step of the forward-difference Jacobian
     damping_halvings   step halvings allowed per Newton iteration
-    multistart_offsets fallback starting points, scaled by a_i * horizon
     """
 
     residual_tol: float = 1e-10
     max_newton_iters: int = 50
     fd_epsilon: float = 1e-6
     damping_halvings: int = 30
-    multistart_offsets: tuple[tuple[float, float], ...] = _MULTISTART_OFFSETS
 
     def __post_init__(self):
         bad = [(f, reason) for f, ok, reason in SHOOTING_CHECKS if not ok(self)]
@@ -117,17 +114,6 @@ class SolveReport:
     @property
     def initial_costate(self) -> tuple[float, float]:
         return float(self.trajectory.psi1[0]), float(self.trajectory.psi2[0])
-
-
-def require_converged(report: SolveReport) -> SolveReport:
-    """Pass a converged report through; raise NoConvergenceError otherwise."""
-    if not report.converged:
-        raise NoConvergenceError(
-            f"{report.solver} solve did not converge "
-            f"(residual {report.residual_norm:.3e}, {report.newton_iters} iterations)",
-            report=report,
-        )
-    return report
 
 
 def shooting_residual(
@@ -227,7 +213,7 @@ def solve_shooting(
     if initial_costate is not None:
         starts.append((float(initial_costate[0]), float(initial_costate[1])))
     starts.append((0.0, 0.0))
-    starts.extend((dx * scale, dy * scale) for dx, dy in opts.multistart_offsets)
+    starts.extend((dx * scale, dy * scale) for dx, dy in _MULTISTART_OFFSETS)
     seen = set()
     unique_starts = []
     for st in starts:

@@ -153,7 +153,7 @@ def test_criterion_06_gradient_check():
             expand_piecewise_schedule(u2v, bounds, p.n_steps),
             cost, p,
         )
-        return evaluate_objective(traj, cost)
+        return evaluate_objective(traj)
 
     step = 1e-4
     worst = 0.0
@@ -219,9 +219,7 @@ def test_criterion_09_trivial_optimum_exactness():
     cost = running_cost(p_no_control)
     rep2 = solve_shooting(cost, p_no_control)
     zeros = np.zeros(p_no_control.n_steps + 1)
-    uncontrolled = evaluate_objective(
-        integrate_state_forward(zeros, zeros, cost, p_no_control), cost
-    )
+    uncontrolled = evaluate_objective(integrate_state_forward(zeros, zeros, cost, p_no_control))
     no_control_ok = rep2.converged and rep2.objective == uncontrolled
     ok = zero_alpha_ok and no_control_ok
     report(9, ok, (

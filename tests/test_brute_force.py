@@ -44,7 +44,7 @@ class TestBruteForce:
         zeros = np.zeros(baseline_params.n_steps + 1)
         free = integrate_state_forward(zeros, zeros, baseline_cost, baseline_params)
         assert result.n_schedules == 1
-        assert result.objective == evaluate_objective(free, baseline_cost)
+        assert result.objective == evaluate_objective(free)
 
     def test_zero_state_weight_prefers_all_zero_schedule(self, baseline_params):
         cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
@@ -67,7 +67,7 @@ class TestBruteForce:
             expand_piecewise_schedule(result.u2_levels, bounds, baseline_params.n_steps),
             baseline_cost, baseline_params,
         )
-        assert result.objective == evaluate_objective(traj, baseline_cost)
+        assert result.objective == evaluate_objective(traj)
 
     @pytest.mark.parametrize("functional", ["new", "legacy"])
     def test_lanes_equal_scalar_integrator_bit_for_bit(self, functional):
@@ -91,7 +91,7 @@ class TestBruteForce:
                     expand_piecewise_schedule(levels[digits[3:]], bounds, p.n_steps),
                     cost, p,
                 )
-                assert obj == evaluate_objective(traj, cost)
+                assert obj == evaluate_objective(traj)
                 seen.append(index)
         assert sorted(seen) == list(range(3**6))
 
@@ -129,7 +129,7 @@ class TestBruteForce:
         assert result.u1_levels.tolist() == [0.9]
         assert result.u2_levels.tolist() == [0.9]
         full = np.full(p.n_steps + 1, 0.9)
-        assert result.objective == evaluate_objective(integrate_state_forward(full, full, cost, p), cost)
+        assert result.objective == evaluate_objective(integrate_state_forward(full, full, cost, p))
 
     def test_raises_when_every_schedule_diverges(self):
         p = make_baseline_params(beta=5.0, n_steps=20)

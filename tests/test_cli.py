@@ -1,11 +1,14 @@
 """Command-line surface: commands, exit codes, CSV contracts, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sircontrol
 from sircontrol.cli import main
 
 BASELINE_CFG = """
@@ -141,6 +144,33 @@ class TestExitCodes:
         assert "oracle_" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, bad_value, problem",
+        [
+            ("sweep", "alpha_max = inf\n", "alpha_max: must be a finite number"),
+            ("sweep", "alpha_min = nan\nalpha_points = 1\n", "alpha_min: must be a finite number >= 0"),
+            ("solve", "residual_tol = inf\n", "residual_tol: must be positive"),
+            ("solve", "fd_epsilon = inf\n", "fd_epsilon: must be positive"),
+        ],
+        ids=["alpha_max_inf", "alpha_min_nan_single_point", "residual_tol_inf", "fd_epsilon_inf"],
+    )
+    def test_non_finite_value_exits_2_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, bad_value, problem
+    ):
+        import sircontrol.cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the configuration was rejected")
+
+        monkeypatch.setattr(sircontrol.cli, "solve_shooting", no_solve)
+        monkeypatch.setattr(sircontrol.cli, "sweep_alpha", no_solve)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(BASELINE_CFG + "n_steps = 400\n" + bad_value)
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(out)]) == 2
@@ -154,20 +184,25 @@ class TestExitCodes:
         assert out.exists()  # diagnostics still written
 
 
+def run_module(*args):
+    """``python -m sircontrol`` on the package under test, installed or not."""
+    src = str(Path(sircontrol.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sircontrol", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation_round_trip(self, cfg, tmp_path):
         out = tmp_path / "traj.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "sircontrol", "solve", "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True,
-        )
+        proc = run_module("solve", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "objective:" in proc.stdout
         assert out.exists()
 
     def test_usage_error_for_unknown_command(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sircontrol", "frobnicate"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode != 0
+        proc = run_module("frobnicate")
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr

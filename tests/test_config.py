@@ -1,8 +1,10 @@
 """Configuration document parsing and validation."""
 
+from dataclasses import fields
+
 import pytest
 
-from sircontrol import ConfigError, parse_config
+from sircontrol import ConfigError, ModelParams, ShootingOptions, parse_config
 from sircontrol.config import config_lines
 
 MINIMAL = """
@@ -128,8 +130,35 @@ def test_oracle_size_is_validated_with_the_other_problems():
     assert [field for field, _ in err.value.problems] == ["oracle_levels"]
 
 
+# Every optional key, each set to a value other than its default.
+EVERY_OPTIONAL_KEY = MINIMAL + """
+n_steps = 500
+functional = legacy
+residual_tol = 1e-9
+max_newton_iters = 7
+fd_epsilon = 1e-7
+damping_halvings = 5
+alpha_min = 0.1
+alpha_max = 0.4
+alpha_points = 4
+oracle_intervals = 2
+oracle_levels = 3
+"""
+
+
 def test_config_lines_round_trip():
-    config = parse_config(MINIMAL)
-    text = "\n".join(config_lines(config))
-    again = parse_config(text)
-    assert again == config
+    header_order = (
+        [f.name for f in fields(ModelParams)]
+        + [f.name for f in fields(ShootingOptions)]
+        + ["alpha_min", "alpha_max", "alpha_points", "oracle_intervals", "oracle_levels"]
+    )
+    for text in (MINIMAL, EVERY_OPTIONAL_KEY):
+        config = parse_config(text)
+        lines = config_lines(config)
+        assert parse_config("\n".join(lines)) == config
+        assert [line.split(" = ", 1)[0] for line in lines] == header_order
+    defaults = parse_config(MINIMAL).resolved_values()
+    values = parse_config(EVERY_OPTIONAL_KEY).resolved_values()
+    optional = [key for key in header_order if f"{key} = " not in MINIMAL]
+    assert len(optional) == 11
+    assert all(values[key] != defaults[key] for key in optional)

@@ -14,11 +14,29 @@ from sircontrol import (
     integrate_adjoint_backward,
     integrate_coupled,
     integrate_state_forward,
-    rk4_step,
     running_cost,
 )
 
 from conftest import make_baseline_params
+
+
+def rk4_step(f, t, y, h):
+    """One classical RK4 update y + (h/6)(k1 + 2k2 + 2k3 + k4).
+
+    The reference stepper of the reflected-field test below.  Works on
+    floats and numpy arrays alike; local error O(h^5) for smooth f.
+    Raises NonFiniteError if the update produces NaN or infinity.
+    """
+    if not h > 0.0:
+        raise ValueError("step size must be positive")
+    k1 = f(t, y)
+    k2 = f(t + h / 2.0, y + (h / 2.0) * k1)
+    k3 = f(t + h / 2.0, y + (h / 2.0) * k2)
+    k4 = f(t + h, y + h * k3)
+    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(y_new)):
+        raise NonFiniteError(t + h)
+    return y_new
 
 
 def zeros_schedule(p):
@@ -143,7 +161,7 @@ class TestCoupled:
 
     def test_augmented_cost_equals_objective_bit_for_bit(self, baseline_params, baseline_cost):
         traj = integrate_coupled((0.0, 0.0), baseline_cost, baseline_params)
-        assert evaluate_objective(traj, baseline_cost) == traj.z[-1]
+        assert evaluate_objective(traj) == traj.z[-1]
 
     def test_augmented_cost_agrees_with_trapezoid_at_second_order(self, baseline_params, baseline_cost):
         psi0 = (-0.05, -1.5)
@@ -151,7 +169,7 @@ class TestCoupled:
         for n in (500, 2000):
             p = make_baseline_params(n_steps=n)
             traj = integrate_coupled(psi0, baseline_cost, p)
-            za = evaluate_objective(traj, baseline_cost)
+            za = evaluate_objective(traj)
             zt = evaluate_objective_trapezoid(traj, baseline_cost)
             diffs[n] = abs(za - zt) / abs(za)
         assert diffs[2000] <= 1e-5
@@ -222,15 +240,16 @@ class TestAdjointBackward:
         assert abs(coarse - fine) / abs(fine) <= 1e-6
 
     def test_requires_control_samples(self, baseline_params, baseline_cost):
+        # A trajectory without controls cannot be built, so neither the
+        # adjoint pass nor the objective ever sees one.
         from dataclasses import replace
-        from sircontrol.errors import MissingControlsError
 
         traj = integrate_state_forward(
             zeros_schedule(baseline_params), zeros_schedule(baseline_params), baseline_cost, baseline_params
         )
-        stripped = replace(traj, u1=None, u2=None)
-        with pytest.raises(MissingControlsError):
-            integrate_adjoint_backward(stripped, baseline_cost, baseline_params)
+        for missing in ({"u1": None}, {"u2": None}, {"u1": None, "u2": None}):
+            with pytest.raises(ValueError, match="control samples"):
+                replace(traj, **missing)
 
 
 class TestHamiltonianConstancy:
