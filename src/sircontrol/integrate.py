@@ -29,8 +29,10 @@ The three passes, and the enumeration lanes of ``brute_force.py``, keep
 their own RK4 loops because they carry different data: 8 unknowns with
 the clamp law at every stage, 6 under fixed controls, 2 costates along an
 interpolated state, and numpy lanes.  One shared RK4 loop would have to
-branch on its caller, and its callbacks would add calls to loops whose
-cost is mostly calls already.  Each loop binds the kernels to locals,
+branch on its caller, and its callbacks cost time: a generic driver with
+one callback per stage and tuple arithmetic gave bit-identical coupled
+passes but took 1.8-2.1x as long (2000 steps, medians of 15 alternating
+runs, 2 cores, Python 3.11).  Each loop binds the kernels to locals,
 unpacks their tuples straight into locals and records one tuple per
 node, which keeps it as fast as the hand-inlined arithmetic it replaced.
 """

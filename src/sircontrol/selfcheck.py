@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .model import ModelParams, hamiltonian, running_cost
 from .integrate import integrate_state_forward
 from .solvers import solve_shooting
@@ -39,17 +40,17 @@ def _decay_error(p: ModelParams) -> float:
     return float(np.max(np.abs(traj.i - exact)))
 
 
-def check_rk4_order(p: ModelParams) -> CheckResult:
+def check_rk4_order(p: ModelParams) -> tuple[bool, str]:
     """Halving h must shrink the decay-case error nearly 16-fold."""
     base = replace(p, beta=0.0, alpha=0.2, i0=5.0, horizon=10.0)
     err_coarse = _decay_error(replace(base, n_steps=500))
     err_fine = _decay_error(replace(base, n_steps=1000))
     ratio = err_coarse / err_fine
     ok = 14.0 <= ratio <= 18.0
-    return CheckResult("rk4-order", ok, f"error ratio {ratio:.2f} (expected within [14, 18])")
+    return ok, f"error ratio {ratio:.2f} (expected within [14, 18])"
 
 
-def check_conservation(p: ModelParams) -> CheckResult:
+def check_conservation(p: ModelParams) -> tuple[bool, str]:
     """S+I+R+D must stay at its initial value under a driven schedule."""
     cost = running_cost(p)
     u1 = np.full(p.n_steps + 1, 0.5 * p.u1_max)
@@ -58,16 +59,16 @@ def check_conservation(p: ModelParams) -> CheckResult:
     total0 = p.s0 + p.i0 + p.r0
     drift = float(np.max(np.abs(traj.s + traj.i + traj.r + traj.d - total0))) / total0
     ok = drift <= 1e-9
-    return CheckResult("conservation", ok, f"max relative drift {drift:.3e} (tolerance 1e-9)")
+    return ok, f"max relative drift {drift:.3e} (tolerance 1e-9)"
 
 
-def check_hamiltonian_constancy(p: ModelParams) -> CheckResult:
+def check_hamiltonian_constancy(p: ModelParams) -> tuple[bool, str]:
     """H must be flat along a converged extremal of this autonomous system."""
     p4 = replace(p, n_steps=4000)
     cost = running_cost(p4)
     report = solve_shooting(cost, p4)
     if not report.converged:
-        return CheckResult("hamiltonian-constancy", False, "shooting solve did not converge")
+        return False, "shooting solve did not converge"
     traj = report.trajectory
     values = hamiltonian(
         traj.s, traj.i, traj.psi1, traj.psi2, traj.u1, traj.u2,
@@ -75,11 +76,24 @@ def check_hamiltonian_constancy(p: ModelParams) -> CheckResult:
     )
     spread = float((values.max() - values.min()) / (1.0 + abs(values.mean())))
     ok = spread <= 1e-5
-    return CheckResult(
-        "hamiltonian-constancy", ok, f"normalized spread {spread:.3e} (tolerance 1e-5)"
-    )
+    return ok, f"normalized spread {spread:.3e} (tolerance 1e-5)"
+
+
+_CHECKS = (
+    ("rk4-order", check_rk4_order),
+    ("conservation", check_conservation),
+    ("hamiltonian-constancy", check_hamiltonian_constancy),
+)
 
 
 def run_self_check(p: ModelParams | None = None) -> list[CheckResult]:
+    """Run every check; one whose integration diverges fails with that error."""
     p = p or DEFAULT_CHECK_PARAMS
-    return [check_rk4_order(p), check_conservation(p), check_hamiltonian_constancy(p)]
+    results = []
+    for name, check in _CHECKS:
+        try:
+            passed, detail = check(p)
+        except NonFiniteError as exc:
+            passed, detail = False, str(exc)
+        results.append(CheckResult(name, passed, detail))
+    return results

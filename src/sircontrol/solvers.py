@@ -13,12 +13,18 @@ it:
   * solve_forward_backward  forward-backward sweep: alternate forward
                             state / backward costate integrations with a
                             relaxed clamp-law control update until the
-                            control schedule reaches a fixed point.
+                            control schedule reaches a fixed point; the
+                            relaxation halves whenever the sweep's own
+                            residual stops falling.
 
 They share nothing but the model's kernels and the RK4 scheme, so their
 agreement on the objective is a meaningful cross-check.  control_gradient supplies the
 adjoint-based derivative of the objective with respect to a
 piecewise-constant schedule, used for finite-difference verification.
+
+Only the shooting tolerance and Newton cap are options (ShootingOptions);
+the difference step, the damping depth and every setting of the sweep
+are the module constants below, since no caller needs another value.
 """
 
 from __future__ import annotations
@@ -58,14 +64,25 @@ _MULTISTART_OFFSETS = (
     (1.0, -1.0), (1.0, 0.0), (1.0, 1.0),
 )
 
+# Shooting: relative step of the forward-difference Jacobian, and step
+# halvings allowed per damped Newton iteration.
+_FD_EPSILON = 1e-6
+_DAMPING_HALVINGS = 30
+
+# Forward-backward sweep: sweep cap, tolerance on the control fixed point,
+# and the relaxation rule (start value; halve after this many sweeps
+# without a new minimum of the relaxation-free residual).
+_FBS_MAX_SWEEPS = 500
+_FBS_TOL = 1e-9
+_FBS_RELAXATION = 0.5
+_FBS_STALL_SWEEPS = 5
+
 
 # Validation table of ShootingOptions: (field, predicate, reason), read by
 # its constructor and by the config parser, like model.PARAM_CHECKS.
 SHOOTING_CHECKS: list[tuple[str, Callable[["ShootingOptions"], bool], str]] = [
     ("residual_tol", lambda o: 0.0 < o.residual_tol < math.inf, "must be positive"),
     ("max_newton_iters", lambda o: o.max_newton_iters >= 1, "must be >= 1"),
-    ("fd_epsilon", lambda o: 0.0 < o.fd_epsilon < math.inf, "must be positive"),
-    ("damping_halvings", lambda o: o.damping_halvings >= 0, "must be >= 0"),
 ]
 
 
@@ -75,14 +92,10 @@ class ShootingOptions:
 
     residual_tol       absolute tolerance on max(|psi1(T)|, |psi2(T)|)
     max_newton_iters   Newton iteration cap per start
-    fd_epsilon         relative step of the forward-difference Jacobian
-    damping_halvings   step halvings allowed per Newton iteration
     """
 
     residual_tol: float = 1e-10
     max_newton_iters: int = 50
-    fd_epsilon: float = 1e-6
-    damping_halvings: int = 30
 
     def __post_init__(self):
         bad = [(f, reason) for f, ok, reason in SHOOTING_CHECKS if not ok(self)]
@@ -96,10 +109,13 @@ class SolveReport:
     """Outcome of one solve, returned even on failure (converged=False).
 
     newton_iters counts the iterations of the start whose trajectory is
-    reported only (for the forward-backward sweep, its sweeps);
-    starts_tried and coupled_integrations count the work of every start
-    the shooting solve tried, diverged ones included, and stay 0 for the
-    forward-backward sweep.
+    reported only; for the forward-backward sweep it counts its sweeps,
+    the final consistent pass excluded.  starts_tried and
+    coupled_integrations count the work of every start the shooting solve
+    tried, diverged ones included, and stay 0 for the forward-backward
+    sweep.  residual_norm is max(|psi1(T)|, |psi2(T)|), which the sweep's
+    backward pass makes exactly 0; the sweep's converged flag says that
+    its control fixed point was reached within 500 sweeps.
     """
 
     trajectory: Trajectory
@@ -135,16 +151,17 @@ def _newton_from(
 ):
     """Damped Newton from one start; returns (outcome, integrations).
 
-    outcome is (traj, norm, iters, converged), or None when the very first
-    integration diverges (a hopeless start the multistart loop should just
-    skip); integrations counts the coupled passes made, probes included.
+    outcome is (traj, norm, iters, converged), or the NonFiniteError when
+    the very first integration diverges (a hopeless start the multistart
+    loop should just skip); integrations counts the coupled passes made,
+    probes included.
     """
     pa, pb = float(start[0]), float(start[1])
     integrations = 1
     try:
         traj = integrate_coupled((pa, pb), cost, p)
-    except NonFiniteError:
-        return None, integrations
+    except NonFiniteError as exc:
+        return exc, integrations
     r1, r2, norm = _residual_of(traj)
 
     iters = 0
@@ -152,7 +169,7 @@ def _newton_from(
         # Forward-difference 2x2 Jacobian of the residual.
         cols = []
         for j in range(2):
-            delta = opts.fd_epsilon * max(1.0, abs(pa) if j == 0 else abs(pb))
+            delta = _FD_EPSILON * max(1.0, abs(pa) if j == 0 else abs(pb))
             probe = (pa + delta, pb) if j == 0 else (pa, pb + delta)
             integrations += 1
             try:
@@ -172,7 +189,7 @@ def _newton_from(
         # law's kinks make full Newton steps overshoot occasionally.
         lam = 1.0
         accepted = False
-        for _ in range(opts.damping_halvings + 1):
+        for _ in range(_DAMPING_HALVINGS + 1):
             trial = (pa + lam * step1, pb + lam * step2)
             integrations += 1
             try:
@@ -203,9 +220,11 @@ def solve_shooting(
     """Solve the boundary-value problem by single shooting.
 
     Tries the caller's initial costate guess first (default (0, 0), exact
-    for a_i = 0), then the multistart grid.  Always returns a report; the
-    converged flag is honest and the best-residual attempt is kept when
-    every start fails.
+    for a_i = 0), then the multistart grid.  Returns a report whenever
+    some start integrates: the converged flag is honest and the
+    best-residual attempt is kept when every start fails.  Raises
+    NonFiniteError, at the earliest time a start diverged, when every
+    start's first integration diverges.
     """
     opts = opts or ShootingOptions()
     scale = cost.a_i * p.horizon
@@ -222,12 +241,14 @@ def solve_shooting(
             unique_starts.append(st)
 
     best = None
+    diverged_at = math.inf
     starts_tried = integrations = 0
     for st in unique_starts:
         outcome, calls = _newton_from(st, cost, p, opts)
         starts_tried += 1
         integrations += calls
-        if outcome is None:
+        if isinstance(outcome, NonFiniteError):
+            diverged_at = min(diverged_at, outcome.time)
             continue
         traj, norm, iters, converged = outcome
         if best is None or norm < best[1]:
@@ -237,7 +258,7 @@ def solve_shooting(
             break
 
     if best is None:
-        raise NonFiniteError(p.horizon, "every shooting start diverged")
+        raise NonFiniteError(diverged_at, "every shooting start diverged")
     traj, norm, iters, converged = best
     return SolveReport(
         trajectory=traj,
@@ -251,37 +272,32 @@ def solve_shooting(
     )
 
 
-def solve_forward_backward(
-    cost: RunningCost,
-    p: ModelParams,
-    relaxation: float = 0.5,
-    max_iters: int = 500,
-    tol: float = 1e-9,
-) -> SolveReport:
+def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     """Solve by forward-backward sweep with relaxed control updates.
 
-    Per iteration: integrate the state forward under the current schedule,
+    Per sweep: integrate the state forward under the current schedule,
     the costates backward along it, then move each node's control a
-    relaxation-fraction toward the clamp law.  Converged when the largest
-    control change, relative to the control scale, drops below tol.  The
-    terminal-costate residual is zero by construction of the backward
+    relaxation-fraction toward the clamp law.  The largest control change,
+    relative to the control scale and divided by the relaxation, is the
+    relaxation-free residual: the schedule's distance from the clamp law.
+    The relaxation starts at 0.5 and halves whenever that residual has set
+    no new minimum for 5 sweeps in a row, which stops the oscillation a
+    fixed 0.5 falls into at long horizons and on the legacy functional.
+    Converged when the residual is at most 2e-9 (a control change of 1e-9
+    at relaxation 0.5), so a small relaxation cannot fake convergence.
+    The terminal-costate residual is zero by construction of the backward
     pass, so convergence is measured on the control fixed point.
     """
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError("relaxation must be in (0, 1]")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-
     n = p.n_steps
     u1 = np.zeros(n + 1)
     u2 = np.zeros(n + 1)
     law, w1, w2, u1m, u2m = optimal_controls, cost.w1, cost.w2, p.u1_max, p.u2_max
-    traj = None
-    psi1 = psi2 = None
+    relaxation = _FBS_RELAXATION
+    lowest, stalled = math.inf, 0
     converged = False
     iters = 0
 
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, _FBS_MAX_SWEEPS + 1):
         traj = integrate_state_forward(u1, u2, cost, p)
         psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
         nodes = zip(traj.s.tolist(), traj.i.tolist(), psi1.tolist(), psi2.tolist())
@@ -293,19 +309,27 @@ def solve_forward_backward(
             float(np.max(np.abs(u1_next - u1))), float(np.max(np.abs(u2_next - u2)))
         ) / scale
         u1, u2 = u1_next, u2_next
-        if change <= tol:
+        residual = change / relaxation
+        if residual <= 2.0 * _FBS_TOL:
             converged = True
             break
+        if residual < lowest:
+            lowest, stalled = residual, 0
+        else:
+            stalled += 1
+            if stalled == _FBS_STALL_SWEEPS:
+                relaxation *= 0.5
+                lowest, stalled = math.inf, 0
 
     # Final consistent pass under the accepted schedule.
     traj = integrate_state_forward(u1, u2, cost, p)
     psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
     full = traj.with_adjoint(psi1, psi2)
-    residual = max(abs(float(psi1[-1])), abs(float(psi2[-1])))
+    terminal = max(abs(float(psi1[-1])), abs(float(psi2[-1])))
     return SolveReport(
         trajectory=full,
         objective=float(full.z[-1]),
-        residual_norm=residual,
+        residual_norm=terminal,
         newton_iters=iters,
         converged=converged,
         solver="forward-backward",

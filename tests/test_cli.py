@@ -72,13 +72,11 @@ class TestSolveCommand:
 
 
 class TestSweepCommand:
-    def test_sweep_csv_columns_and_determinism(self, cfg, tmp_path):
-        out1 = tmp_path / "sweep1.csv"
-        out2 = tmp_path / "sweep2.csv"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        header, data = read_data_lines(out1)
+    # Byte-identical reruns are acceptance criterion 10's check.
+    def test_sweep_csv_columns_grid_and_flags(self, cfg, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        header, data = read_data_lines(out)
         assert data[0] == (
             "alpha,objective_new,objective_legacy,defective_terminal_new,"
             "converged_new,converged_legacy,newton_iters_new,newton_iters_legacy"
@@ -116,6 +114,21 @@ class TestCheckCommand:
         assert main(["check", "--out", str(out)]) == 0
         assert out.read_text().count("PASS") == 3
 
+    def test_diverging_check_fails_and_the_others_still_run(self, tmp_path, capsys):
+        # At beta = 20 the driven 20-step run blows up at t = 1, and every
+        # start of the Hamiltonian check's 4000-step solve at t = 0.02.
+        cfg = tmp_path / "diverging.cfg"
+        cfg.write_text(BASELINE_CFG.replace("beta = 0.01", "beta = 20") + "n_steps = 20\n")
+        assert main(["check", "--config", str(cfg)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("PASS rk4-order: ")
+        assert lines[1] == "FAIL conservation: non-finite value encountered at t = 1"
+        assert lines[2] == (
+            "FAIL hamiltonian-constancy: "
+            "non-finite value encountered at t = 0.02 (every shooting start diverged)"
+        )
+
 
 class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path, capsys):
@@ -150,7 +163,7 @@ class TestExitCodes:
             ("sweep", "alpha_max = inf\n", "alpha_max: must be a finite number"),
             ("sweep", "alpha_min = nan\nalpha_points = 1\n", "alpha_min: must be a finite number >= 0"),
             ("solve", "residual_tol = inf\n", "residual_tol: must be positive"),
-            ("solve", "fd_epsilon = inf\n", "fd_epsilon: must be positive"),
+            ("solve", "fd_epsilon = inf\n", "fd_epsilon: unknown key"),
         ],
         ids=["alpha_max_inf", "alpha_min_nan_single_point", "residual_tol_inf", "fd_epsilon_inf"],
     )
@@ -177,19 +190,28 @@ class TestExitCodes:
 
     def test_non_convergence_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "hard.cfg"
-        cfg.write_text(FAST_CFG + "max_newton_iters = 1\ndamping_halvings = 0\n")
+        cfg.write_text(FAST_CFG + "max_newton_iters = 1\n")
         out = tmp_path / "x.csv"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
         assert "NOT CONVERGED" in capsys.readouterr().out
         assert out.exists()  # diagnostics still written
 
+    def test_every_start_diverging_names_the_earliest_divergence(self, tmp_path, capsys):
+        cfg = tmp_path / "diverging.cfg"
+        cfg.write_text(BASELINE_CFG.replace("beta = 0.01", "beta = 5") + "n_steps = 20\n")
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite value encountered at t = 1 (every shooting start diverged)\n"
+        )
 
-def run_module(*args):
-    """``python -m sircontrol`` on the package under test, installed or not."""
+
+def run_python(*args):
+    """``python ARGS`` with the package under test importable, installed or not."""
     src = str(Path(sircontrol.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "sircontrol", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -197,12 +219,22 @@ def run_module(*args):
 class TestConsoleEntryPoint:
     def test_module_invocation_round_trip(self, cfg, tmp_path):
         out = tmp_path / "traj.csv"
-        proc = run_module("solve", "--config", str(cfg), "--out", str(out))
+        proc = run_python("-m", "sircontrol", "solve", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "objective:" in proc.stdout
         assert out.exists()
 
     def test_usage_error_for_unknown_command(self):
-        proc = run_module("frobnicate")
+        proc = run_python("-m", "sircontrol", "frobnicate")
         assert proc.returncode == 2
         assert "invalid choice" in proc.stderr
+
+
+class TestDemos:
+    # functional_defect_sweep.py is left out: it runs a full 10-alpha sweep.
+    @pytest.mark.parametrize("demo", ["single_solve.py", "verification_tour.py"])
+    def test_demo_runs(self, demo):
+        script = Path(__file__).resolve().parents[1] / "demos" / demo
+        proc = run_python(str(script))
+        assert proc.returncode == 0, proc.stderr
+

@@ -136,8 +136,6 @@ n_steps = 500
 functional = legacy
 residual_tol = 1e-9
 max_newton_iters = 7
-fd_epsilon = 1e-7
-damping_halvings = 5
 alpha_min = 0.1
 alpha_max = 0.4
 alpha_points = 4
@@ -160,5 +158,5 @@ def test_config_lines_round_trip():
     defaults = parse_config(MINIMAL).resolved_values()
     values = parse_config(EVERY_OPTIONAL_KEY).resolved_values()
     optional = [key for key in header_order if f"{key} = " not in MINIMAL]
-    assert len(optional) == 11
+    assert len(optional) == 9
     assert all(values[key] != defaults[key] for key in optional)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sircontrol import (
+    NonFiniteError,
     RunningCost,
     ShootingOptions,
     control_gradient,
@@ -106,7 +107,7 @@ class TestSolveShooting:
         assert warm.objective == first.objective
 
     def test_honest_failure_report(self, baseline_params, baseline_cost):
-        opts = ShootingOptions(residual_tol=1e-10, max_newton_iters=1, damping_halvings=0)
+        opts = ShootingOptions(residual_tol=1e-10, max_newton_iters=1)
         report = solve_shooting(baseline_cost, baseline_params, opts)
         assert not report.converged
         assert report.residual_norm > 0.0
@@ -143,10 +144,17 @@ class TestSolveShooting:
         with pytest.raises(ValueError):
             ShootingOptions(max_newton_iters=0)
         # An infinite residual_tol would report any start as converged.
-        for field in ("residual_tol", "fd_epsilon"):
-            for value in (math.inf, math.nan):
-                with pytest.raises(ValueError, match=f"{field} must be positive"):
-                    ShootingOptions(**{field: value})
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="residual_tol must be positive"):
+                ShootingOptions(residual_tol=value)
+
+    def test_every_start_diverging_names_the_earliest_divergence(self):
+        # Every start, and the uncontrolled run, blows up at t = 1 here,
+        # long before the horizon.
+        p = make_baseline_params(beta=5.0, n_steps=20)
+        with pytest.raises(NonFiniteError, match="every shooting start diverged") as err:
+            solve_shooting(running_cost(p), p)
+        assert err.value.time == 1.0
 
 
 class TestSolveForwardBackward:
@@ -165,9 +173,18 @@ class TestSolveForwardBackward:
         assert report.newton_iters == 1
         assert np.all(report.trajectory.u1 == 0.0)
 
-    def test_agrees_with_shooting_on_baseline_scenario(self, baseline_params, baseline_cost):
-        shoot = solve_shooting(baseline_cost, baseline_params)
-        sweep = solve_forward_backward(baseline_cost, baseline_params)
+    # The legacy baseline and horizon 15 need the adaptive relaxation: at
+    # a fixed relaxation of 0.5 the sweep oscillates for all 500 sweeps.
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"functional": "legacy"}, {"horizon": 15.0}],
+        ids=["new", "legacy", "T15"],
+    )
+    def test_agrees_with_shooting_on_baseline_scenario(self, overrides):
+        p = make_baseline_params(**overrides)
+        cost = running_cost(p)
+        shoot = solve_shooting(cost, p)
+        sweep = solve_forward_backward(cost, p)
         assert shoot.converged and sweep.converged
         assert sweep.residual_norm == 0.0
         gap = abs(shoot.objective - sweep.objective) / abs(shoot.objective)
@@ -181,36 +198,13 @@ class TestSolveForwardBackward:
         assert np.max(np.abs(traj.u1 - law1)) <= 1e-6
         assert np.max(np.abs(traj.u2 - law2)) <= 1e-6
 
-    def test_honest_failure_after_max_iters(self, baseline_params, baseline_cost):
-        report = solve_forward_backward(baseline_cost, baseline_params, max_iters=2)
+    def test_honest_failure_after_max_iters(self, monkeypatch, baseline_params, baseline_cost):
+        import sircontrol.solvers
+
+        monkeypatch.setattr(sircontrol.solvers, "_FBS_MAX_SWEEPS", 2)
+        report = solve_forward_backward(baseline_cost, baseline_params)
         assert not report.converged
         assert report.newton_iters == 2
-
-    def test_relaxation_validation(self, baseline_params, baseline_cost):
-        with pytest.raises(ValueError):
-            solve_forward_backward(baseline_cost, baseline_params, relaxation=0.0)
-        with pytest.raises(ValueError):
-            solve_forward_backward(baseline_cost, baseline_params, relaxation=1.5)
-
-
-class TestCrossAgreementUnderPerturbation:
-    def test_randomized_parameter_perturbations(self, baseline_params):
-        rng = np.random.default_rng(20260808)
-        for _ in range(2):  # acceptance runs the full five; two here for speed
-            factors = rng.uniform(0.8, 1.2, 5)
-            p = replace(
-                baseline_params,
-                beta=baseline_params.beta * factors[0],
-                alpha=baseline_params.alpha * factors[1],
-                c1=baseline_params.c1 * factors[2],
-                c2=baseline_params.c2 * factors[3],
-                c3=baseline_params.c3 * factors[4],
-            )
-            cost = running_cost(p)
-            shoot = solve_shooting(cost, p)
-            sweep = solve_forward_backward(cost, p)
-            assert shoot.converged and sweep.converged
-            assert abs(shoot.objective - sweep.objective) / abs(shoot.objective) <= 1e-5
 
 
 class TestControlGradient:
