@@ -28,7 +28,8 @@ params = ModelParams(
 )
 cost = running_cost(params)
 
-# 1. Two unrelated solvers, one answer.
+# 1. Two discretizations, one answer.  The sweep picks shooting's start,
+# but shooting converges to the root of its own coupled-pass residual.
 shoot = solve_shooting(cost, params)
 sweep = solve_forward_backward(cost, params)
 gap = abs(shoot.objective - sweep.objective) / abs(shoot.objective)

@@ -5,8 +5,8 @@ convention, so the comparison that motivates the corrected functional is
 a single artifact: the legacy form rewards a rising death rate (its
 optimal value falls as alpha grows), the new form does not.
 
-Each solve warm-starts from the previous alpha's converged initial
-costate.  One row per alpha is emitted in input order, and failed solves
+Every solve stands alone, so a row equals the direct solves at its
+alpha.  One row per alpha is emitted in input order, and failed solves
 are retained with their converged flag down rather than dropped.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .model import FUNCTIONAL_LEGACY, FUNCTIONAL_NEW, ModelParams, running_cost
 from .objective import defective_terminal
-from .solvers import ShootingOptions, SolveReport, solve_shooting
+from .solvers import ShootingOptions, solve_shooting
 
 __all__ = ["SweepRow", "sweep_alpha"]
 
@@ -37,18 +37,12 @@ class SweepRow:
     newton_iters_legacy: int
 
 
-def _solve_point(
-    base: ModelParams,
-    alpha: float,
-    opts: ShootingOptions,
-    warm_new: tuple[float, float] | None,
-    warm_legacy: tuple[float, float] | None,
-) -> tuple[SweepRow, SolveReport, SolveReport]:
+def _solve_point(base: ModelParams, alpha: float, opts: ShootingOptions) -> SweepRow:
     p_new = replace(base, alpha=alpha, functional=FUNCTIONAL_NEW)
     p_legacy = replace(base, alpha=alpha, functional=FUNCTIONAL_LEGACY)
-    rep_new = solve_shooting(running_cost(p_new), p_new, opts, initial_costate=warm_new)
-    rep_legacy = solve_shooting(running_cost(p_legacy), p_legacy, opts, initial_costate=warm_legacy)
-    row = SweepRow(
+    rep_new = solve_shooting(running_cost(p_new), p_new, opts)
+    rep_legacy = solve_shooting(running_cost(p_legacy), p_legacy, opts)
+    return SweepRow(
         alpha=alpha,
         objective_new=rep_new.objective,
         objective_legacy=rep_legacy.objective,
@@ -60,7 +54,6 @@ def _solve_point(
         newton_iters_new=rep_new.newton_iters,
         newton_iters_legacy=rep_legacy.newton_iters,
     )
-    return row, rep_new, rep_legacy
 
 
 def sweep_alpha(
@@ -77,14 +70,4 @@ def sweep_alpha(
         raise ValueError("alphas must be >= 0")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-
-    rows: list[SweepRow] = []
-    warm_new = warm_legacy = None
-    for alpha in alphas:
-        row, rep_new, rep_legacy = _solve_point(base, alpha, opts, warm_new, warm_legacy)
-        rows.append(row)
-        if rep_new.converged:
-            warm_new = rep_new.initial_costate
-        if rep_legacy.converged:
-            warm_legacy = rep_legacy.initial_costate
-    return rows
+    return [_solve_point(base, alpha, opts) for alpha in alphas]

@@ -77,8 +77,8 @@ def exceeds_guard(n_intervals: int, levels_per_control: int) -> bool:
     return levels_per_control**exponent > ENUMERATION_GUARD
 
 
-def _advance_lanes(s, i, z, u1, u2, n_steps: int, cost: RunningCost, p: ModelParams):
-    """Classical RK4 over n_steps fine steps, one numpy lane per schedule.
+def _advance_lanes(s, i, z, u1, u2, first: int, last: int, cost: RunningCost, p: ModelParams):
+    """Classical RK4 from fine node first to node last, one numpy lane per schedule.
 
     u1/u2 hold each lane's constant controls for the interval.
     """
@@ -88,7 +88,7 @@ def _advance_lanes(s, i, z, u1, u2, n_steps: int, cost: RunningCost, p: ModelPar
     beta, alpha = p.beta, p.alpha
     a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
     rhs = state_rhs
-    for _k in range(n_steps):
+    for _k in range(first, last):
         k1s, k1i, _, _, k1z, _ = rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
         k2s, k2i, _, _, k2z, _ = rhs(s + h2 * k1s, i + h2 * k1i, u1, u2, beta, alpha, a_i, w1, w2)
         k3s, k3i, _, _, k3z, _ = rhs(s + h2 * k2s, i + h2 * k2i, u1, u2, beta, alpha, a_i, w1, w2)
@@ -99,23 +99,52 @@ def _advance_lanes(s, i, z, u1, u2, n_steps: int, cost: RunningCost, p: ModelPar
     return s, i, z
 
 
+def _divergence_time(
+    cost: RunningCost, p: ModelParams, n_intervals: int, levels_per_control: int
+) -> float:
+    """Earliest time at which a lane of the walk turned non-finite.
+
+    Walks the prefix tree again one step at a time, and stops each lane
+    at the earliest divergence found so far, so only the error path of an
+    enumeration in which every schedule diverged pays for the checks.
+    """
+    h = p.horizon / p.n_steps
+    earliest = p.n_steps
+
+    def advance_checked(s, i, z, u1, u2, first, last, cost, p):
+        nonlocal earliest
+        for k in range(first, min(last, earliest)):
+            s, i, z = _advance_lanes(s, i, z, u1, u2, k, k + 1, cost, p)
+            if not (np.isfinite(s).all() and np.isfinite(i).all() and np.isfinite(z).all()):
+                earliest = k + 1
+                break
+        return s, i, z
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in _walk_schedules(cost, p, n_intervals, levels_per_control, advance_checked):
+            pass
+    return earliest * h
+
+
 def _walk_schedules(
     cost: RunningCost,
     p: ModelParams,
     n_intervals: int,
     levels_per_control: int,
+    advance=_advance_lanes,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Depth-first walk of the schedule prefix tree.
 
     Yields (schedule indices, objectives, lane-steps so far) for each chunk
     of complete schedules, in walk order, not index order.  The last
     yield follows the last integration, so its count is the total.
+    advance integrates a chunk of lanes over one interval's fine steps.
     """
     n_levels = levels_per_control
     n_pairs = n_levels * n_levels
     levels1 = control_levels(p.u1_max, n_levels)
     levels2 = control_levels(p.u2_max, n_levels)
-    steps = np.diff(interval_boundaries(p.n_steps, n_intervals)).tolist()
+    bounds = interval_boundaries(p.n_steps, n_intervals).tolist()
     u2_weight = n_levels**n_intervals
 
     # Each frame holds the lanes of one tree depth (prefixes of that many
@@ -135,11 +164,12 @@ def _walk_schedules(
         depth = len(frames) - 1
         parent, pair = np.divmod(np.arange(start, stop), n_pairs)
         d1, d2 = np.divmod(pair, n_levels)
-        lanes = _advance_lanes(
-            s[parent], i[parent], z[parent], levels1[d1], levels2[d2], steps[depth], cost, p
+        first, last = bounds[depth], bounds[depth + 1]
+        lanes = advance(
+            s[parent], i[parent], z[parent], levels1[d1], levels2[d2], first, last, cost, p
         )
         prefix = (idx1[parent] * n_levels + d1, idx2[parent] * n_levels + d2)
-        lane_steps += len(parent) * steps[depth]
+        lane_steps += len(parent) * (last - first)
         if depth == n_intervals - 1:
             yield prefix[0] * u2_weight + prefix[1], lanes[2], lane_steps
         else:
@@ -158,7 +188,8 @@ def brute_force_best(
     that exceeds the guard (10^6).  Since the level grid contains 0 and
     u_max, the all-zero and all-max policies are always in the search set.
     Schedules whose objective is not finite are skipped; raises
-    NonFiniteError when that leaves none.
+    NonFiniteError, at the earliest time a lane diverged, when that
+    leaves none.
     """
     if exceeds_guard(n_intervals, levels_per_control):
         raise TooLargeError(
@@ -183,7 +214,8 @@ def brute_force_best(
             if (obj, first) < (best_obj, best_idx):
                 best_obj, best_idx = float(obj), first
     if best_idx < 0:
-        raise NonFiniteError(p.horizon, "every enumerated schedule diverged")
+        diverged_at = _divergence_time(cost, p, n_intervals, levels_per_control)
+        raise NonFiniteError(diverged_at, "every enumerated schedule diverged")
 
     # Digits of the index (base L, most significant first) select the level
     # of u1 on intervals 0..m-1, then of u2 on intervals 0..m-1.

@@ -104,7 +104,7 @@ def solve_summary(report: SolveReport, config: ResolvedConfig) -> str:
         f"defective nodes:    {fmt(defective_terminal(traj))}",
         f"terminal residual:  {fmt(report.residual_norm)}",
         f"newton iterations:  {report.newton_iters}",
-        f"starts tried:       {report.starts_tried}",
+        f"seed sweeps:        {report.seed_sweeps}",
         f"coupled passes:     {report.coupled_integrations}",
         f"initial costate:    ({fmt(traj.psi1[0])}, {fmt(traj.psi2[0])})",
         f"final state:        S={fmt(traj.s[-1])} I={fmt(traj.i[-1])} "

@@ -2,14 +2,14 @@
 
 The first-order conditions turn the control problem into a two-point
 boundary-value problem: the state starts at (s0, i0, r0, 0) while the
-costates must vanish at the final time.  Two independent solvers attack
-it:
+costates must vanish at the final time.  Two solvers attack it:
 
   * solve_shooting          single shooting on the unknown initial
-                            costates psi(0), damped Newton on the 2-vector
+                            costates psi(0): damped Newton on the 2-vector
                             residual psi(T), forward-difference 2x2
-                            Jacobian solved in closed form, multistart
-                            fallback;
+                            Jacobian solved in closed form, started once
+                            from psi(0) of a loosely converged
+                            forward-backward sweep;
   * solve_forward_backward  forward-backward sweep: alternate forward
                             state / backward costate integrations with a
                             relaxed clamp-law control update until the
@@ -17,14 +17,19 @@ it:
                             relaxation halves whenever the sweep's own
                             residual stops falling.
 
-They share nothing but the model's kernels and the RK4 scheme, so their
-agreement on the objective is a meaningful cross-check.  control_gradient supplies the
-adjoint-based derivative of the objective with respect to a
-piecewise-constant schedule, used for finite-difference verification.
+The sweep only picks the shooting solve's start: shooting's answer is
+still the root of its own residual, the terminal costates of the coupled
+RK4 pass, at residual_tol, while the sweep's is the fixed point of
+separate state and costate passes.  They are two discretizations of the
+same conditions, so their agreement on the objective is a meaningful
+cross-check.  control_gradient supplies the adjoint-based derivative of
+the objective with respect to a piecewise-constant schedule, used for
+finite-difference verification.
 
 Only the shooting tolerance and Newton cap are options (ShootingOptions);
-the difference step, the damping depth and every setting of the sweep
-are the module constants below, since no caller needs another value.
+the difference step, the damping depth, the seed's tolerance and every
+setting of the sweep are the module constants below, since no caller
+needs another value.
 """
 
 from __future__ import annotations
@@ -55,19 +60,14 @@ __all__ = [
     "control_gradient",
 ]
 
-# Offsets of the multistart grid for the initial costates, applied in this
-# order after the caller's guess; each is scaled by a_i * horizon (the
-# magnitude the adjoint source can accumulate over the window).
-_MULTISTART_OFFSETS = (
-    (-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0),
-    (0.0, -1.0), (0.0, 1.0),
-    (1.0, -1.0), (1.0, 0.0), (1.0, 1.0),
-)
-
-# Shooting: relative step of the forward-difference Jacobian, and step
-# halvings allowed per damped Newton iteration.
+# Shooting: relative step of the forward-difference Jacobian, step
+# halvings allowed per damped Newton iteration, and the tolerance of the
+# forward-backward sweep that seeds Newton.  A seed at 1e-3 is close
+# enough for 3-6 Newton steps, yet costs a third of the sweeps of a
+# fully converged one on the legacy functional.
 _FD_EPSILON = 1e-6
 _DAMPING_HALVINGS = 30
+_SEED_TOL = 1e-3
 
 # Forward-backward sweep: sweep cap, tolerance on the control fixed point,
 # and the relaxation rule (start value; halve after this many sweeps
@@ -91,7 +91,7 @@ class ShootingOptions:
     """Tunables of the shooting solve.
 
     residual_tol       absolute tolerance on max(|psi1(T)|, |psi2(T)|)
-    max_newton_iters   Newton iteration cap per start
+    max_newton_iters   Newton iteration cap
     """
 
     residual_tol: float = 1e-10
@@ -108,12 +108,12 @@ class ShootingOptions:
 class SolveReport:
     """Outcome of one solve, returned even on failure (converged=False).
 
-    newton_iters counts the iterations of the start whose trajectory is
-    reported only; for the forward-backward sweep it counts its sweeps,
-    the final consistent pass excluded.  starts_tried and
-    coupled_integrations count the work of every start the shooting solve
-    tried, diverged ones included, and stay 0 for the forward-backward
-    sweep.  residual_norm is max(|psi1(T)|, |psi2(T)|), which the sweep's
+    newton_iters counts the shooting solve's Newton iterations, or the
+    forward-backward sweep's sweeps (the final consistent pass excluded).
+    seed_sweeps counts the sweeps spent on the shooting solve's start and
+    coupled_integrations its coupled passes, Jacobian probes and rejected
+    damped steps included; both stay 0 for the forward-backward sweep.
+    residual_norm is max(|psi1(T)|, |psi2(T)|), which the sweep's
     backward pass makes exactly 0; the sweep's converged flag says that
     its control fixed point was reached within 500 sweeps.
     """
@@ -124,12 +124,8 @@ class SolveReport:
     newton_iters: int
     converged: bool
     solver: str
-    starts_tried: int
+    seed_sweeps: int
     coupled_integrations: int
-
-    @property
-    def initial_costate(self) -> tuple[float, float]:
-        return float(self.trajectory.psi1[0]), float(self.trajectory.psi2[0])
 
 
 def shooting_residual(
@@ -149,19 +145,15 @@ def _residual_of(traj: Trajectory) -> tuple[float, float, float]:
 def _newton_from(
     start: tuple[float, float], cost: RunningCost, p: ModelParams, opts: ShootingOptions
 ):
-    """Damped Newton from one start; returns (outcome, integrations).
+    """Damped Newton from one start; returns (traj, norm, iters, converged, integrations).
 
-    outcome is (traj, norm, iters, converged), or the NonFiniteError when
-    the very first integration diverges (a hopeless start the multistart
-    loop should just skip); integrations counts the coupled passes made,
-    probes included.
+    integrations counts the coupled passes made, probes included.  Raises
+    NonFiniteError when the pass from the start itself diverges; a
+    diverging probe or trial step only ends or damps the iteration.
     """
     pa, pb = float(start[0]), float(start[1])
     integrations = 1
-    try:
-        traj = integrate_coupled((pa, pb), cost, p)
-    except NonFiniteError as exc:
-        return exc, integrations
+    traj = integrate_coupled((pa, pb), cost, p)
     r1, r2, norm = _residual_of(traj)
 
     iters = 0
@@ -175,13 +167,13 @@ def _newton_from(
             try:
                 q1, q2 = shooting_residual(probe, cost, p)
             except NonFiniteError:
-                return (traj, norm, iters, False), integrations
+                return traj, norm, iters, False, integrations
             cols.append(((q1 - r1) / delta, (q2 - r2) / delta))
         a, c = cols[0]
         b, d = cols[1]
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
-            return (traj, norm, iters, False), integrations
+            return traj, norm, iters, False, integrations
         step1 = (-r1 * d + r2 * b) / det
         step2 = (-r2 * a + r1 * c) / det
 
@@ -206,60 +198,34 @@ def _newton_from(
             lam *= 0.5
         iters += 1
         if not accepted:
-            return (traj, norm, iters, False), integrations
+            return traj, norm, iters, False, integrations
 
-    return (traj, norm, iters, norm <= opts.residual_tol), integrations
+    return traj, norm, iters, norm <= opts.residual_tol, integrations
 
 
 def solve_shooting(
     cost: RunningCost,
     p: ModelParams,
     opts: ShootingOptions | None = None,
-    initial_costate: tuple[float, float] | None = None,
 ) -> SolveReport:
     """Solve the boundary-value problem by single shooting.
 
-    Tries the caller's initial costate guess first (default (0, 0), exact
-    for a_i = 0), then the multistart grid.  Returns a report whenever
-    some start integrates: the converged flag is honest and the
-    best-residual attempt is kept when every start fails.  Raises
-    NonFiniteError, at the earliest time a start diverged, when every
-    start's first integration diverges.
+    Starts damped Newton once, from psi(0) of a forward-backward sweep
+    stopped at the loose tolerance 1e-3: the sweep finds the optimum's
+    neighbourhood from nothing, and Newton polishes the start to
+    residual_tol.  A failed Newton run is reported honestly
+    (converged=False), never retried.  Raises NonFiniteError, at the time
+    of divergence, when the seed sweep or the coupled pass from its start
+    diverges.
     """
     opts = opts or ShootingOptions()
-    scale = cost.a_i * p.horizon
-    starts: list[tuple[float, float]] = []
-    if initial_costate is not None:
-        starts.append((float(initial_costate[0]), float(initial_costate[1])))
-    starts.append((0.0, 0.0))
-    starts.extend((dx * scale, dy * scale) for dx, dy in _MULTISTART_OFFSETS)
-    seen = set()
-    unique_starts = []
-    for st in starts:
-        if st not in seen:
-            seen.add(st)
-            unique_starts.append(st)
-
-    best = None
-    diverged_at = math.inf
-    starts_tried = integrations = 0
-    for st in unique_starts:
-        outcome, calls = _newton_from(st, cost, p, opts)
-        starts_tried += 1
-        integrations += calls
-        if isinstance(outcome, NonFiniteError):
-            diverged_at = min(diverged_at, outcome.time)
-            continue
-        traj, norm, iters, converged = outcome
-        if best is None or norm < best[1]:
-            best = (traj, norm, iters, converged)
-        if converged:
-            best = (traj, norm, iters, converged)
-            break
-
-    if best is None:
-        raise NonFiniteError(diverged_at, "every shooting start diverged")
-    traj, norm, iters, converged = best
+    try:
+        seed, seed_sweeps, _ = _sweep(cost, p, _SEED_TOL)
+        traj, norm, iters, converged, integrations = _newton_from(
+            (seed.psi1[0], seed.psi2[0]), cost, p, opts
+        )
+    except NonFiniteError as exc:
+        raise NonFiniteError(exc.time, "shooting start diverged") from exc
     return SolveReport(
         trajectory=traj,
         objective=float(traj.z[-1]),
@@ -267,26 +233,15 @@ def solve_shooting(
         newton_iters=iters,
         converged=converged,
         solver="shooting",
-        starts_tried=starts_tried,
+        seed_sweeps=seed_sweeps,
         coupled_integrations=integrations,
     )
 
 
-def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
-    """Solve by forward-backward sweep with relaxed control updates.
+def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, int, bool]:
+    """Forward-backward sweep to a control fixed point within tol.
 
-    Per sweep: integrate the state forward under the current schedule,
-    the costates backward along it, then move each node's control a
-    relaxation-fraction toward the clamp law.  The largest control change,
-    relative to the control scale and divided by the relaxation, is the
-    relaxation-free residual: the schedule's distance from the clamp law.
-    The relaxation starts at 0.5 and halves whenever that residual has set
-    no new minimum for 5 sweeps in a row, which stops the oscillation a
-    fixed 0.5 falls into at long horizons and on the legacy functional.
-    Converged when the residual is at most 2e-9 (a control change of 1e-9
-    at relaxation 0.5), so a small relaxation cannot fake convergence.
-    The terminal-costate residual is zero by construction of the backward
-    pass, so convergence is measured on the control fixed point.
+    Returns (trajectory of the final consistent pass, sweeps, converged).
     """
     n = p.n_steps
     u1 = np.zeros(n + 1)
@@ -310,7 +265,7 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
         ) / scale
         u1, u2 = u1_next, u2_next
         residual = change / relaxation
-        if residual <= 2.0 * _FBS_TOL:
+        if residual <= 2.0 * tol:
             converged = True
             break
         if residual < lowest:
@@ -324,16 +279,34 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     # Final consistent pass under the accepted schedule.
     traj = integrate_state_forward(u1, u2, cost, p)
     psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
-    full = traj.with_adjoint(psi1, psi2)
-    terminal = max(abs(float(psi1[-1])), abs(float(psi2[-1])))
+    return traj.with_adjoint(psi1, psi2), iters, converged
+
+
+def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
+    """Solve by forward-backward sweep with relaxed control updates.
+
+    Per sweep: integrate the state forward under the current schedule,
+    the costates backward along it, then move each node's control a
+    relaxation-fraction toward the clamp law.  The largest control change,
+    relative to the control scale and divided by the relaxation, is the
+    relaxation-free residual: the schedule's distance from the clamp law.
+    The relaxation starts at 0.5 and halves whenever that residual has set
+    no new minimum for 5 sweeps in a row, which stops the oscillation a
+    fixed 0.5 falls into at long horizons and on the legacy functional.
+    Converged when the residual is at most 2e-9 (a control change of 1e-9
+    at relaxation 0.5), so a small relaxation cannot fake convergence.
+    The terminal-costate residual is zero by construction of the backward
+    pass, so convergence is measured on the control fixed point.
+    """
+    full, iters, converged = _sweep(cost, p, _FBS_TOL)
     return SolveReport(
         trajectory=full,
         objective=float(full.z[-1]),
-        residual_norm=terminal,
+        residual_norm=max(abs(float(full.psi1[-1])), abs(float(full.psi2[-1]))),
         newton_iters=iters,
         converged=converged,
         solver="forward-backward",
-        starts_tried=0,
+        seed_sweeps=0,
         coupled_integrations=0,
     )
 

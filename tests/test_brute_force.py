@@ -136,6 +136,15 @@ class TestBruteForce:
         with pytest.raises(NonFiniteError):
             brute_force_best(running_cost(p), p, n_intervals=1, levels_per_control=2)
 
+    @pytest.mark.parametrize("n_intervals, levels", [(1, 2), (3, 3)])
+    def test_every_schedule_diverging_names_the_earliest_divergence(self, n_intervals, levels):
+        # Every lane blows up in the second of 20 steps (t = 1), long
+        # before the horizon.
+        p = make_baseline_params(beta=5.0, n_steps=20)
+        with pytest.raises(NonFiniteError, match="every enumerated schedule diverged") as err:
+            brute_force_best(running_cost(p), p, n_intervals=n_intervals, levels_per_control=levels)
+        assert err.value.time == 1.0
+
     def test_deterministic_repeat(self, baseline_params, baseline_cost):
         a = brute_force_best(baseline_cost, baseline_params, n_intervals=2, levels_per_control=3)
         b = brute_force_best(baseline_cost, baseline_params, n_intervals=2, levels_per_control=3)

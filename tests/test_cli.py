@@ -114,11 +114,13 @@ class TestCheckCommand:
         assert main(["check", "--out", str(out)]) == 0
         assert out.read_text().count("PASS") == 3
 
-    def test_diverging_check_fails_and_the_others_still_run(self, tmp_path, capsys):
-        # At beta = 20 the driven 20-step run blows up at t = 1, and every
-        # start of the Hamiltonian check's 4000-step solve at t = 0.02.
+    # The driven 20-step run blows up at t = 1 at both betas.  The
+    # Hamiltonian check's 4000-step solve diverges in its seed sweep's
+    # first state pass, at t = 0.0225 or t = 3.905.
+    @pytest.mark.parametrize("beta, diverged_at", [("20", "0.0225"), ("5", "3.905")])
+    def test_diverging_check_fails_and_the_others_still_run(self, tmp_path, capsys, beta, diverged_at):
         cfg = tmp_path / "diverging.cfg"
-        cfg.write_text(BASELINE_CFG.replace("beta = 0.01", "beta = 20") + "n_steps = 20\n")
+        cfg.write_text(BASELINE_CFG.replace("beta = 0.01", f"beta = {beta}") + "n_steps = 20\n")
         assert main(["check", "--config", str(cfg)]) == 3
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
@@ -126,7 +128,7 @@ class TestCheckCommand:
         assert lines[1] == "FAIL conservation: non-finite value encountered at t = 1"
         assert lines[2] == (
             "FAIL hamiltonian-constancy: "
-            "non-finite value encountered at t = 0.02 (every shooting start diverged)"
+            f"non-finite value encountered at t = {diverged_at} (shooting start diverged)"
         )
 
 
@@ -202,7 +204,7 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "error: non-finite value encountered at t = 1 (every shooting start diverged)\n"
+            "error: non-finite value encountered at t = 1 (shooting start diverged)\n"
         )
 
 

@@ -99,44 +99,40 @@ class TestSolveShooting:
             baseline_params, baseline_cost, baseline_params.u1_max, baseline_params.u2_max
         )
 
-    def test_warm_start_reuses_converged_costate(self, baseline_params, baseline_cost):
-        first = solve_shooting(baseline_cost, baseline_params)
-        warm = solve_shooting(baseline_cost, baseline_params, initial_costate=first.initial_costate)
-        assert warm.converged
-        assert warm.newton_iters == 0
-        assert warm.objective == first.objective
-
     def test_honest_failure_report(self, baseline_params, baseline_cost):
         opts = ShootingOptions(residual_tol=1e-10, max_newton_iters=1)
         report = solve_shooting(baseline_cost, baseline_params, opts)
         assert not report.converged
         assert report.residual_norm > 0.0
 
-    @pytest.mark.parametrize("max_newton_iters, starts", [(50, 1), (1, 9)])
-    def test_report_counts_the_work_of_every_start(self, monkeypatch, max_newton_iters, starts):
-        # One Newton iteration does not reach the tolerance from any start,
-        # so max_newton_iters = 1 runs (0, 0) and all 8 multistart offsets.
+    @pytest.mark.parametrize(
+        "max_newton_iters, newton_iters, coupled", [(50, 5, 16), (1, 1, 4)]
+    )
+    def test_report_counts_the_seed_and_newton_work(
+        self, monkeypatch, max_newton_iters, newton_iters, coupled
+    ):
+        # The seed sweep makes one state pass per sweep and a final
+        # consistent one.  Newton makes one coupled pass from the seed,
+        # then per iteration two Jacobian probes and one accepted trial
+        # (no step is damped here); one iteration does not converge.
         import sircontrol.solvers
 
         p = make_baseline_params(n_steps=200)
-        cost = running_cost(p)
         opts = ShootingOptions(max_newton_iters=max_newton_iters)
-        seen = []
-        original = sircontrol.solvers.integrate_coupled
+        calls = {"integrate_coupled": 0, "integrate_state_forward": 0}
+        for name in calls:
+            original = getattr(sircontrol.solvers, name)
 
-        def counting(psi0, *args):
-            seen.append(tuple(psi0))
-            return original(psi0, *args)
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(sircontrol.solvers, "integrate_coupled", counting)
-        report = solve_shooting(cost, p, opts)
-        scale = cost.a_i * p.horizon
-        offsets = sircontrol.solvers._MULTISTART_OFFSETS
-        grid = {(0.0, 0.0)} | {(dx * scale, dy * scale) for dx, dy in offsets}
-        assert report.coupled_integrations == len(seen)
-        assert report.starts_tried == sum(psi0 in grid for psi0 in seen) == starts
-        assert report.converged == (starts == 1)
-        assert report.newton_iters <= max_newton_iters
+            monkeypatch.setattr(sircontrol.solvers, name, counting)
+        report = solve_shooting(running_cost(p), p, opts)
+        assert report.converged == (max_newton_iters == 50)
+        assert report.newton_iters == newton_iters
+        assert report.coupled_integrations == calls["integrate_coupled"] == coupled
+        assert report.seed_sweeps == calls["integrate_state_forward"] - 1 == 11
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -149,12 +145,35 @@ class TestSolveShooting:
                 ShootingOptions(residual_tol=value)
 
     def test_every_start_diverging_names_the_earliest_divergence(self):
-        # Every start, and the uncontrolled run, blows up at t = 1 here,
-        # long before the horizon.
+        # The seed sweep's first pass, the uncontrolled run, blows up at
+        # t = 1 here, long before the horizon.
         p = make_baseline_params(beta=5.0, n_steps=20)
-        with pytest.raises(NonFiniteError, match="every shooting start diverged") as err:
+        with pytest.raises(NonFiniteError, match=r"\(shooting start diverged\)") as err:
             solve_shooting(running_cost(p), p)
         assert err.value.time == 1.0
+
+
+    # Long horizons are where starts not seeded by the sweep fared worst:
+    # 38-50 Newton steps, and no convergence on the T = 17.45 draw of the
+    # parameter box.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(beta=0.009661, alpha=0.1655, c1=1.0013, c2=1.1949, c3=9.8664, horizon=15.92),
+            dict(beta=0.007060, alpha=0.1491, c1=0.9260, c2=0.7781, c3=14.419, horizon=17.45),
+            dict(horizon=18.0),
+            dict(horizon=18.0, functional="legacy"),
+        ],
+        ids=["box-T15.92", "box-T17.45", "T18", "legacy-T18"],
+    )
+    def test_long_horizons_converge_in_few_newton_steps(self, overrides):
+        p = make_baseline_params(**overrides)
+        cost = running_cost(p)
+        shoot = solve_shooting(cost, p)
+        sweep = solve_forward_backward(cost, p)
+        assert shoot.converged and sweep.converged
+        assert shoot.newton_iters <= 8
+        assert abs(shoot.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
 
 
 class TestSolveForwardBackward:
