@@ -58,7 +58,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> ResolvedConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([(path, f"not UTF-8 text (byte {exc.start}: {exc.reason})")]) from exc
+    return parse_config(text)
+
+
+def _check_out(path: str) -> None:
+    """Reject an output path that cannot be written, before any solve."""
+    if Path(path).is_dir():
+        raise ConfigError([(path, "is a directory")])
+    if not Path(path).parent.is_dir():
+        raise ConfigError([(path, "no such directory")])
 
 
 def _cmd_solve(args) -> int:
@@ -74,6 +86,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
+    if config.params.c3 == 0.0:
+        raise ConfigError([("c3", "must be positive: sweep also solves the legacy functional")])
     alphas = [float(a) for a in np.linspace(config.alpha_min, config.alpha_max, config.alpha_points)]
     rows = sweep_alpha(config.params, alphas, config.shooting)
     write_text(args.out, sweep_csv(rows, config))
@@ -117,13 +131,15 @@ def main(argv=None) -> int:
         "check": _cmd_check,
     }
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return handlers[args.command](args)
     except ConfigError as exc:
         for field, reason in exc.problems:
             sys.stderr.write(f"config error: {field}: {reason}\n")
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+    except OSError as exc:  # an unreadable --config, or an --out that cannot be written
+        sys.stderr.write(f"config error: {exc.filename}: {exc.strerror}\n")
         return EXIT_CONFIG
     except SirControlError as exc:
         sys.stderr.write(f"error: {exc}\n")

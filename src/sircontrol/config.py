@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 from .brute_force import ENUMERATION_GUARD, exceeds_guard
 from .errors import ConfigError
-from .model import PARAM_CHECKS, ModelParams
+from .model import FUNCTIONAL_LEGACY, PARAM_CHECKS, ModelParams
 from .solvers import SHOOTING_CHECKS, ShootingOptions
 
 __all__ = ["ResolvedConfig", "parse_config", "config_lines"]
@@ -120,6 +120,10 @@ def parse_config(text: str) -> ResolvedConfig:
     for field, ok, reason in PARAM_CHECKS + SHOOTING_CHECKS:
         if values.get(field) is not None and not ok(candidate):
             problems.append((field, reason))
+    # running_cost puts c3 on u1^2 under the legacy functional; a negative
+    # c3 is reported above already.
+    if values.get("functional") == FUNCTIONAL_LEGACY and values.get("c3") == 0.0:
+        problems.append(("c3", "must be positive under the legacy functional"))
     alpha_min, alpha_max, points = (values.get(k) for k in ("alpha_min", "alpha_max", "alpha_points"))
     if alpha_min is not None and not (math.isfinite(alpha_min) and alpha_min >= 0.0):
         problems.append(("alpha_min", "must be a finite number >= 0"))

@@ -26,6 +26,8 @@ __all__ = [
     "write_text",
 ]
 
+# Each CSV's columns, written once: a trajectory column lower-cased is a
+# Trajectory attribute, a sweep column a SweepRow attribute.
 TRAJECTORY_COLUMNS = ("t", "S", "I", "R", "D", "psi1", "psi2", "u1", "u2", "z")
 SWEEP_COLUMNS = (
     "alpha", "objective_new", "objective_legacy", "defective_terminal_new",
@@ -52,23 +54,15 @@ def trajectory_csv(report: SolveReport, config: ResolvedConfig) -> str:
     traj = report.trajectory
     lines = header_lines(config, "solve")
     lines.append(",".join(TRAJECTORY_COLUMNS))
-    for k in range(len(traj.t)):
-        lines.append(",".join((
-            fmt(traj.t[k]), fmt(traj.s[k]), fmt(traj.i[k]), fmt(traj.r[k]), fmt(traj.d[k]),
-            fmt(traj.psi1[k]), fmt(traj.psi2[k]), fmt(traj.u1[k]), fmt(traj.u2[k]), fmt(traj.z[k]),
-        )))
+    columns = [getattr(traj, name.lower()).tolist() for name in TRAJECTORY_COLUMNS]
+    lines.extend(",".join(map(fmt, row)) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
 def sweep_csv(rows: list[SweepRow], config: ResolvedConfig) -> str:
     lines = header_lines(config, "sweep")
     lines.append(",".join(SWEEP_COLUMNS))
-    for row in rows:
-        lines.append(",".join((
-            fmt(row.alpha), fmt(row.objective_new), fmt(row.objective_legacy),
-            fmt(row.defective_terminal_new), fmt(row.converged_new), fmt(row.converged_legacy),
-            fmt(row.newton_iters_new), fmt(row.newton_iters_legacy),
-        )))
+    lines.extend(",".join(fmt(getattr(row, name)) for name in SWEEP_COLUMNS) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -5,10 +5,10 @@ boundary-value problem: the state starts at (s0, i0, r0, 0) while the
 costates must vanish at the final time.  Two solvers attack it:
 
   * solve_shooting          single shooting on the unknown initial
-                            costates psi(0): damped Newton on the 2-vector
-                            residual psi(T), forward-difference 2x2
-                            Jacobian solved in closed form, started once
-                            from psi(0) of a loosely converged
+                            costates psi(0): full Newton steps on the
+                            2-vector residual psi(T), forward-difference
+                            2x2 Jacobian solved in closed form, started
+                            once from psi(0) of a loosely converged
                             forward-backward sweep;
   * solve_forward_backward  forward-backward sweep: alternate forward
                             state / backward costate integrations with a
@@ -26,10 +26,10 @@ cross-check.  control_gradient supplies the adjoint-based derivative of
 the objective with respect to a piecewise-constant schedule, used for
 finite-difference verification.
 
-Only the shooting tolerance and Newton cap are options (ShootingOptions);
-the difference step, the damping depth, the seed's tolerance and every
-setting of the sweep are the module constants below, since no caller
-needs another value.
+Only the shooting tolerance is an option (ShootingOptions); the
+difference step, the Newton cap, the seed's tolerance and every setting
+of the sweep are the module constants below, since no caller needs
+another value.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ __all__ = [
     "control_gradient",
 ]
 
-# Shooting: relative step of the forward-difference Jacobian, step
-# halvings allowed per damped Newton iteration, and the tolerance of the
-# forward-backward sweep that seeds Newton.  A seed at 1e-3 is close
-# enough for 3-6 Newton steps, yet costs a third of the sweeps of a
-# fully converged one on the legacy functional.
+# Shooting: relative step of the forward-difference Jacobian, Newton
+# iteration cap, and the tolerance of the forward-backward sweep that
+# seeds Newton.  A seed at 1e-3 is close enough for 3-6 full Newton
+# steps, yet costs a third of the sweeps of a fully converged one on the
+# legacy functional.
 _FD_EPSILON = 1e-6
-_DAMPING_HALVINGS = 30
+_MAX_NEWTON_ITERS = 50
 _SEED_TOL = 1e-3
 
 # Forward-backward sweep: sweep cap, tolerance on the control fixed point,
@@ -82,7 +82,6 @@ _FBS_STALL_SWEEPS = 5
 # its constructor and by the config parser, like model.PARAM_CHECKS.
 SHOOTING_CHECKS: list[tuple[str, Callable[["ShootingOptions"], bool], str]] = [
     ("residual_tol", lambda o: 0.0 < o.residual_tol < math.inf, "must be positive"),
-    ("max_newton_iters", lambda o: o.max_newton_iters >= 1, "must be >= 1"),
 ]
 
 
@@ -90,12 +89,10 @@ SHOOTING_CHECKS: list[tuple[str, Callable[["ShootingOptions"], bool], str]] = [
 class ShootingOptions:
     """Tunables of the shooting solve.
 
-    residual_tol       absolute tolerance on max(|psi1(T)|, |psi2(T)|)
-    max_newton_iters   Newton iteration cap
+    residual_tol   absolute tolerance on max(|psi1(T)|, |psi2(T)|)
     """
 
     residual_tol: float = 1e-10
-    max_newton_iters: int = 50
 
     def __post_init__(self):
         bad = [(f, reason) for f, ok, reason in SHOOTING_CHECKS if not ok(self)]
@@ -111,9 +108,9 @@ class SolveReport:
     newton_iters counts the shooting solve's Newton iterations, or the
     forward-backward sweep's sweeps (the final consistent pass excluded).
     seed_sweeps counts the sweeps spent on the shooting solve's start and
-    coupled_integrations its coupled passes, Jacobian probes and rejected
-    damped steps included; both stay 0 for the forward-backward sweep.
-    residual_norm is max(|psi1(T)|, |psi2(T)|), which the sweep's
+    coupled_integrations its coupled passes, Jacobian probes and a
+    rejected last step included; both stay 0 for the forward-backward
+    sweep.  residual_norm is max(|psi1(T)|, |psi2(T)|), which the sweep's
     backward pass makes exactly 0; the sweep's converged flag says that
     its control fixed point was reached within 500 sweeps.
     """
@@ -142,67 +139,6 @@ def _residual_of(traj: Trajectory) -> tuple[float, float, float]:
     return r1, r2, max(abs(r1), abs(r2))
 
 
-def _newton_from(
-    start: tuple[float, float], cost: RunningCost, p: ModelParams, opts: ShootingOptions
-):
-    """Damped Newton from one start; returns (traj, norm, iters, converged, integrations).
-
-    integrations counts the coupled passes made, probes included.  Raises
-    NonFiniteError when the pass from the start itself diverges; a
-    diverging probe or trial step only ends or damps the iteration.
-    """
-    pa, pb = float(start[0]), float(start[1])
-    integrations = 1
-    traj = integrate_coupled((pa, pb), cost, p)
-    r1, r2, norm = _residual_of(traj)
-
-    iters = 0
-    while norm > opts.residual_tol and iters < opts.max_newton_iters:
-        # Forward-difference 2x2 Jacobian of the residual.
-        cols = []
-        for j in range(2):
-            delta = _FD_EPSILON * max(1.0, abs(pa) if j == 0 else abs(pb))
-            probe = (pa + delta, pb) if j == 0 else (pa, pb + delta)
-            integrations += 1
-            try:
-                q1, q2 = shooting_residual(probe, cost, p)
-            except NonFiniteError:
-                return traj, norm, iters, False, integrations
-            cols.append(((q1 - r1) / delta, (q2 - r2) / delta))
-        a, c = cols[0]
-        b, d = cols[1]
-        det = a * d - b * c
-        if det == 0.0 or not math.isfinite(det):
-            return traj, norm, iters, False, integrations
-        step1 = (-r1 * d + r2 * b) / det
-        step2 = (-r2 * a + r1 * c) / det
-
-        # Halve the step until the residual norm actually drops; the clamp
-        # law's kinks make full Newton steps overshoot occasionally.
-        lam = 1.0
-        accepted = False
-        for _ in range(_DAMPING_HALVINGS + 1):
-            trial = (pa + lam * step1, pb + lam * step2)
-            integrations += 1
-            try:
-                trial_traj = integrate_coupled(trial, cost, p)
-            except NonFiniteError:
-                lam *= 0.5
-                continue
-            t1, t2, trial_norm = _residual_of(trial_traj)
-            if trial_norm < norm:
-                pa, pb = trial
-                traj, r1, r2, norm = trial_traj, t1, t2, trial_norm
-                accepted = True
-                break
-            lam *= 0.5
-        iters += 1
-        if not accepted:
-            return traj, norm, iters, False, integrations
-
-    return traj, norm, iters, norm <= opts.residual_tol, integrations
-
-
 def solve_shooting(
     cost: RunningCost,
     p: ModelParams,
@@ -210,28 +146,61 @@ def solve_shooting(
 ) -> SolveReport:
     """Solve the boundary-value problem by single shooting.
 
-    Starts damped Newton once, from psi(0) of a forward-backward sweep
-    stopped at the loose tolerance 1e-3: the sweep finds the optimum's
-    neighbourhood from nothing, and Newton polishes the start to
-    residual_tol.  A failed Newton run is reported honestly
-    (converged=False), never retried.  Raises NonFiniteError, at the time
-    of divergence, when the seed sweep or the coupled pass from its start
-    diverges.
+    Starts Newton once, from psi(0) of a forward-backward sweep stopped at
+    the loose tolerance 1e-3: the sweep finds the optimum's neighbourhood
+    from nothing, and full Newton steps polish the start to residual_tol.
+    The solve fails fast and says so (converged=False), never retried:
+    when a Jacobian probe diverges, the Jacobian is singular, or a step's
+    one trial pass diverges or does not lower the residual norm.  Raises
+    NonFiniteError, at the time of divergence, when the seed sweep or the
+    coupled pass from its start diverges.
     """
     opts = opts or ShootingOptions()
     try:
         seed, seed_sweeps, _ = _sweep(cost, p, _SEED_TOL)
-        traj, norm, iters, converged, integrations = _newton_from(
-            (seed.psi1[0], seed.psi2[0]), cost, p, opts
-        )
+        pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
+        traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError as exc:
         raise NonFiniteError(exc.time, "shooting start diverged") from exc
+    r1, r2, norm = _residual_of(traj)
+    integrations = 1
+    iters = 0
+
+    while norm > opts.residual_tol and iters < _MAX_NEWTON_ITERS:
+        # Forward-difference Jacobian [[a, b], [c, d]] of the residual.
+        da = _FD_EPSILON * max(1.0, abs(pa))
+        db = _FD_EPSILON * max(1.0, abs(pb))
+        try:
+            integrations += 1
+            qa1, qa2 = shooting_residual((pa + da, pb), cost, p)
+            integrations += 1
+            qb1, qb2 = shooting_residual((pa, pb + db), cost, p)
+        except NonFiniteError:
+            break
+        a, c = (qa1 - r1) / da, (qa2 - r2) / da
+        b, d = (qb1 - r1) / db, (qb2 - r2) / db
+        det = a * d - b * c
+        if det == 0.0 or not math.isfinite(det):
+            break
+        trial = (pa + (-r1 * d + r2 * b) / det, pb + (-r2 * a + r1 * c) / det)
+        iters += 1
+        integrations += 1
+        try:
+            trial_traj = integrate_coupled(trial, cost, p)
+        except NonFiniteError:
+            break
+        t1, t2, trial_norm = _residual_of(trial_traj)
+        if not trial_norm < norm:
+            break
+        pa, pb = trial
+        traj, r1, r2, norm = trial_traj, t1, t2, trial_norm
+
     return SolveReport(
         trajectory=traj,
         objective=float(traj.z[-1]),
         residual_norm=norm,
         newton_iters=iters,
-        converged=converged,
+        converged=norm <= opts.residual_tol,
         solver="shooting",
         seed_sweeps=seed_sweeps,
         coupled_integrations=integrations,
@@ -302,7 +271,7 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     return SolveReport(
         trajectory=full,
         objective=float(full.z[-1]),
-        residual_norm=max(abs(float(full.psi1[-1])), abs(float(full.psi2[-1]))),
+        residual_norm=_residual_of(full)[2],
         newton_iters=iters,
         converged=converged,
         solver="forward-backward",

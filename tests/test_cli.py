@@ -166,8 +166,12 @@ class TestExitCodes:
             ("sweep", "alpha_min = nan\nalpha_points = 1\n", "alpha_min: must be a finite number >= 0"),
             ("solve", "residual_tol = inf\n", "residual_tol: must be positive"),
             ("solve", "fd_epsilon = inf\n", "fd_epsilon: unknown key"),
+            ("solve", "max_newton_iters = 1\n", "max_newton_iters: unknown key"),
         ],
-        ids=["alpha_max_inf", "alpha_min_nan_single_point", "residual_tol_inf", "fd_epsilon_inf"],
+        ids=[
+            "alpha_max_inf", "alpha_min_nan_single_point", "residual_tol_inf", "fd_epsilon_inf",
+            "max_newton_iters",
+        ],
     )
     def test_non_finite_value_exits_2_before_solving(
         self, tmp_path, capsys, monkeypatch, command, bad_value, problem
@@ -186,13 +190,88 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not out.exists()
 
+    # The legacy functional weights u1^2 by c3, and sweep solves it at
+    # every alpha whatever the configured functional.
+    @pytest.mark.parametrize(
+        "command, functional, problem",
+        [
+            ("solve", "legacy", "must be positive under the legacy functional"),
+            ("sweep", "legacy", "must be positive under the legacy functional"),
+            ("oracle-compare", "legacy", "must be positive under the legacy functional"),
+            ("check", "legacy", "must be positive under the legacy functional"),
+            ("sweep", "new", "must be positive: sweep also solves the legacy functional"),
+        ],
+        ids=["solve", "sweep", "oracle-compare", "check", "sweep-new"],
+    )
+    def test_zero_c3_under_the_legacy_functional_exits_2_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, functional, problem
+    ):
+        import sircontrol.cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the configuration was rejected")
+
+        for name in ("solve_shooting", "sweep_alpha", "run_self_check"):
+            monkeypatch.setattr(sircontrol.cli, name, no_solve)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FAST_CFG.replace("c3 = 10", "c3 = 0") + f"functional = {functional}\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: c3: {problem}\n"
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(out)]) == 2
 
-    def test_non_convergence_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8", "no_permission"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch, kind):
+        cfg = tmp_path / "scenario.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+            reason = "Is a directory"
+        elif kind == "not_utf8":
+            cfg.write_bytes(FAST_CFG.encode() + b"# \xff\n")
+            reason = f"not UTF-8 text (byte {len(FAST_CFG) + 2}: invalid start byte)"
+        else:
+            # Simulated: a superuser reads files whatever their mode.
+            def refuse(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+
+            cfg.write_text(FAST_CFG)
+            monkeypatch.setattr(Path, "read_text", refuse)
+            reason = "Permission denied"
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "oracle-compare", "check"])
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/x.csv", "no such directory"), (".", "is a directory")],
+        ids=["missing_directory", "directory"],
+    )
+    def test_unwritable_out_exits_2_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch, command, target, reason
+    ):
+        import sircontrol.cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output path was rejected")
+
+        for name in ("solve_shooting", "sweep_alpha", "run_self_check"):
+            monkeypatch.setattr(sircontrol.cli, name, no_solve)
+        out = tmp_path / target
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {out}: {reason}\n"
+
+    def test_non_convergence_exits_1(self, tmp_path, capsys, monkeypatch):
+        import sircontrol.solvers
+
+        monkeypatch.setattr(sircontrol.solvers, "_MAX_NEWTON_ITERS", 1)
         cfg = tmp_path / "hard.cfg"
-        cfg.write_text(FAST_CFG + "max_newton_iters = 1\n")
+        cfg.write_text(FAST_CFG)
         out = tmp_path / "x.csv"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
         assert "NOT CONVERGED" in capsys.readouterr().out

@@ -28,7 +28,6 @@ def test_minimal_document_applies_defaults():
     assert config.params.n_steps == 2000
     assert config.params.functional == "new"
     assert config.shooting.residual_tol == 1e-10
-    assert config.shooting.max_newton_iters == 50
     assert config.alpha_points == 10
     assert (config.oracle_intervals, config.oracle_levels) == (3, 4)
 
@@ -85,6 +84,14 @@ def test_duplicate_and_malformed_lines():
     assert any(field.startswith("line ") for field in reasons)
 
 
+def test_legacy_functional_needs_positive_c3():
+    # The legacy functional weights u1^2 by c3; the new one accepts c3 = 0.
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace("c3 = 10", "c3 = 0") + "functional = legacy\n")
+    assert err.value.problems == [("c3", "must be positive under the legacy functional")]
+    assert parse_config(MINIMAL.replace("c3 = 10", "c3 = 0")).params.c3 == 0.0
+
+
 def test_functional_value_is_validated():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "functional = quadratic\n")
@@ -92,9 +99,8 @@ def test_functional_value_is_validated():
 
 
 def test_solver_keys_parse_and_validate():
-    config = parse_config(MINIMAL + "residual_tol = 1e-9\nmax_newton_iters = 10\n")
+    config = parse_config(MINIMAL + "residual_tol = 1e-9\n")
     assert config.shooting.residual_tol == 1e-9
-    assert config.shooting.max_newton_iters == 10
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "residual_tol = -1\n")
     assert ("residual_tol", "must be positive") in err.value.problems
@@ -135,7 +141,6 @@ EVERY_OPTIONAL_KEY = MINIMAL + """
 n_steps = 500
 functional = legacy
 residual_tol = 1e-9
-max_newton_iters = 7
 alpha_min = 0.1
 alpha_max = 0.4
 alpha_points = 4
@@ -158,5 +163,5 @@ def test_config_lines_round_trip():
     defaults = parse_config(MINIMAL).resolved_values()
     values = parse_config(EVERY_OPTIONAL_KEY).resolved_values()
     optional = [key for key in header_order if f"{key} = " not in MINIMAL]
-    assert len(optional) == 9
+    assert len(optional) == 8
     assert all(values[key] != defaults[key] for key in optional)

@@ -99,9 +99,11 @@ class TestSolveShooting:
             baseline_params, baseline_cost, baseline_params.u1_max, baseline_params.u2_max
         )
 
-    def test_honest_failure_report(self, baseline_params, baseline_cost):
-        opts = ShootingOptions(residual_tol=1e-10, max_newton_iters=1)
-        report = solve_shooting(baseline_cost, baseline_params, opts)
+    def test_honest_failure_report(self, monkeypatch, baseline_params, baseline_cost):
+        import sircontrol.solvers
+
+        monkeypatch.setattr(sircontrol.solvers, "_MAX_NEWTON_ITERS", 1)
+        report = solve_shooting(baseline_cost, baseline_params)
         assert not report.converged
         assert report.residual_norm > 0.0
 
@@ -113,12 +115,12 @@ class TestSolveShooting:
     ):
         # The seed sweep makes one state pass per sweep and a final
         # consistent one.  Newton makes one coupled pass from the seed,
-        # then per iteration two Jacobian probes and one accepted trial
-        # (no step is damped here); one iteration does not converge.
+        # then per iteration two Jacobian probes and one full step; one
+        # iteration does not converge.
         import sircontrol.solvers
 
         p = make_baseline_params(n_steps=200)
-        opts = ShootingOptions(max_newton_iters=max_newton_iters)
+        monkeypatch.setattr(sircontrol.solvers, "_MAX_NEWTON_ITERS", max_newton_iters)
         calls = {"integrate_coupled": 0, "integrate_state_forward": 0}
         for name in calls:
             original = getattr(sircontrol.solvers, name)
@@ -128,17 +130,28 @@ class TestSolveShooting:
                 return _original(*args)
 
             monkeypatch.setattr(sircontrol.solvers, name, counting)
-        report = solve_shooting(running_cost(p), p, opts)
+        report = solve_shooting(running_cost(p), p)
         assert report.converged == (max_newton_iters == 50)
         assert report.newton_iters == newton_iters
         assert report.coupled_integrations == calls["integrate_coupled"] == coupled
         assert report.seed_sweeps == calls["integrate_state_forward"] - 1 == 11
 
+    def test_a_step_that_does_not_lower_the_residual_ends_the_solve(self, monkeypatch):
+        # A coarse difference step spoils the Jacobian, so the first full
+        # step raises the residual norm: the solve stops after that one
+        # trial pass (seed pass, two probes, trial) instead of halving it.
+        import sircontrol.solvers
+
+        monkeypatch.setattr(sircontrol.solvers, "_FD_EPSILON", 0.01)
+        p = make_baseline_params(n_steps=200)
+        report = solve_shooting(running_cost(p), p)
+        assert not report.converged
+        assert report.newton_iters == 1
+        assert report.coupled_integrations == 4
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             ShootingOptions(residual_tol=0.0)
-        with pytest.raises(ValueError):
-            ShootingOptions(max_newton_iters=0)
         # An infinite residual_tol would report any start as converged.
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match="residual_tol must be positive"):
@@ -173,6 +186,7 @@ class TestSolveShooting:
         sweep = solve_forward_backward(cost, p)
         assert shoot.converged and sweep.converged
         assert shoot.newton_iters <= 8
+        assert shoot.coupled_integrations == 1 + 3 * shoot.newton_iters  # no step rejected
         assert abs(shoot.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
 
 
