@@ -39,8 +39,10 @@ print(f"relative disagreement:      {gap:.2e}")
 
 # 2. Exhaustive search over 4096 piecewise-constant schedules.  The
 # restricted class can never beat the true optimum, and how much it
-# loses measures what schedule flexibility is worth here.
-oracle = brute_force_best(cost, params, n_intervals=3, levels_per_control=4)
+# loses measures what schedule flexibility is worth here.  The solver's
+# controls, rounded onto the grid, only bound the search.
+oracle = brute_force_best(cost, params, n_intervals=3, levels_per_control=4,
+                          hint=(shoot.trajectory.u1, shoot.trajectory.u2))
 print(f"\nbest of {oracle.n_schedules} coarse schedules: {oracle.objective:.6f}")
 print(f"  u1 per third of the horizon: {oracle.u1_levels}")
 print(f"  u2 per third of the horizon: {oracle.u2_levels}")

@@ -34,6 +34,7 @@ from .model import (
     adjoint_rhs,
     hamiltonian,
     optimal_controls,
+    optimal_controls_lanes,
     running_cost,
     state_rhs,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "integrate_state_forward",
     "interval_boundaries",
     "optimal_controls",
+    "optimal_controls_lanes",
     "parse_config",
     "running_cost",
     "run_self_check",

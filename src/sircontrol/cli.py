@@ -100,7 +100,9 @@ def _cmd_oracle_compare(args) -> int:
     config = _load_config(args.config)
     cost = running_cost(config.params)
     report = solve_shooting(cost, config.params, config.shooting)
-    oracle = brute_force_best(cost, config.params, config.oracle_intervals, config.oracle_levels)
+    # The solver's controls only bound the search; the oracle's answer is its own.
+    oracle = brute_force_best(cost, config.params, config.oracle_intervals, config.oracle_levels,
+                              hint=(report.trajectory.u1, report.trajectory.u2))
     write_text(args.out, oracle_compare_csv(report, oracle, config))
     sys.stdout.write(
         f"solver {report.objective!r} vs oracle best {oracle.objective!r} "

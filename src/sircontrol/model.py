@@ -31,12 +31,13 @@ maximizer of the Hamiltonian over the control box is the clamped law
 
 This module is the only place where these equations are written.  Every
 integrator, the enumeration lanes, the forward-backward update and the
-diagnostics call the four kernels below (state_rhs, adjoint_rhs,
-hamiltonian, optimal_controls), so the cross-checks integrate exactly the
-same system.  The kernels take flat arguments and return plain tuples:
-the RK4 loops call them several times per step on Python floats, where
-building value objects would cost more than the arithmetic, and the
-same code runs unchanged on numpy lanes or whole trajectory arrays.
+diagnostics call the kernels below (state_rhs, adjoint_rhs, hamiltonian,
+and the clamp law as optimal_controls on floats or optimal_controls_lanes
+on arrays), so the cross-checks integrate exactly the same system.  The
+kernels take flat arguments and return plain tuples: the RK4 loops call
+them several times per step on Python floats, where building value
+objects would cost more than the arithmetic, and the same code runs
+unchanged on numpy lanes or whole trajectory arrays.
 Everything here is a pure function.
 """
 
@@ -45,6 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 FUNCTIONAL_NEW = "new"
 FUNCTIONAL_LEGACY = "legacy"
@@ -220,3 +223,18 @@ def optimal_controls(s, i, psi1, psi2, w1, w2, u1_max, u2_max):
     elif u2 >= u2_max:
         u2 = u2_max
     return u1, u2
+
+
+def optimal_controls_lanes(s, i, psi1, psi2, w1, w2, u1_max, u2_max):
+    """optimal_controls on numpy arrays, bit for bit.
+
+    The same stationary points, clamped with the same inclusive
+    comparisons: np.where keeps the scalar law's +0.0 and bound ties,
+    where np.clip or np.maximum(0.0, -0.0) would return -0.0.
+    """
+    u1 = -psi1 * s / (2.0 * w1)
+    u2 = -psi2 * i / (2.0 * w2)
+    return (
+        np.where(u1 <= 0.0, 0.0, np.where(u1 >= u1_max, u1_max, u1)),
+        np.where(u2 <= 0.0, 0.0, np.where(u2 >= u2_max, u2_max, u2)),
+    )

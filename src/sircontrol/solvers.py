@@ -49,7 +49,7 @@ from .integrate import (
     integrate_state_forward,
     interval_boundaries,
 )
-from .model import ModelParams, RunningCost, optimal_controls
+from .model import ModelParams, RunningCost, optimal_controls_lanes
 
 __all__ = [
     "ShootingOptions",
@@ -215,7 +215,6 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
     n = p.n_steps
     u1 = np.zeros(n + 1)
     u2 = np.zeros(n + 1)
-    law, w1, w2, u1m, u2m = optimal_controls, cost.w1, cost.w2, p.u1_max, p.u2_max
     relaxation = _FBS_RELAXATION
     lowest, stalled = math.inf, 0
     converged = False
@@ -224,10 +223,11 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
     for iters in range(1, _FBS_MAX_SWEEPS + 1):
         traj = integrate_state_forward(u1, u2, cost, p)
         psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
-        nodes = zip(traj.s.tolist(), traj.i.tolist(), psi1.tolist(), psi2.tolist())
-        u_law = np.array([law(s, i, q1, q2, w1, w2, u1m, u2m) for s, i, q1, q2 in nodes])
-        u1_next = (1.0 - relaxation) * u1 + relaxation * u_law[:, 0]
-        u2_next = (1.0 - relaxation) * u2 + relaxation * u_law[:, 1]
+        law1, law2 = optimal_controls_lanes(
+            traj.s, traj.i, psi1, psi2, cost.w1, cost.w2, p.u1_max, p.u2_max
+        )
+        u1_next = (1.0 - relaxation) * u1 + relaxation * law1
+        u2_next = (1.0 - relaxation) * u2 + relaxation * law2
         scale = 1.0 + max(float(np.max(np.abs(u1_next))), float(np.max(np.abs(u2_next))))
         change = max(
             float(np.max(np.abs(u1_next - u1))), float(np.max(np.abs(u2_next - u2)))

@@ -1,4 +1,6 @@
-"""Exhaustive schedule enumeration: guards, determinism, solver bounds."""
+"""Exhaustive schedule enumeration: guards, determinism, pruning, solver bounds."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,11 +141,13 @@ class TestBruteForce:
     @pytest.mark.parametrize("n_intervals, levels", [(1, 2), (3, 3)])
     def test_every_schedule_diverging_names_the_earliest_divergence(self, n_intervals, levels):
         # Every lane blows up in the second of 20 steps (t = 1), long
-        # before the horizon.
+        # before the horizon, with or without a hint.
         p = make_baseline_params(beta=5.0, n_steps=20)
-        with pytest.raises(NonFiniteError, match="every enumerated schedule diverged") as err:
-            brute_force_best(running_cost(p), p, n_intervals=n_intervals, levels_per_control=levels)
-        assert err.value.time == 1.0
+        full = np.full(p.n_steps + 1, 0.9)
+        for hint in (None, (full, full)):
+            with pytest.raises(NonFiniteError, match="every enumerated schedule diverged") as err:
+                brute_force_best(running_cost(p), p, n_intervals, levels, hint=hint)
+            assert err.value.time == 1.0
 
     def test_deterministic_repeat(self, baseline_params, baseline_cost):
         a = brute_force_best(baseline_cost, baseline_params, n_intervals=2, levels_per_control=3)
@@ -166,3 +170,160 @@ class TestBruteForce:
         assert report.converged
         result = brute_force_best(cost, p, n_intervals=2, levels_per_control=4)
         assert report.objective <= result.objective + 1e-9 * abs(result.objective)
+
+
+def criterion_04_scenarios(functional):
+    """The baseline and the five draws of acceptance criterion 04."""
+    base = make_baseline_params(functional=functional)
+    rng = np.random.default_rng(20260808)
+    scenarios = [base]
+    for _ in range(5):
+        f = rng.uniform(0.8, 1.2, 5)
+        scenarios.append(replace(base, beta=base.beta * f[0], alpha=base.alpha * f[1],
+                                 c1=base.c1 * f[2], c2=base.c2 * f[3], c3=base.c3 * f[4]))
+    return scenarios
+
+
+@pytest.fixture(scope="module")
+def shooting_hints():
+    """Controls of the converged shooting solve, keyed by (functional, scenario)."""
+    hints = {}
+    for functional in ("new", "legacy"):
+        for k, p in enumerate(criterion_04_scenarios(functional)):
+            report = solve_shooting(running_cost(p), p)
+            assert report.converged
+            hints[functional, k] = (report.trajectory.u1, report.trajectory.u2), report.objective
+    return hints
+
+
+def grid_hints(p, n_intervals, seed):
+    """All-zero, all-max and a random piecewise-constant schedule, per node."""
+    n = p.n_steps + 1
+    bounds = interval_boundaries(p.n_steps, n_intervals)
+    rng = np.random.default_rng(seed)
+    random = tuple(
+        expand_piecewise_schedule(rng.uniform(0.0, u_max, n_intervals), bounds, p.n_steps)
+        for u_max in (p.u1_max, p.u2_max)
+    )
+    return {
+        "zero": (np.zeros(n), np.zeros(n)),
+        "max": (np.full(n, p.u1_max), np.full(n, p.u2_max)),
+        "random": random,
+    }
+
+
+def assert_same_result(pruned, unpruned):
+    assert pruned.objective == unpruned.objective
+    assert np.array_equal(pruned.u1_levels, unpruned.u1_levels)
+    assert np.array_equal(pruned.u2_levels, unpruned.u2_levels)
+    assert pruned.n_schedules == unpruned.n_schedules
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("functional", ["new", "legacy"])
+    @pytest.mark.parametrize(
+        "scenario, n_intervals, levels",
+        [(0, 3, 4), (0, 3, 5), (1, 3, 4), (2, 3, 4), (3, 3, 4), (4, 3, 4), (5, 3, 4)],
+    )
+    def test_pruned_walk_equals_the_unpruned_walk(self, shooting_hints, functional, scenario,
+                                                  n_intervals, levels):
+        # Baseline at 3 x 4 and 3 x 5 and criterion 04's draws at 3 x 4,
+        # each with the shooting hint and three grid hints.
+        p = criterion_04_scenarios(functional)[scenario]
+        cost = running_cost(p)
+        unpruned = brute_force_best(cost, p, n_intervals, levels)
+        hints = grid_hints(p, n_intervals, seed=scenario)
+        hints["shooting"] = shooting_hints[functional, scenario][0]
+        lane_steps = {}
+        for name, hint in hints.items():
+            pruned = brute_force_best(cost, p, n_intervals, levels, hint=hint)
+            assert_same_result(pruned, unpruned)
+            lane_steps[name] = pruned.lane_steps
+        assert max(lane_steps.values()) <= unpruned.lane_steps
+        # The shooting hint's incumbent is close enough to prune.
+        assert lane_steps["shooting"] < unpruned.lane_steps
+
+    @pytest.mark.parametrize(
+        "functional, n_intervals, levels, lane_steps",
+        # The unpruned walk takes 10,855,400 (3 x 5) and 34,952,000 (4 x 4).
+        [("new", 3, 5, 783_700), ("legacy", 3, 5, 233_425),
+         ("new", 4, 4, 560_000), ("legacy", 4, 4, 168_000)],
+    )
+    def test_shooting_hint_lane_steps(self, shooting_hints, functional, n_intervals, levels,
+                                      lane_steps):
+        p = make_baseline_params(functional=functional)
+        hint = shooting_hints[functional, 0][0]
+        result = brute_force_best(running_cost(p), p, n_intervals, levels, hint=hint)
+        assert result.lane_steps == lane_steps
+
+    @pytest.mark.parametrize("batch", [7, 1])
+    def test_chunk_edges_do_not_change_the_pruned_result(self, monkeypatch, batch):
+        # 120 steps keep h * L = 0.24 under 1/4, so the all-max hint prunes.
+        p = make_baseline_params(n_steps=120)
+        cost = running_cost(p)
+        hint = grid_hints(p, 3, seed=0)["max"]
+        unpruned = brute_force_best(cost, p, n_intervals=3, levels_per_control=3)
+        default = brute_force_best(cost, p, n_intervals=3, levels_per_control=3, hint=hint)
+        assert default.lane_steps < unpruned.lane_steps
+        monkeypatch.setattr(brute_force, "_BATCH", batch)
+        chunked = brute_force_best(cost, p, n_intervals=3, levels_per_control=3, hint=hint)
+        assert_same_result(chunked, unpruned)
+        assert chunked.lane_steps == default.lane_steps
+
+    @pytest.mark.parametrize("functional", ["new", "legacy"])
+    @pytest.mark.parametrize("hint_levels", [(0.0, 0.0), (0.0, 0.9)])
+    def test_coarse_grid_walks_unpruned(self, functional, hint_levels):
+        # Two RK4 steps over a horizon of 10 drive I negative, so z falls
+        # along a lane and objectives reach -2e5: a prefix above the
+        # incumbent can still win.  The grid schedule of the hint is a
+        # valid incumbent, yet the walk must not prune here.
+        p = make_baseline_params(n_steps=2, horizon=10.0, alpha=0.5, beta=0.001,
+                                 functional=functional)
+        cost = running_cost(p)
+        hint = tuple(np.full(p.n_steps + 1, u) for u in hint_levels)
+        incumbent = integrate_state_forward(*hint, cost, p)
+        assert np.isfinite(incumbent.z[-1])
+        unpruned = brute_force_best(cost, p, n_intervals=2, levels_per_control=3)
+        assert unpruned.objective < -4e4
+        guarded = brute_force_best(cost, p, n_intervals=2, levels_per_control=3, hint=hint)
+        assert_same_result(guarded, unpruned)
+        assert guarded.lane_steps == unpruned.lane_steps
+
+    def test_a_prefix_that_ties_the_incumbent_survives(self, baseline_params):
+        # Without a state weight the all-zero schedule costs exactly 0, and
+        # so does each of its prefixes: pruning must be strict.
+        cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
+        zeros = np.zeros(baseline_params.n_steps + 1)
+        unpruned = brute_force_best(cost, baseline_params, 2, 3)
+        pruned = brute_force_best(cost, baseline_params, 2, 3, hint=(zeros, zeros))
+        assert_same_result(pruned, unpruned)
+        assert pruned.objective == 0.0
+        assert pruned.lane_steps < unpruned.lane_steps
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_hint_walks_unpruned(self, baseline_params, baseline_cost, bad):
+        # The all-max hint prunes; one non-finite node makes it no bound.
+        u = np.full(baseline_params.n_steps + 1, 0.9)
+        unpruned = brute_force_best(baseline_cost, baseline_params, 2, 3)
+        finite = brute_force_best(baseline_cost, baseline_params, 2, 3, hint=(u, u))
+        assert finite.lane_steps < unpruned.lane_steps
+        u[5] = bad
+        hinted = brute_force_best(baseline_cost, baseline_params, 2, 3, hint=(u, u))
+        assert_same_result(hinted, unpruned)
+        assert hinted.lane_steps == unpruned.lane_steps
+
+    def test_hint_needs_one_value_per_node(self, baseline_params, baseline_cost):
+        short = np.zeros(baseline_params.n_steps)
+        with pytest.raises(ValueError, match="n_steps \\+ 1"):
+            brute_force_best(baseline_cost, baseline_params, 1, 2, hint=(short, short))
+
+    @pytest.mark.parametrize("functional", ["new", "legacy"])
+    @pytest.mark.parametrize("scenario", range(6))
+    def test_no_4x4_schedule_beats_the_optimum_across_the_box(self, shooting_hints,
+                                                              functional, scenario):
+        # Criterion 05's lower bound on each of criterion 04's scenarios.
+        p = criterion_04_scenarios(functional)[scenario]
+        hint, optimum = shooting_hints[functional, scenario]
+        oracle = brute_force_best(running_cost(p), p, n_intervals=4, levels_per_control=4,
+                                  hint=hint)
+        assert optimum <= oracle.objective + 1e-9 * abs(oracle.objective)

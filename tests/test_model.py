@@ -11,6 +11,7 @@ from sircontrol import (
     adjoint_rhs,
     hamiltonian,
     optimal_controls,
+    optimal_controls_lanes,
     running_cost,
     state_rhs,
 )
@@ -207,6 +208,31 @@ class TestClamp:
         # A zero costate gives the stationary point -0.0; the law returns +0.0.
         for u in law(1.0, 1.0, 0.0, 0.0, cost, p):
             assert math.copysign(1.0, u) == 1.0
+
+    def test_lane_law_equals_the_scalar_law_bit_for_bit(self):
+        # Random nodes, exact zeros (state or costate, either sign) and
+        # stationary points exactly on a bound: every lane must carry the
+        # scalar law's bits, sign bit included.
+        rng = np.random.default_rng(29)
+        n = 400
+        s, i = rng.uniform(0.0, 100.0, (2, n))
+        psi1, psi2 = rng.normal(0.0, 0.05, (2, n))
+        s[:40], i[40:80] = 0.0, 0.0
+        psi1[80:120], psi2[120:160] = 0.0, -0.0
+        s[160:200], i[160:200] = 1.0, 1.0
+        psi1[160:200] = -rng.choice([0.0, -0.0, 0.9, 1.0, 1.5], 40)
+        psi2[160:200] = -rng.choice([0.0, -0.0, 0.9, 1.0, 1.5], 40)
+        w1, w2, u1_max, u2_max = 0.5, 0.5, 0.9, 1.0
+        lanes = optimal_controls_lanes(s, i, psi1, psi2, w1, w2, u1_max, u2_max)
+        scalar = np.array([
+            optimal_controls(*node, w1, w2, u1_max, u2_max)
+            for node in zip(s.tolist(), i.tolist(), psi1.tolist(), psi2.tolist())
+        ]).T
+        for got, want in zip(lanes, scalar):
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.count_nonzero(lanes[0] == u1_max) and np.count_nonzero(lanes[1] == u2_max)
+        assert not np.signbit(lanes[0]).any() and not np.signbit(lanes[1]).any()
 
 
 class TestValidation:
