@@ -47,7 +47,6 @@ from .objective import (
 )
 from .selfcheck import CheckResult, run_self_check
 from .solvers import (
-    ShootingOptions,
     SolveReport,
     control_gradient,
     shooting_residual,
@@ -68,7 +67,6 @@ __all__ = [
     "ObjectiveSplit",
     "ResolvedConfig",
     "RunningCost",
-    "ShootingOptions",
     "SirControlError",
     "SolveReport",
     "SweepRow",

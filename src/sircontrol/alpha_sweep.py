@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .model import FUNCTIONAL_LEGACY, FUNCTIONAL_NEW, ModelParams, running_cost
 from .objective import defective_terminal
-from .solvers import ShootingOptions, solve_shooting
+from .solvers import solve_shooting
 
 __all__ = ["SweepRow", "sweep_alpha"]
 
@@ -37,11 +37,11 @@ class SweepRow:
     newton_iters_legacy: int
 
 
-def _solve_point(base: ModelParams, alpha: float, opts: ShootingOptions) -> SweepRow:
+def _solve_point(base: ModelParams, alpha: float, residual_tol: float) -> SweepRow:
     p_new = replace(base, alpha=alpha, functional=FUNCTIONAL_NEW)
     p_legacy = replace(base, alpha=alpha, functional=FUNCTIONAL_LEGACY)
-    rep_new = solve_shooting(running_cost(p_new), p_new, opts)
-    rep_legacy = solve_shooting(running_cost(p_legacy), p_legacy, opts)
+    rep_new = solve_shooting(running_cost(p_new), p_new, residual_tol)
+    rep_legacy = solve_shooting(running_cost(p_legacy), p_legacy, residual_tol)
     return SweepRow(
         alpha=alpha,
         objective_new=rep_new.objective,
@@ -59,10 +59,13 @@ def _solve_point(base: ModelParams, alpha: float, opts: ShootingOptions) -> Swee
 def sweep_alpha(
     base: ModelParams,
     alphas,
-    opts: ShootingOptions | None = None,
+    residual_tol: float = 1e-10,
 ) -> list[SweepRow]:
-    """Solve both functionals at every alpha; one row per alpha, input order."""
-    opts = opts or ShootingOptions()
+    """Solve both functionals at every alpha; one row per alpha, input order.
+
+    residual_tol is solve_shooting's, which rejects it before any solve
+    unless 0 < residual_tol < inf.
+    """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("alphas must be non-empty")
@@ -70,4 +73,4 @@ def sweep_alpha(
         raise ValueError("alphas must be >= 0")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-    return [_solve_point(base, alpha, opts) for alpha in alphas]
+    return [_solve_point(base, alpha, residual_tol) for alpha in alphas]

@@ -134,19 +134,24 @@ def _advance_lanes(s, i, z, u1, u2, first: int, last: int, cost: RunningCost, p:
 
 def _incumbent(cost: RunningCost, p: ModelParams, n_intervals: int, levels_per_control: int,
                hint) -> float:
-    """Objective of the hint's nearest grid schedule; inf when it may not prune."""
+    """Objective of the hint's nearest grid schedule; inf when it may not prune.
+
+    Raises ValueError unless the hint is two controls of n_steps + 1
+    samples each, whether or not it may prune.
+    """
+    if hint is None:
+        return np.inf
+    hint = [np.asarray(u, dtype=float) for u in hint]
+    if len(hint) != 2 or any(u.shape != (p.n_steps + 1,) for u in hint):
+        raise ValueError(f"hint must be two controls of n_steps + 1 = {p.n_steps + 1} samples each")
     h = p.horizon / p.n_steps
     # The module docstring's exactness condition h * L <= 1/4.
-    if hint is None or h * (p.beta * (p.s0 + p.i0) + p.u1_max + p.u2_max + p.alpha) > 0.25:
+    if (h * (p.beta * (p.s0 + p.i0) + p.u1_max + p.u2_max + p.alpha) > 0.25
+            or not all(np.isfinite(u).all() for u in hint)):
         return np.inf
     bounds = interval_boundaries(p.n_steps, n_intervals)
     schedule = []
     for u, u_max in zip(hint, (p.u1_max, p.u2_max)):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (p.n_steps + 1,):
-            raise ValueError(f"hint must have n_steps + 1 = {p.n_steps + 1} samples per control")
-        if not np.isfinite(u).all():
-            return np.inf
         means = np.array([u[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])])
         levels = control_levels(u_max, levels_per_control)
         # argmin takes the first of equally near levels: the lower one.
@@ -256,8 +261,9 @@ def brute_force_best(
     Schedules whose objective is not finite are skipped; raises
     NonFiniteError, at the earliest time a lane diverged, when that
     leaves none.  hint, per-node (u1, u2) controls of n_steps + 1 values
-    each, only bounds the search (see the module docstring): the result
-    is the same with or without it, and lane_steps counts the work done.
+    each (ValueError otherwise), only bounds the search (see the module
+    docstring): the result is the same with or without it, and lane_steps
+    counts the work done.
     """
     if exceeds_guard(n_intervals, levels_per_control):
         raise TooLargeError(

@@ -65,6 +65,10 @@ def _load_config(path: str) -> ResolvedConfig:
     return parse_config(text)
 
 
+def _summary_path(out: str) -> str:
+    return f"{out}.summary.txt"
+
+
 def _check_out(path: str) -> None:
     """Reject an output path that cannot be written, before any solve."""
     if Path(path).is_dir():
@@ -76,10 +80,10 @@ def _check_out(path: str) -> None:
 def _cmd_solve(args) -> int:
     config = _load_config(args.config)
     cost = running_cost(config.params)
-    report = solve_shooting(cost, config.params, config.shooting)
+    report = solve_shooting(cost, config.params, config.residual_tol)
     summary = solve_summary(report, config)
     write_text(args.out, trajectory_csv(report, config))
-    write_text(f"{args.out}.summary.txt", summary)
+    write_text(_summary_path(args.out), summary)
     sys.stdout.write(summary)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
@@ -89,7 +93,7 @@ def _cmd_sweep(args) -> int:
     if config.params.c3 == 0.0:
         raise ConfigError([("c3", "must be positive: sweep also solves the legacy functional")])
     alphas = [float(a) for a in np.linspace(config.alpha_min, config.alpha_max, config.alpha_points)]
-    rows = sweep_alpha(config.params, alphas, config.shooting)
+    rows = sweep_alpha(config.params, alphas, config.residual_tol)
     write_text(args.out, sweep_csv(rows, config))
     n_failed = sum((not r.converged_new) + (not r.converged_legacy) for r in rows)
     sys.stdout.write(f"swept {len(rows)} alpha points, {n_failed} failed solves -> {args.out}\n")
@@ -99,7 +103,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     config = _load_config(args.config)
     cost = running_cost(config.params)
-    report = solve_shooting(cost, config.params, config.shooting)
+    report = solve_shooting(cost, config.params, config.residual_tol)
     # The solver's controls only bound the search; the oracle's answer is its own.
     oracle = brute_force_best(cost, config.params, config.oracle_intervals, config.oracle_levels,
                               hint=(report.trajectory.u1, report.trajectory.u2))
@@ -135,6 +139,8 @@ def main(argv=None) -> int:
     try:
         if args.out is not None:
             _check_out(args.out)
+            if args.command == "solve":
+                _check_out(_summary_path(args.out))
         return handlers[args.command](args)
     except ConfigError as exc:
         for field, reason in exc.problems:

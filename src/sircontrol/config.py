@@ -4,23 +4,22 @@ The grammar is deliberately trivial: one ``key = value`` pair per line,
 ``#`` starts a comment, blank lines ignored.  Unknown keys are rejected
 and every violation is reported at once, not just the first.
 
-The keys are not listed here: they are the fields of ResolvedConfig, with
-its dataclass fields (params, shooting) expanded into theirs.  Each field
-gives its key's type, its default and its place in the header; a field
-without a default is a required key.
+The keys are not listed here: they are the fields of ModelParams, then
+ResolvedConfig's own fields after params.  Each field gives its key's
+type, its default and its place in the header; a field without a default
+is a required key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 from types import SimpleNamespace
 from typing import get_type_hints
 
 from .brute_force import ENUMERATION_GUARD, exceeds_guard
 from .errors import ConfigError
 from .model import FUNCTIONAL_LEGACY, PARAM_CHECKS, ModelParams
-from .solvers import SHOOTING_CHECKS, ShootingOptions
 
 __all__ = ["ResolvedConfig", "parse_config", "config_lines"]
 
@@ -30,7 +29,7 @@ class ResolvedConfig:
     """Fully validated parameter set with every default applied."""
 
     params: ModelParams
-    shooting: ShootingOptions
+    residual_tol: float = 1e-10
     alpha_min: float = 0.05
     alpha_max: float = 0.5
     alpha_points: int = 10
@@ -40,35 +39,21 @@ class ResolvedConfig:
     def resolved_values(self) -> dict[str, object]:
         """All keys in canonical order, for reproducibility headers."""
         return {
-            key: getattr(getattr(self, section) if section else self, key)
-            for section, key, _, _ in _KEYS
+            key: getattr(self if key in _OWN_KEYS else self.params, key)
+            for key in _SCHEMA
         }
 
 
-def _typed_fields(cls) -> list[tuple[str, type, object]]:
-    """(name, type, default or MISSING) of a dataclass's fields, in order."""
+def _typed_fields(cls) -> dict[str, tuple[type, object]]:
+    """{name: (type, default or MISSING)} of a dataclass's fields, in order."""
     hints = get_type_hints(cls)  # f.type is only a string here
-    return [(f.name, hints[f.name], f.default) for f in fields(cls)]
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
 
 
-def _config_keys():
-    """Every key as (section, key, type, default or MISSING), in header order,
-    and the sections as {name: dataclass}.
-
-    A section is a dataclass-typed field of ResolvedConfig (params,
-    shooting); section is None for ResolvedConfig's own fields.
-    """
-    keys, sections = [], {}
-    for name, kind, default in _typed_fields(ResolvedConfig):
-        if is_dataclass(kind):
-            sections[name] = kind
-            keys.extend((name, *field) for field in _typed_fields(kind))
-        else:
-            keys.append((None, name, kind, default))
-    return keys, sections
-
-
-_KEYS, _SECTIONS = _config_keys()
+# Every key as {key: (type, default or MISSING)}, in header order: the
+# fields of ModelParams, then ResolvedConfig's own.
+_OWN_KEYS = {k: v for k, v in _typed_fields(ResolvedConfig).items() if k != "params"}
+_SCHEMA = _typed_fields(ModelParams) | _OWN_KEYS
 
 
 def parse_config(text: str) -> ResolvedConfig:
@@ -78,7 +63,6 @@ def parse_config(text: str) -> ResolvedConfig:
     syntax problems, unknown or duplicate keys, unparsable values, missing
     required keys and model-invariant violations.
     """
-    schema = {key: (kind, default) for _, key, kind, default in _KEYS}
     problems: list[tuple[str, str]] = []
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -91,7 +75,7 @@ def parse_config(text: str) -> ResolvedConfig:
         key, value = stripped.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in schema:
+        if key not in _SCHEMA:
             problems.append((key, "unknown key"))
             continue
         if key in raw:
@@ -103,7 +87,7 @@ def parse_config(text: str) -> ResolvedConfig:
         raw[key] = value
 
     values: dict[str, object] = {}
-    for key, (kind, default) in schema.items():
+    for key, (kind, default) in _SCHEMA.items():
         if key in raw:
             try:
                 values[key] = raw[key].lower() if kind is str else kind(raw[key])
@@ -117,9 +101,12 @@ def parse_config(text: str) -> ResolvedConfig:
     # Each invariant predicate reads only its own field, so fields that
     # parsed fine are validated even when sibling keys are broken.
     candidate = SimpleNamespace(**values)
-    for field, ok, reason in PARAM_CHECKS + SHOOTING_CHECKS:
+    for field, ok, reason in PARAM_CHECKS:
         if values.get(field) is not None and not ok(candidate):
             problems.append((field, reason))
+    tol = values.get("residual_tol")
+    if tol is not None and not 0.0 < tol < math.inf:
+        problems.append(("residual_tol", "must be positive"))
     # running_cost puts c3 on u1^2 under the legacy functional; a negative
     # c3 is reported above already.
     if values.get("functional") == FUNCTIONAL_LEGACY and values.get("c3") == 0.0:
@@ -150,11 +137,8 @@ def parse_config(text: str) -> ResolvedConfig:
     if problems:
         raise ConfigError(problems)
 
-    own: dict[str, object] = {}
-    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
-    for section, key, _, _ in _KEYS:
-        (sections[section] if section else own)[key] = values[key]
-    return ResolvedConfig(**own, **{name: _SECTIONS[name](**kw) for name, kw in sections.items()})
+    own = {key: values.pop(key) for key in _OWN_KEYS}
+    return ResolvedConfig(params=ModelParams(**values), **own)
 
 
 def config_lines(config: ResolvedConfig) -> list[str]:

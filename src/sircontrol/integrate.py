@@ -40,7 +40,7 @@ node, which keeps it as fast as the hand-inlined arithmetic it replaced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -101,9 +101,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.t) - 1
-
-    def with_adjoint(self, psi1: np.ndarray, psi2: np.ndarray) -> "Trajectory":
-        return replace(self, psi1=np.array(psi1, dtype=float), psi2=np.array(psi2, dtype=float))
 
 
 def interval_boundaries(n_steps: int, n_intervals: int) -> np.ndarray:

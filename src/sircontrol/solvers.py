@@ -26,7 +26,7 @@ cross-check.  control_gradient supplies the adjoint-based derivative of
 the objective with respect to a piecewise-constant schedule, used for
 finite-difference verification.
 
-Only the shooting tolerance is an option (ShootingOptions); the
+Only the shooting tolerance, residual_tol, is an argument; the
 difference step, the Newton cap, the seed's tolerance and every setting
 of the sweep are the module constants below, since no caller needs
 another value.
@@ -35,8 +35,7 @@ another value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .integrate import (
 from .model import ModelParams, RunningCost, optimal_controls_lanes
 
 __all__ = [
-    "ShootingOptions",
     "SolveReport",
     "shooting_residual",
     "solve_shooting",
@@ -78,41 +76,19 @@ _FBS_RELAXATION = 0.5
 _FBS_STALL_SWEEPS = 5
 
 
-# Validation table of ShootingOptions: (field, predicate, reason), read by
-# its constructor and by the config parser, like model.PARAM_CHECKS.
-SHOOTING_CHECKS: list[tuple[str, Callable[["ShootingOptions"], bool], str]] = [
-    ("residual_tol", lambda o: 0.0 < o.residual_tol < math.inf, "must be positive"),
-]
-
-
-@dataclass(frozen=True)
-class ShootingOptions:
-    """Tunables of the shooting solve.
-
-    residual_tol   absolute tolerance on max(|psi1(T)|, |psi2(T)|)
-    """
-
-    residual_tol: float = 1e-10
-
-    def __post_init__(self):
-        bad = [(f, reason) for f, ok, reason in SHOOTING_CHECKS if not ok(self)]
-        if bad:
-            msg = "; ".join(f"{f} {reason}" for f, reason in bad)
-            raise ValueError(f"invalid shooting options: {msg}")
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve, returned even on failure (converged=False).
 
-    newton_iters counts the shooting solve's Newton iterations, or the
-    forward-backward sweep's sweeps (the final consistent pass excluded).
-    seed_sweeps counts the sweeps spent on the shooting solve's start and
-    coupled_integrations its coupled passes, Jacobian probes and a
-    rejected last step included; both stay 0 for the forward-backward
-    sweep.  residual_norm is max(|psi1(T)|, |psi2(T)|), which the sweep's
-    backward pass makes exactly 0; the sweep's converged flag says that
-    its control fixed point was reached within 500 sweeps.
+    sweeps counts the forward-backward sweeps the solve ran (the final
+    consistent pass excluded): the seed's for shooting, all of them for
+    the forward-backward sweep.  newton_iters counts the shooting solve's
+    Newton iterations and coupled_integrations its coupled passes,
+    Jacobian probes and a rejected last step included; both stay 0 for
+    the forward-backward sweep.  residual_norm is max(|psi1(T)|,
+    |psi2(T)|), which the sweep's backward pass makes exactly 0; the
+    sweep's converged flag says that its control fixed point was reached
+    within 500 sweeps.
     """
 
     trajectory: Trajectory
@@ -121,7 +97,7 @@ class SolveReport:
     newton_iters: int
     converged: bool
     solver: str
-    seed_sweeps: int
+    sweeps: int
     coupled_integrations: int
 
 
@@ -142,22 +118,25 @@ def _residual_of(traj: Trajectory) -> tuple[float, float, float]:
 def solve_shooting(
     cost: RunningCost,
     p: ModelParams,
-    opts: ShootingOptions | None = None,
+    residual_tol: float = 1e-10,
 ) -> SolveReport:
     """Solve the boundary-value problem by single shooting.
 
     Starts Newton once, from psi(0) of a forward-backward sweep stopped at
     the loose tolerance 1e-3: the sweep finds the optimum's neighbourhood
-    from nothing, and full Newton steps polish the start to residual_tol.
+    from nothing, and full Newton steps polish the start until
+    max(|psi1(T)|, |psi2(T)|) <= residual_tol.  Raises ValueError, before
+    any integration, unless 0 < residual_tol < inf.
     The solve fails fast and says so (converged=False), never retried:
     when a Jacobian probe diverges, the Jacobian is singular, or a step's
     one trial pass diverges or does not lower the residual norm.  Raises
     NonFiniteError, at the time of divergence, when the seed sweep or the
     coupled pass from its start diverges.
     """
-    opts = opts or ShootingOptions()
+    if not 0.0 < residual_tol < math.inf:
+        raise ValueError("residual_tol must be positive")
     try:
-        seed, seed_sweeps, _ = _sweep(cost, p, _SEED_TOL)
+        seed, sweeps, _ = _sweep(cost, p, _SEED_TOL)
         pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
         traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError as exc:
@@ -166,7 +145,7 @@ def solve_shooting(
     integrations = 1
     iters = 0
 
-    while norm > opts.residual_tol and iters < _MAX_NEWTON_ITERS:
+    while norm > residual_tol and iters < _MAX_NEWTON_ITERS:
         # Forward-difference Jacobian [[a, b], [c, d]] of the residual.
         da = _FD_EPSILON * max(1.0, abs(pa))
         db = _FD_EPSILON * max(1.0, abs(pb))
@@ -200,9 +179,9 @@ def solve_shooting(
         objective=float(traj.z[-1]),
         residual_norm=norm,
         newton_iters=iters,
-        converged=norm <= opts.residual_tol,
+        converged=norm <= residual_tol,
         solver="shooting",
-        seed_sweeps=seed_sweeps,
+        sweeps=sweeps,
         coupled_integrations=integrations,
     )
 
@@ -248,7 +227,7 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
     # Final consistent pass under the accepted schedule.
     traj = integrate_state_forward(u1, u2, cost, p)
     psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
-    return traj.with_adjoint(psi1, psi2), iters, converged
+    return replace(traj, psi1=psi1, psi2=psi2), iters, converged
 
 
 def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
@@ -272,10 +251,10 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
         trajectory=full,
         objective=float(full.z[-1]),
         residual_norm=_residual_of(full)[2],
-        newton_iters=iters,
+        newton_iters=0,
         converged=converged,
         solver="forward-backward",
-        seed_sweeps=0,
+        sweeps=iters,
         coupled_integrations=0,
     )
 

@@ -316,6 +316,14 @@ class TestBranchAndBound:
         short = np.zeros(baseline_params.n_steps)
         with pytest.raises(ValueError, match="n_steps \\+ 1"):
             brute_force_best(baseline_cost, baseline_params, 1, 2, hint=(short, short))
+        # Checked also where the hint may not prune (h * L = 1.45 at 20
+        # steps), and a third control is not silently dropped.
+        coarse = make_baseline_params(n_steps=20)
+        with pytest.raises(ValueError, match="n_steps \\+ 1"):
+            brute_force_best(running_cost(coarse), coarse, 1, 2, hint=(np.zeros(3), np.zeros(3)))
+        nodes = np.zeros(baseline_params.n_steps + 1)
+        with pytest.raises(ValueError, match="two controls"):
+            brute_force_best(baseline_cost, baseline_params, 1, 2, hint=(nodes, nodes, nodes))
 
     @pytest.mark.parametrize("functional", ["new", "legacy"])
     @pytest.mark.parametrize("scenario", range(6))

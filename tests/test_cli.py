@@ -246,14 +246,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {cfg}: {reason}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "sweep", "oracle-compare", "check"])
+    # (command, --out, the path rejected, reason); solve also writes
+    # --out's summary beside it.
     @pytest.mark.parametrize(
-        "target, reason",
-        [("missing/x.csv", "no such directory"), (".", "is a directory")],
-        ids=["missing_directory", "directory"],
+        "command, target, rejected, reason",
+        [
+            pytest.param(command, target, target, reason, id=f"{kind}-{command}")
+            for kind, target, reason in [
+                ("missing_directory", "missing/x.csv", "no such directory"),
+                ("directory", ".", "is a directory"),
+            ]
+            for command in ["solve", "sweep", "oracle-compare", "check"]
+        ]
+        + [pytest.param("solve", "x.csv", "x.csv.summary.txt", "is a directory",
+                        id="summary_directory-solve")],
     )
     def test_unwritable_out_exits_2_before_solving(
-        self, cfg, tmp_path, capsys, monkeypatch, command, target, reason
+        self, cfg, tmp_path, capsys, monkeypatch, command, target, rejected, reason
     ):
         import sircontrol.cli
 
@@ -263,8 +272,11 @@ class TestExitCodes:
         for name in ("solve_shooting", "sweep_alpha", "run_self_check"):
             monkeypatch.setattr(sircontrol.cli, name, no_solve)
         out = tmp_path / target
+        if reason == "is a directory":
+            (tmp_path / rejected).mkdir(exist_ok=True)
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: {out}: {reason}\n"
+        assert capsys.readouterr().err == f"config error: {tmp_path / rejected}: {reason}\n"
+        assert not out.is_file()
 
     def test_non_convergence_exits_1(self, tmp_path, capsys, monkeypatch):
         import sircontrol.solvers

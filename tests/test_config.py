@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from sircontrol import ConfigError, ModelParams, ShootingOptions, parse_config
+from sircontrol import ConfigError, ModelParams, parse_config
 from sircontrol.config import config_lines
 
 MINIMAL = """
@@ -27,7 +27,7 @@ def test_minimal_document_applies_defaults():
     config = parse_config(MINIMAL)
     assert config.params.n_steps == 2000
     assert config.params.functional == "new"
-    assert config.shooting.residual_tol == 1e-10
+    assert config.residual_tol == 1e-10
     assert config.alpha_points == 10
     assert (config.oracle_intervals, config.oracle_levels) == (3, 4)
 
@@ -100,10 +100,20 @@ def test_functional_value_is_validated():
 
 def test_solver_keys_parse_and_validate():
     config = parse_config(MINIMAL + "residual_tol = 1e-9\n")
-    assert config.shooting.residual_tol == 1e-9
+    assert config.residual_tol == 1e-9
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "residual_tol = -1\n")
     assert ("residual_tol", "must be positive") in err.value.problems
+    # Reported after the model's invariants, before the cross-key checks.
+    text = MINIMAL.replace("c1 = 1", "c1 = 0").replace("c3 = 10", "c3 = 0")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "functional = legacy\nresidual_tol = nan\nalpha_points = 0\n")
+    assert err.value.problems == [
+        ("c1", "must be positive"),
+        ("residual_tol", "must be positive"),
+        ("c3", "must be positive under the legacy functional"),
+        ("alpha_points", "must be >= 1"),
+    ]
 
 
 def test_sweep_grid_validation():
@@ -152,8 +162,7 @@ oracle_levels = 3
 def test_config_lines_round_trip():
     header_order = (
         [f.name for f in fields(ModelParams)]
-        + [f.name for f in fields(ShootingOptions)]
-        + ["alpha_min", "alpha_max", "alpha_points", "oracle_intervals", "oracle_levels"]
+        + ["residual_tol", "alpha_min", "alpha_max", "alpha_points", "oracle_intervals", "oracle_levels"]
     )
     for text in (MINIMAL, EVERY_OPTIONAL_KEY):
         config = parse_config(text)

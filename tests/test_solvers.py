@@ -9,7 +9,6 @@ import pytest
 from sircontrol import (
     NonFiniteError,
     RunningCost,
-    ShootingOptions,
     control_gradient,
     evaluate_objective,
     expand_piecewise_schedule,
@@ -20,6 +19,7 @@ from sircontrol import (
     shooting_residual,
     solve_forward_backward,
     solve_shooting,
+    sweep_alpha,
 )
 
 from conftest import make_baseline_params
@@ -134,7 +134,7 @@ class TestSolveShooting:
         assert report.converged == (max_newton_iters == 50)
         assert report.newton_iters == newton_iters
         assert report.coupled_integrations == calls["integrate_coupled"] == coupled
-        assert report.seed_sweeps == calls["integrate_state_forward"] - 1 == 11
+        assert report.sweeps == calls["integrate_state_forward"] - 1 == 11
 
     def test_a_step_that_does_not_lower_the_residual_ends_the_solve(self, monkeypatch):
         # A coarse difference step spoils the Jacobian, so the first full
@@ -149,13 +149,21 @@ class TestSolveShooting:
         assert report.newton_iters == 1
         assert report.coupled_integrations == 4
 
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            ShootingOptions(residual_tol=0.0)
+    def test_options_validation(self, monkeypatch, baseline_params, baseline_cost):
         # An infinite residual_tol would report any start as converged.
-        for value in (math.inf, math.nan):
+        # Both entry points reject a bad one before any integration.
+        import sircontrol.solvers
+
+        def no_integration(*args):
+            raise AssertionError("integrated before residual_tol was rejected")
+
+        for name in ("integrate_state_forward", "integrate_coupled"):
+            monkeypatch.setattr(sircontrol.solvers, name, no_integration)
+        for value in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="residual_tol must be positive"):
-                ShootingOptions(residual_tol=value)
+                solve_shooting(baseline_cost, baseline_params, residual_tol=value)
+            with pytest.raises(ValueError, match="residual_tol must be positive"):
+                sweep_alpha(baseline_params, [0.1, 0.2], residual_tol=value)
 
     def test_every_start_diverging_names_the_earliest_divergence(self):
         # The seed sweep's first pass, the uncontrolled run, blows up at
@@ -195,7 +203,7 @@ class TestSolveForwardBackward:
         p = make_baseline_params(alpha=0.0)
         report = solve_forward_backward(running_cost(p), p)
         assert report.converged
-        assert report.newton_iters == 1
+        assert (report.sweeps, report.newton_iters) == (1, 0)
         assert report.objective == 0.0
         assert np.all(report.trajectory.u1 == 0.0)
 
@@ -203,7 +211,7 @@ class TestSolveForwardBackward:
         p = make_baseline_params(u1_max=0.0, u2_max=0.0)
         report = solve_forward_backward(baseline_cost, p)
         assert report.converged
-        assert report.newton_iters == 1
+        assert (report.sweeps, report.newton_iters) == (1, 0)
         assert np.all(report.trajectory.u1 == 0.0)
 
     # The legacy baseline and horizon 15 need the adaptive relaxation: at
@@ -237,7 +245,7 @@ class TestSolveForwardBackward:
         monkeypatch.setattr(sircontrol.solvers, "_FBS_MAX_SWEEPS", 2)
         report = solve_forward_backward(baseline_cost, baseline_params)
         assert not report.converged
-        assert report.newton_iters == 2
+        assert (report.sweeps, report.newton_iters) == (2, 0)
 
 
 class TestControlGradient:
