@@ -214,12 +214,20 @@ class TestSolveForwardBackward:
         assert (report.sweeps, report.newton_iters) == (1, 0)
         assert np.all(report.trajectory.u1 == 0.0)
 
-    # The legacy baseline and horizon 15 need the adaptive relaxation: at
-    # a fixed relaxation of 0.5 the sweep oscillates for all 500 sweeps.
+    # Anderson mixing takes 20-23 sweeps on each scenario here.  A
+    # relaxation halved on a stall took 69 (legacy, T15) to 198 (alpha
+    # 0.05) and never converged at legacy alpha 0.45, so the bound of 40
+    # catches a fallback to slow mixing.
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"functional": "legacy"}, {"horizon": 15.0}],
-        ids=["new", "legacy", "T15"],
+        [
+            {},
+            {"functional": "legacy"},
+            {"horizon": 15.0},
+            {"alpha": 0.05},
+            {"functional": "legacy", "alpha": 0.45},
+        ],
+        ids=["new", "legacy", "T15", "new-alpha0.05", "legacy-alpha0.45"],
     )
     def test_agrees_with_shooting_on_baseline_scenario(self, overrides):
         p = make_baseline_params(**overrides)
@@ -227,9 +235,32 @@ class TestSolveForwardBackward:
         shoot = solve_shooting(cost, p)
         sweep = solve_forward_backward(cost, p)
         assert shoot.converged and sweep.converged
+        assert sweep.sweeps <= 40
         assert sweep.residual_norm == 0.0
         gap = abs(shoot.objective - sweep.objective) / abs(shoot.objective)
         assert gap <= 1e-5
+
+    def test_every_swept_schedule_lies_in_the_control_box(self, monkeypatch):
+        # Anderson steps extrapolate past [0, u_max] on this box (by up to
+        # 0.06 without the clip); every schedule that drives a state pass
+        # must be clipped back into it.
+        import sircontrol.solvers
+
+        p = make_baseline_params(n_steps=200, u1_max=0.5, u2_max=0.3)
+        original = sircontrol.solvers.integrate_state_forward
+        passes = 0
+
+        def checking(u1, u2, *args):
+            nonlocal passes
+            passes += 1
+            assert np.all((u1 >= 0.0) & (u1 <= p.u1_max))
+            assert np.all((u2 >= 0.0) & (u2 <= p.u2_max))
+            return original(u1, u2, *args)
+
+        monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", checking)
+        report = solve_forward_backward(running_cost(p), p)
+        assert report.converged
+        assert passes == report.sweeps + 1
 
     def test_converged_controls_satisfy_clamp_law_within_tolerance(self, baseline_params, baseline_cost):
         report = solve_forward_backward(baseline_cost, baseline_params)
