@@ -11,9 +11,6 @@ import numpy as np
 
 from sircontrol import (
     ModelParams,
-    decompose_objective,
-    defective_terminal,
-    evaluate_objective,
     integrate_state_forward,
     running_cost,
     solve_shooting,
@@ -33,18 +30,18 @@ print(f"converged:        {report.converged} "
       f"residual {report.residual_norm:.2e})")
 print(f"objective:        {report.objective:.6f}")
 
-split = decompose_objective(traj)
-print(f"  control effort: {split.control_cost:.6f}")
-print(f"  node losses:    {split.state_cost:.6f} "
-      f"(= c3 * D(T) = {params.c3} * {defective_terminal(traj):.6f})")
+# The trajectory carries the cost split: z_control is the control
+# effort, the rest of z the state load, and d[-1] is D(T).
+control = traj.z_control[-1]
+print(f"  control effort: {control:.6f}")
+print(f"  node losses:    {traj.z[-1] - control:.6f} "
+      f"(= c3 * D(T) = {params.c3} * {traj.d[-1]:.6f})")
 
 # How much the optimal schedule buys compared to doing nothing or
 # running both controls flat out.
 zeros = np.zeros(params.n_steps + 1)
-do_nothing = evaluate_objective(integrate_state_forward(zeros, zeros, cost, params))
-flat_out = evaluate_objective(
-    integrate_state_forward(zeros + params.u1_max, zeros + params.u2_max, cost, params)
-)
+do_nothing = integrate_state_forward(zeros, zeros, cost, params).z[-1]
+flat_out = integrate_state_forward(zeros + params.u1_max, zeros + params.u2_max, cost, params).z[-1]
 print(f"\ndo-nothing cost:  {do_nothing:.2f}")
 print(f"flat-out cost:    {flat_out:.2f}")
 print(f"optimal cost:     {report.objective:.2f}")

@@ -12,7 +12,6 @@ from sircontrol import (
     ModelParams,
     brute_force_best,
     control_gradient,
-    evaluate_objective,
     expand_piecewise_schedule,
     integrate_state_forward,
     interval_boundaries,
@@ -66,7 +65,7 @@ def objective(u1v, u2v):
         expand_piecewise_schedule(u2v, bounds, params.n_steps),
         cost, params,
     )
-    return evaluate_objective(traj)
+    return float(traj.z[-1])
 
 
 step = 1e-4

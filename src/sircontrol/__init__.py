@@ -38,13 +38,6 @@ from .model import (
     running_cost,
     state_rhs,
 )
-from .objective import (
-    ObjectiveSplit,
-    decompose_objective,
-    defective_terminal,
-    evaluate_objective,
-    evaluate_objective_trapezoid,
-)
 from .selfcheck import CheckResult, run_self_check
 from .solvers import (
     SolveReport,
@@ -64,7 +57,6 @@ __all__ = [
     "FUNCTIONAL_NEW",
     "ModelParams",
     "NonFiniteError",
-    "ObjectiveSplit",
     "ResolvedConfig",
     "RunningCost",
     "SirControlError",
@@ -76,10 +68,6 @@ __all__ = [
     "brute_force_best",
     "control_gradient",
     "control_levels",
-    "decompose_objective",
-    "defective_terminal",
-    "evaluate_objective",
-    "evaluate_objective_trapezoid",
     "expand_piecewise_schedule",
     "hamiltonian",
     "integrate_adjoint_backward",

@@ -7,15 +7,17 @@ optimal value falls as alpha grows), the new form does not.
 
 Every solve stands alone, so a row equals the direct solves at its
 alpha.  One row per alpha is emitted in input order, and failed solves
-are retained with their converged flag down rather than dropped.
+are retained with their converged flag down rather than dropped.  A
+solve whose shooting start diverges fails too: nan values, 0 Newton steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
+from .errors import NonFiniteError
 from .model import FUNCTIONAL_LEGACY, FUNCTIONAL_NEW, ModelParams, running_cost
-from .objective import defective_terminal
 from .solvers import solve_shooting
 
 __all__ = ["SweepRow", "sweep_alpha"]
@@ -37,22 +39,31 @@ class SweepRow:
     newton_iters_legacy: int
 
 
+def _outcome(p: ModelParams, residual_tol: float) -> tuple[float, float, bool, float, int]:
+    """(objective, D(T), converged, residual, Newton steps) of one solve."""
+    try:
+        rep = solve_shooting(running_cost(p), p, residual_tol)
+    except NonFiniteError:  # a diverging start is a failed solve
+        return math.nan, math.nan, False, math.nan, 0
+    return rep.objective, float(rep.trajectory.d[-1]), rep.converged, rep.residual_norm, rep.newton_iters
+
+
 def _solve_point(base: ModelParams, alpha: float, residual_tol: float) -> SweepRow:
-    p_new = replace(base, alpha=alpha, functional=FUNCTIONAL_NEW)
-    p_legacy = replace(base, alpha=alpha, functional=FUNCTIONAL_LEGACY)
-    rep_new = solve_shooting(running_cost(p_new), p_new, residual_tol)
-    rep_legacy = solve_shooting(running_cost(p_legacy), p_legacy, residual_tol)
+    obj_new, d_new, conv_new, res_new, iters_new = _outcome(
+        replace(base, alpha=alpha, functional=FUNCTIONAL_NEW), residual_tol)
+    obj_legacy, _, conv_legacy, res_legacy, iters_legacy = _outcome(
+        replace(base, alpha=alpha, functional=FUNCTIONAL_LEGACY), residual_tol)
     return SweepRow(
         alpha=alpha,
-        objective_new=rep_new.objective,
-        objective_legacy=rep_legacy.objective,
-        defective_terminal_new=defective_terminal(rep_new.trajectory),
-        converged_new=rep_new.converged,
-        converged_legacy=rep_legacy.converged,
-        residual_new=rep_new.residual_norm,
-        residual_legacy=rep_legacy.residual_norm,
-        newton_iters_new=rep_new.newton_iters,
-        newton_iters_legacy=rep_legacy.newton_iters,
+        objective_new=obj_new,
+        objective_legacy=obj_legacy,
+        defective_terminal_new=d_new,
+        converged_new=conv_new,
+        converged_legacy=conv_legacy,
+        residual_new=res_new,
+        residual_legacy=res_legacy,
+        newton_iters_new=iters_new,
+        newton_iters_legacy=iters_legacy,
     )
 
 

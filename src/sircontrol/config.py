@@ -36,13 +36,6 @@ class ResolvedConfig:
     oracle_intervals: int = 3
     oracle_levels: int = 4
 
-    def resolved_values(self) -> dict[str, object]:
-        """All keys in canonical order, for reproducibility headers."""
-        return {
-            key: getattr(self if key in _OWN_KEYS else self.params, key)
-            for key in _SCHEMA
-        }
-
 
 def _typed_fields(cls) -> dict[str, tuple[type, object]]:
     """{name: (type, default or MISSING)} of a dataclass's fields, in order."""
@@ -142,8 +135,9 @@ def parse_config(text: str) -> ResolvedConfig:
 
 
 def config_lines(config: ResolvedConfig) -> list[str]:
-    """Canonical ``key = value`` lines of a resolved configuration."""
+    """Canonical ``key = value`` lines of a resolved configuration, every key in header order."""
+    values = {key: getattr(config if key in _OWN_KEYS else config.params, key) for key in _SCHEMA}
     return [
         f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
-        for key, value in config.resolved_values().items()
+        for key, value in values.items()
     ]

@@ -71,6 +71,11 @@ class Trajectory:
     control-effort part) and control samples (u1, u2) are always present;
     costate samples (psi1, psi2) are absent on state-only runs.  Arrays
     are read-only.
+
+    z[-1] is the run's objective, at the integrator's order; z_control[-1]
+    is its control effort and z[-1] - z_control[-1] its state load, which
+    sum to the objective to within rounding.  d[-1] is D(T), the integral
+    of alpha*I; under the "new" functional the state load is c3*D(T).
     """
 
     t: np.ndarray

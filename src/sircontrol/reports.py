@@ -13,7 +13,6 @@ from pathlib import Path
 from .alpha_sweep import SweepRow
 from .brute_force import BruteForceResult
 from .config import ResolvedConfig, config_lines
-from .objective import decompose_objective, defective_terminal
 from .solvers import SolveReport
 
 __all__ = [
@@ -87,15 +86,15 @@ def oracle_compare_csv(
 
 def solve_summary(report: SolveReport, config: ResolvedConfig) -> str:
     traj = report.trajectory
-    split = decompose_objective(traj)
+    control = float(traj.z_control[-1])
     status = "converged" if report.converged else "NOT CONVERGED"
     lines = header_lines(config, "solve")
     lines.extend([
         f"solver:             {report.solver} ({status})",
         f"objective:          {fmt(report.objective)}",
-        f"  control effort:   {fmt(split.control_cost)}",
-        f"  state load:       {fmt(split.state_cost)}",
-        f"defective nodes:    {fmt(defective_terminal(traj))}",
+        f"  control effort:   {fmt(control)}",
+        f"  state load:       {fmt(float(traj.z[-1]) - control)}",
+        f"defective nodes:    {fmt(traj.d[-1])}",
         f"terminal residual:  {fmt(report.residual_norm)}",
         f"newton iterations:  {report.newton_iters}",
         f"seed sweeps:        {report.sweeps}",

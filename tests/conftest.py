@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from sircontrol import ModelParams, running_cost
+from sircontrol import ModelParams, RunningCost, Trajectory, running_cost, state_rhs
 
 
 def make_baseline_params(**overrides) -> ModelParams:
@@ -12,6 +13,14 @@ def make_baseline_params(**overrides) -> ModelParams:
     )
     base.update(overrides)
     return ModelParams(**base)
+
+
+def evaluate_objective_trapezoid(traj: Trajectory, cost: RunningCost) -> float:
+    """Trapezoid quadrature of the sampled integrand: an O(h^2) reference for z[-1]."""
+    # The running cost (state_rhs's dz) does not depend on beta or alpha.
+    _, _, _, _, g, _ = state_rhs(traj.s, traj.i, traj.u1, traj.u2, 0.0, 0.0, cost.a_i, cost.w1, cost.w2)
+    h = traj.t[1] - traj.t[0]
+    return float(h * (np.sum(g) - 0.5 * (g[0] + g[-1])))
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """Alpha study: row bookkeeping, rows equal to direct solves, edge alphas."""
 
+import math
+
 import pytest
 
-from sircontrol import running_cost, solve_shooting, sweep_alpha
+from sircontrol import NonFiniteError, running_cost, solve_shooting, sweep_alpha
 
 from conftest import make_baseline_params
 
@@ -65,6 +67,36 @@ class TestSweepAlpha:
         new = [row.objective_new for row in rows]
         assert legacy[0] > legacy[1] > legacy[2]
         assert new[0] <= new[1] <= new[2]
+
+    def test_a_diverging_start_is_a_failed_point(self):
+        # On 100 steps alpha = 40 sends the seed sweep's state pass to
+        # infinity under both functionals; alpha = 0.05 solves.
+        p = make_baseline_params(n_steps=100)
+        ok, diverged = sweep_alpha(p, [0.05, 40.0])
+        assert ok.alpha == 0.05 and ok.converged_new
+        assert diverged.alpha == 40.0
+        assert not diverged.converged_new and not diverged.converged_legacy
+        assert (diverged.newton_iters_new, diverged.newton_iters_legacy) == (0, 0)
+        for value in (diverged.objective_new, diverged.objective_legacy, diverged.defective_terminal_new,
+                      diverged.residual_new, diverged.residual_legacy):
+            assert math.isnan(value)
+
+    def test_the_other_functional_keeps_its_values(self, small_params, grid_rows, monkeypatch):
+        import sircontrol.alpha_sweep
+
+        def legacy_diverges(cost, p, residual_tol):
+            if p.functional == "legacy":
+                raise NonFiniteError(0.5, "shooting start diverged")
+            return solve_shooting(cost, p, residual_tol)
+
+        monkeypatch.setattr(sircontrol.alpha_sweep, "solve_shooting", legacy_diverges)
+        (row,) = sweep_alpha(small_params, [GRID[0]])
+        want = grid_rows[0]
+        assert (row.objective_new, row.defective_terminal_new, row.converged_new, row.residual_new,
+                row.newton_iters_new) == (want.objective_new, want.defective_terminal_new,
+                                          want.converged_new, want.residual_new, want.newton_iters_new)
+        assert not row.converged_legacy and row.newton_iters_legacy == 0
+        assert math.isnan(row.objective_legacy) and math.isnan(row.residual_legacy)
 
     def test_validation(self, small_params):
         with pytest.raises(ValueError):

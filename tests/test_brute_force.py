@@ -11,7 +11,6 @@ from sircontrol import (
     TooLargeError,
     brute_force_best,
     control_levels,
-    evaluate_objective,
     expand_piecewise_schedule,
     integrate_state_forward,
     interval_boundaries,
@@ -46,7 +45,7 @@ class TestBruteForce:
         zeros = np.zeros(baseline_params.n_steps + 1)
         free = integrate_state_forward(zeros, zeros, baseline_cost, baseline_params)
         assert result.n_schedules == 1
-        assert result.objective == evaluate_objective(free)
+        assert result.objective == float(free.z[-1])
 
     def test_zero_state_weight_prefers_all_zero_schedule(self, baseline_params):
         cost = RunningCost(a_i=0.0, w1=1.0, w2=1.0)
@@ -69,7 +68,7 @@ class TestBruteForce:
             expand_piecewise_schedule(result.u2_levels, bounds, baseline_params.n_steps),
             baseline_cost, baseline_params,
         )
-        assert result.objective == evaluate_objective(traj)
+        assert result.objective == float(traj.z[-1])
 
     @pytest.mark.parametrize("functional", ["new", "legacy"])
     def test_lanes_equal_scalar_integrator_bit_for_bit(self, functional):
@@ -93,7 +92,7 @@ class TestBruteForce:
                     expand_piecewise_schedule(levels[digits[3:]], bounds, p.n_steps),
                     cost, p,
                 )
-                assert obj == evaluate_objective(traj)
+                assert obj == float(traj.z[-1])
                 seen.append(index)
         assert sorted(seen) == list(range(3**6))
 
@@ -131,7 +130,7 @@ class TestBruteForce:
         assert result.u1_levels.tolist() == [0.9]
         assert result.u2_levels.tolist() == [0.9]
         full = np.full(p.n_steps + 1, 0.9)
-        assert result.objective == evaluate_objective(integrate_state_forward(full, full, cost, p))
+        assert result.objective == float(integrate_state_forward(full, full, cost, p).z[-1])
 
     def test_raises_when_every_schedule_diverges(self):
         p = make_baseline_params(beta=5.0, n_steps=20)

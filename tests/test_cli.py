@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sircontrol
+from sircontrol import running_cost
 from sircontrol.cli import main
 
 BASELINE_CFG = """
@@ -60,6 +61,17 @@ class TestSolveCommand:
         assert "converged" in summary
         assert (tmp_path / "traj.csv.summary.txt").read_text() == summary
 
+    def test_summary_cost_lines_read_the_trajectory(self, cfg, tmp_path, capsys):
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "traj.csv")]) == 0
+        lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+                     if not line.startswith("#"))
+        # Solves are deterministic: the same solve again gives the CLI's trajectory.
+        config = sircontrol.parse_config(cfg.read_text())
+        traj = sircontrol.solve_shooting(running_cost(config.params), config.params).trajectory
+        assert lines["  control effort"].strip() == repr(float(traj.z_control[-1]))
+        assert lines["  state load"].strip() == repr(float(traj.z[-1] - traj.z_control[-1]))
+        assert lines["defective nodes"].strip() == repr(float(traj.d[-1]))
+
     def test_alpha_zero_solve_is_exactly_trivial(self, tmp_path, capsys):
         path = tmp_path / "zero.cfg"
         path.write_text(BASELINE_CFG.replace("alpha = 0.1", "alpha = 0") + "n_steps = 400\n")
@@ -86,6 +98,25 @@ class TestSweepCommand:
         assert alphas == [float(a) for a in np.linspace(0.05, 0.3, 3)]
         flags = {line.split(",")[4] for line in data[1:]}
         assert flags == {"true"}
+
+
+    def test_a_diverging_point_is_kept_as_a_failed_row(self, tmp_path, capsys):
+        # alpha = 40 diverges on 100 steps under both functionals; the
+        # other three points still solve, and their rows are written.
+        path = tmp_path / "diverging.cfg"
+        path.write_text(BASELINE_CFG + "n_steps = 100\nalpha_min = 0.05\nalpha_max = 40\nalpha_points = 4\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        _, data = read_data_lines(out)
+        rows = [dict(zip(data[0].split(","), line.split(","))) for line in data[1:]]
+        assert [float(row["alpha"]) for row in rows] == [float(a) for a in np.linspace(0.05, 40, 4)]
+        assert rows[0]["converged_new"] == "true"
+        assert rows[3] == {
+            "alpha": "40.0", "objective_new": "nan", "objective_legacy": "nan",
+            "defective_terminal_new": "nan", "converged_new": "false", "converged_legacy": "false",
+            "newton_iters_new": "0", "newton_iters_legacy": "0",
+        }
 
 
 class TestOracleCompareCommand:

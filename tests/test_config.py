@@ -169,8 +169,8 @@ def test_config_lines_round_trip():
         lines = config_lines(config)
         assert parse_config("\n".join(lines)) == config
         assert [line.split(" = ", 1)[0] for line in lines] == header_order
-    defaults = parse_config(MINIMAL).resolved_values()
-    values = parse_config(EVERY_OPTIONAL_KEY).resolved_values()
+    defaults = dict(line.split(" = ", 1) for line in config_lines(parse_config(MINIMAL)))
+    values = dict(line.split(" = ", 1) for line in config_lines(parse_config(EVERY_OPTIONAL_KEY)))
     optional = [key for key in header_order if f"{key} = " not in MINIMAL]
     assert len(optional) == 8
     assert all(values[key] != defaults[key] for key in optional)

@@ -10,7 +10,6 @@ from sircontrol import (
     NonFiniteError,
     RunningCost,
     control_gradient,
-    evaluate_objective,
     expand_piecewise_schedule,
     integrate_state_forward,
     interval_boundaries,
@@ -28,13 +27,13 @@ from fixtures import reference_values
 
 def uncontrolled_objective(p, cost) -> float:
     zeros = np.zeros(p.n_steps + 1)
-    return evaluate_objective(integrate_state_forward(zeros, zeros, cost, p))
+    return float(integrate_state_forward(zeros, zeros, cost, p).z[-1])
 
 
 def constant_policy_objective(p, cost, u1, u2) -> float:
     n = p.n_steps
     traj = integrate_state_forward(np.full(n + 1, u1), np.full(n + 1, u2), cost, p)
-    return evaluate_objective(traj)
+    return float(traj.z[-1])
 
 
 class TestShootingResidual:
@@ -300,7 +299,7 @@ class TestControlGradient:
                 expand_piecewise_schedule(u2v, bounds, baseline_params.n_steps),
                 baseline_cost, baseline_params,
             )
-            return evaluate_objective(traj)
+            return float(traj.z[-1])
 
         step = 1e-4
         for j in range(m):
@@ -350,7 +349,7 @@ class TestControlGradient:
                 expand_piecewise_schedule(u2v, bounds, baseline_params.n_steps),
                 baseline_cost, baseline_params,
             )
-            return evaluate_objective(t)
+            return float(t.z[-1])
 
         step = 1e-3
         u1_next = np.clip(u1 - step * g1, 0.0, baseline_params.u1_max)
