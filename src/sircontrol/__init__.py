@@ -9,80 +9,21 @@ independent cross-checks, and an alpha study contrasting this objective
 against the legacy infected-load form it replaces.
 """
 
-from .alpha_sweep import SweepRow, sweep_alpha
-from .brute_force import BruteForceResult, brute_force_best, control_levels
-from .config import ResolvedConfig, parse_config
-from .errors import (
-    ConfigError,
-    NonFiniteError,
-    SirControlError,
-    TooLargeError,
-)
-from .integrate import (
-    Trajectory,
-    expand_piecewise_schedule,
-    integrate_adjoint_backward,
-    integrate_coupled,
-    integrate_state_forward,
-    interval_boundaries,
-)
-from .model import (
-    FUNCTIONAL_LEGACY,
-    FUNCTIONAL_NEW,
-    ModelParams,
-    RunningCost,
-    adjoint_rhs,
-    hamiltonian,
-    optimal_controls,
-    optimal_controls_lanes,
-    running_cost,
-    state_rhs,
-)
-from .selfcheck import CheckResult, run_self_check
-from .solvers import (
-    SolveReport,
-    control_gradient,
-    shooting_residual,
-    solve_forward_backward,
-    solve_shooting,
-)
+# Each module's __all__ is its share of the public API; the package
+# republishes those eight lists and nothing else.
+from .alpha_sweep import *
+from .brute_force import *
+from .config import *
+from .errors import *
+from .integrate import *
+from .model import *
+from .selfcheck import *
+from .solvers import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BruteForceResult",
-    "CheckResult",
-    "ConfigError",
-    "FUNCTIONAL_LEGACY",
-    "FUNCTIONAL_NEW",
-    "ModelParams",
-    "NonFiniteError",
-    "ResolvedConfig",
-    "RunningCost",
-    "SirControlError",
-    "SolveReport",
-    "SweepRow",
-    "TooLargeError",
-    "Trajectory",
-    "adjoint_rhs",
-    "brute_force_best",
-    "control_gradient",
-    "control_levels",
-    "expand_piecewise_schedule",
-    "hamiltonian",
-    "integrate_adjoint_backward",
-    "integrate_coupled",
-    "integrate_state_forward",
-    "interval_boundaries",
-    "optimal_controls",
-    "optimal_controls_lanes",
-    "parse_config",
-    "running_cost",
-    "run_self_check",
-    "shooting_residual",
-    "solve_forward_backward",
-    "solve_shooting",
-    "state_rhs",
-    "sweep_alpha",
-    "__version__",
-]
+__all__ = (
+    alpha_sweep.__all__ + brute_force.__all__ + config.__all__ + errors.__all__
+    + integrate.__all__ + model.__all__ + selfcheck.__all__ + solvers.__all__
+    + ["__version__"]
+)

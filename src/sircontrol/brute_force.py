@@ -69,7 +69,7 @@ from .errors import NonFiniteError, TooLargeError
 from .integrate import expand_piecewise_schedule, integrate_state_forward, interval_boundaries
 from .model import ModelParams, RunningCost, state_rhs
 
-__all__ = ["BruteForceResult", "control_levels", "exceeds_guard", "brute_force_best"]
+__all__ = ["BruteForceResult", "control_levels", "brute_force_best"]
 
 ENUMERATION_GUARD = 10**6
 _BATCH = 65536

@@ -48,6 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="alpha study of both functionals, write the sweep CSV")
     compare = sub.add_parser("oracle-compare", help="solver vs brute-force enumeration, side by side")
     check = sub.add_parser("check", help="run the built-in invariant suite")
+    solve.set_defaults(handler=_cmd_solve)
+    sweep.set_defaults(handler=_cmd_sweep)
+    compare.set_defaults(handler=_cmd_oracle_compare)
+    check.set_defaults(handler=_cmd_check)
 
     for cmd in (solve, sweep, compare):
         cmd.add_argument("--config", required=True, help="configuration file (key = value lines)")
@@ -130,18 +134,12 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "sweep": _cmd_sweep,
-        "oracle-compare": _cmd_oracle_compare,
-        "check": _cmd_check,
-    }
     try:
         if args.out is not None:
             _check_out(args.out)
             if args.command == "solve":
                 _check_out(_summary_path(args.out))
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         for field, reason in exc.problems:
             sys.stderr.write(f"config error: {field}: {reason}\n")
@@ -152,7 +150,3 @@ def main(argv=None) -> int:
     except SirControlError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

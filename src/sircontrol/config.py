@@ -21,7 +21,7 @@ from .brute_force import ENUMERATION_GUARD, exceeds_guard
 from .errors import ConfigError
 from .model import FUNCTIONAL_LEGACY, PARAM_CHECKS, ModelParams
 
-__all__ = ["ResolvedConfig", "parse_config", "config_lines"]
+__all__ = ["ResolvedConfig", "parse_config"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,31 @@ def _typed_fields(cls) -> dict[str, tuple[type, object]]:
 # fields of ModelParams, then ResolvedConfig's own.
 _OWN_KEYS = {k: v for k, v in _typed_fields(ResolvedConfig).items() if k != "params"}
 _SCHEMA = _typed_fields(ModelParams) | _OWN_KEYS
+
+
+# (field, predicate, reason) rules on a parsed config, run after the model's
+# PARAM_CHECKS in this order.  Where two rules report on one key, the
+# second passes in the first one's failing case, so a key gets at most one
+# problem from the pair.
+_CONFIG_CHECKS = [
+    ("residual_tol", lambda c: 0.0 < c.residual_tol < math.inf, "must be positive"),
+    # running_cost puts c3 on u1^2 under the legacy functional; a negative
+    # c3 fails PARAM_CHECKS already.
+    ("c3", lambda c: c.functional != FUNCTIONAL_LEGACY or c.c3 != 0.0,
+     "must be positive under the legacy functional"),
+    ("alpha_min", lambda c: math.isfinite(c.alpha_min) and c.alpha_min >= 0.0,
+     "must be a finite number >= 0"),
+    ("alpha_max", lambda c: math.isfinite(c.alpha_max), "must be a finite number"),
+    ("alpha_points", lambda c: c.alpha_points >= 1, "must be >= 1"),
+    ("alpha_max", lambda c: c.alpha_points <= 1 or c.alpha_max > c.alpha_min,
+     "must exceed alpha_min for a multi-point sweep"),
+    ("oracle_intervals", lambda c: c.oracle_intervals >= 1, "must be >= 1"),
+    ("oracle_intervals", lambda c: c.oracle_intervals < 1 or c.oracle_intervals <= c.n_steps,
+     "must not exceed n_steps"),
+    ("oracle_levels", lambda c: c.oracle_levels >= 1, "must be >= 1"),
+    ("oracle_levels", lambda c: c.oracle_levels < 1 or not exceeds_guard(c.oracle_intervals, c.oracle_levels),
+     f"oracle_levels^(2*oracle_intervals) exceeds the enumeration guard ({ENUMERATION_GUARD})"),
+]
 
 
 def parse_config(text: str) -> ResolvedConfig:
@@ -91,41 +116,15 @@ def parse_config(text: str) -> ResolvedConfig:
         else:
             values[key] = default
 
-    # Each invariant predicate reads only its own field, so fields that
-    # parsed fine are validated even when sibling keys are broken.
+    # Keys that parsed are validated even when sibling keys are broken: a
+    # rule that reads a key which did not parse is skipped.
     candidate = SimpleNamespace(**values)
-    for field, ok, reason in PARAM_CHECKS:
-        if values.get(field) is not None and not ok(candidate):
-            problems.append((field, reason))
-    tol = values.get("residual_tol")
-    if tol is not None and not 0.0 < tol < math.inf:
-        problems.append(("residual_tol", "must be positive"))
-    # running_cost puts c3 on u1^2 under the legacy functional; a negative
-    # c3 is reported above already.
-    if values.get("functional") == FUNCTIONAL_LEGACY and values.get("c3") == 0.0:
-        problems.append(("c3", "must be positive under the legacy functional"))
-    alpha_min, alpha_max, points = (values.get(k) for k in ("alpha_min", "alpha_max", "alpha_points"))
-    if alpha_min is not None and not (math.isfinite(alpha_min) and alpha_min >= 0.0):
-        problems.append(("alpha_min", "must be a finite number >= 0"))
-    if alpha_max is not None and not math.isfinite(alpha_max):
-        problems.append(("alpha_max", "must be a finite number"))
-    if points is not None and points < 1:
-        problems.append(("alpha_points", "must be >= 1"))
-    elif points is not None and points > 1 and None not in (alpha_min, alpha_max):
-        if not alpha_max > alpha_min:
-            problems.append(("alpha_max", "must exceed alpha_min for a multi-point sweep"))
-    intervals, levels = values.get("oracle_intervals"), values.get("oracle_levels")
-    if intervals is not None and intervals < 1:
-        problems.append(("oracle_intervals", "must be >= 1"))
-    elif intervals is not None and values.get("n_steps") is not None and intervals > values["n_steps"]:
-        problems.append(("oracle_intervals", "must not exceed n_steps"))
-    if levels is not None and levels < 1:
-        problems.append(("oracle_levels", "must be >= 1"))
-    elif intervals is not None and levels is not None and exceeds_guard(intervals, levels):
-        problems.append((
-            "oracle_levels",
-            f"oracle_levels^(2*oracle_intervals) exceeds the enumeration guard ({ENUMERATION_GUARD})",
-        ))
+    for field, ok, reason in PARAM_CHECKS + _CONFIG_CHECKS:
+        try:
+            if not ok(candidate):
+                problems.append((field, reason))
+        except AttributeError:
+            pass
 
     if problems:
         raise ConfigError(problems)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["SirControlError", "NonFiniteError", "TooLargeError", "ConfigError"]
+
 
 class SirControlError(Exception):
     """Base class for all errors raised by this package."""

@@ -49,6 +49,11 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = [
+    "FUNCTIONAL_NEW", "FUNCTIONAL_LEGACY", "ModelParams", "RunningCost", "running_cost",
+    "state_rhs", "adjoint_rhs", "hamiltonian", "optimal_controls", "optimal_controls_lanes",
+]
+
 FUNCTIONAL_NEW = "new"
 FUNCTIONAL_LEGACY = "legacy"
 FUNCTIONALS = (FUNCTIONAL_NEW, FUNCTIONAL_LEGACY)

@@ -18,7 +18,7 @@ from .model import ModelParams, hamiltonian, running_cost
 from .integrate import integrate_state_forward
 from .solvers import solve_shooting
 
-__all__ = ["CheckResult", "run_self_check", "DEFAULT_CHECK_PARAMS"]
+__all__ = ["CheckResult", "run_self_check"]
 
 DEFAULT_CHECK_PARAMS = ModelParams(
     beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
@@ -57,9 +57,12 @@ def check_conservation(p: ModelParams) -> tuple[bool, str]:
     u2 = np.full(p.n_steps + 1, 0.5 * p.u2_max)
     traj = integrate_state_forward(u1, u2, cost, p)
     total0 = p.s0 + p.i0 + p.r0
-    drift = float(np.max(np.abs(traj.s + traj.i + traj.r + traj.d - total0))) / total0
+    drift = float(np.max(np.abs(traj.s + traj.i + traj.r + traj.d - total0)))
+    kind = "absolute"
+    if total0 > 0.0:  # an empty population has no scale to divide by
+        drift, kind = drift / total0, "relative"
     ok = drift <= 1e-9
-    return ok, f"max relative drift {drift:.3e} (tolerance 1e-9)"
+    return ok, f"max {kind} drift {drift:.3e} (tolerance 1e-9)"
 
 
 def check_hamiltonian_constancy(p: ModelParams) -> tuple[bool, str]:

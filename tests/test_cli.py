@@ -162,6 +162,16 @@ class TestCheckCommand:
             f"non-finite value encountered at t = {diverged_at} (shooting start diverged)"
         )
 
+    def test_an_empty_population_passes_every_check(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(BASELINE_CFG.replace("s0 = 95", "s0 = 0").replace("i0 = 5", "i0 = 0"))
+        assert main(["check", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS rk4-order", "PASS conservation", "PASS hamiltonian-constancy",
+        ]
+        assert lines[1] == "PASS conservation: max absolute drift 0.000e+00 (tolerance 1e-9)"
+
 
 class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path, capsys):

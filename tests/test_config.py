@@ -1,6 +1,8 @@
 """Configuration document parsing and validation."""
 
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,105 @@ def test_legacy_functional_maps_weights():
 def test_inline_comments_and_blank_lines_are_ignored():
     config = parse_config(MINIMAL.replace("beta = 0.01", "beta = 0.01  # per node-day"))
     assert config.params.beta == 0.01
+
+
+def with_keys(**keys):
+    """MINIMAL with each given key set to its value, or removed when the value is None."""
+    lines = [line for line in MINIMAL.splitlines() if line.split(" = ")[0] not in keys]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in keys.items() if v is not None]) + "\n"
+
+
+GUARD = "oracle_levels^(2*oracle_intervals) exceeds the enumeration guard (1000000)"
+
+# Documents that break several rules at once, with every problem in the
+# order parse_config reports it.  A rule that reads a key which did not
+# parse is skipped: the first five cases would otherwise add a cross-key
+# problem on n_steps, alpha_max, alpha_points, oracle_intervals or c3.
+PROBLEM_LISTS = {
+    "n_steps_unparsed": (
+        with_keys(n_steps="2.5", oracle_intervals="5", c1="0"),
+        [("n_steps", "cannot parse '2.5' as int"), ("c1", "must be positive"), ("oracle_levels", GUARD)],
+    ),
+    "alpha_max_unparsed": (
+        with_keys(alpha_max="z", alpha_points="5", alpha_min="-1"),
+        [("alpha_max", "cannot parse 'z' as float"), ("alpha_min", "must be a finite number >= 0")],
+    ),
+    "alpha_points_unparsed": (
+        with_keys(alpha_points="z", alpha_min="0.5", alpha_max="0.1", residual_tol="0"),
+        [("alpha_points", "cannot parse 'z' as int"), ("residual_tol", "must be positive")],
+    ),
+    "oracle_intervals_unparsed": (
+        with_keys(oracle_intervals="z", oracle_levels="11", horizon="-1"),
+        [("oracle_intervals", "cannot parse 'z' as int"), ("horizon", "must be positive")],
+    ),
+    "c3_unparsed_under_legacy": (
+        with_keys(c3="z", functional="legacy", beta="nan"),
+        [("c3", "cannot parse 'z' as float"), ("beta", "must be a finite number >= 0")],
+    ),
+    "first_rule_of_each_pair": (
+        with_keys(c3="0", functional="LEGACY", alpha_points="0", alpha_min="0.5", alpha_max="0.1",
+                  oracle_intervals="0", oracle_levels="0"),
+        [
+            ("c3", "must be positive under the legacy functional"),
+            ("alpha_points", "must be >= 1"),
+            ("oracle_intervals", "must be >= 1"),
+            ("oracle_levels", "must be >= 1"),
+        ],
+    ),
+    "second_rule_of_each_pair": (
+        with_keys(n_steps="4", alpha_points="3", alpha_min="0.5", alpha_max="0.5",
+                  oracle_intervals="5", oracle_levels="5"),
+        [
+            ("alpha_max", "must exceed alpha_min for a multi-point sweep"),
+            ("oracle_intervals", "must not exceed n_steps"),
+            ("oracle_levels", GUARD),
+        ],
+    ),
+    "non_finite": (
+        with_keys(u1_max="inf", residual_tol="inf", alpha_min="inf", alpha_max="nan", alpha_points="2"),
+        [
+            ("u1_max", "must be a finite number >= 0"),
+            ("residual_tol", "must be positive"),
+            ("alpha_min", "must be a finite number >= 0"),
+            ("alpha_max", "must be a finite number"),
+            ("alpha_max", "must exceed alpha_min for a multi-point sweep"),
+        ],
+    ),
+    "missing_required": (
+        with_keys(beta=None, s0=None, n_steps="1", oracle_intervals="2"),
+        [
+            ("beta", "required key missing"),
+            ("s0", "required key missing"),
+            ("n_steps", "must be an integer >= 2"),
+            ("oracle_intervals", "must not exceed n_steps"),
+        ],
+    ),
+    "syntax": (
+        MINIMAL + "gamma = 1\nbeta = 0.2\nfoo\nn_steps =\noracle_levels = 0\n",
+        [
+            ("gamma", "unknown key"),
+            ("beta", "duplicate key"),
+            ("line 16", "expected 'key = value', got 'foo'"),
+            ("n_steps", "empty value"),
+            ("oracle_levels", "must be >= 1"),
+        ],
+    ),
+    "huge_sizes": (
+        with_keys(n_steps="1000000000", oracle_intervals="999999999", oracle_levels="0", c2="-1"),
+        [("c2", "must be positive"), ("oracle_levels", "must be >= 1")],
+    ),
+    "zero_c3_under_an_unknown_functional": (
+        with_keys(functional="quadratic", c3="0", i0="-5", alpha_points="1", alpha_min="0.4", alpha_max="0.1"),
+        [("i0", "must be a finite number >= 0"), ("functional", "must be 'new' or 'legacy'")],
+    ),
+}
+
+
+@pytest.mark.parametrize("text, problems", PROBLEM_LISTS.values(), ids=PROBLEM_LISTS.keys())
+def test_every_problem_is_reported_in_order(text, problems):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == problems
 
 
 def test_zero_c1_is_rejected_with_field_message():
@@ -174,3 +275,16 @@ def test_config_lines_round_trip():
     optional = [key for key in header_order if f"{key} = " not in MINIMAL]
     assert len(optional) == 8
     assert all(values[key] != defaults[key] for key in optional)
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Configuration files are flat"):].split("\n\n", 1)[0]
+    listed = re.search(r"Required keys: `([^`]*)`", paragraph).group(1)
+    with pytest.raises(ConfigError) as err:
+        parse_config("")
+    required = [field for field, reason in err.value.problems if reason == "required key missing"]
+    assert [key.strip() for key in listed.split(",")] == required
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", paragraph))))
+    every_key = [line.split(" = ", 1)[0] for line in config_lines(parse_config(MINIMAL))]
+    assert [key for key in every_key if key not in required and key not in named] == []
