@@ -5,11 +5,16 @@ boundary-value problem: the state starts at (s0, i0, r0, 0) while the
 costates must vanish at the final time.  Two solvers attack it:
 
   * solve_shooting          single shooting on the unknown initial
-                            costates psi(0): full Newton steps on the
+                            costates psi(0): Newton steps on the
                             2-vector residual psi(T), forward-difference
-                            2x2 Jacobian solved in closed form, started
-                            once from psi(0) of a loosely converged
-                            forward-backward sweep;
+                            2x2 Jacobian solved in closed form.  On a
+                            grid of 2000 steps or more it first solves a
+                            grid 4 times coarser, from psi(0) of a
+                            loosely converged forward-backward sweep,
+                            then polishes that root on the fine grid by
+                            chord steps with the coarse Jacobian; else,
+                            or when a level fails, it takes full Newton
+                            steps on the fine grid from the sweep's psi(0);
   * solve_forward_backward  forward-backward sweep: alternate forward
                             state / backward costate integrations and the
                             clamp law until the control schedule reaches a
@@ -26,9 +31,9 @@ the objective with respect to a piecewise-constant schedule, used for
 finite-difference verification.
 
 Only the shooting tolerance, residual_tol, is an argument; the
-difference step, the Newton cap, the seed's tolerance and every setting
-of the sweep are the module constants below, since no caller needs
-another value.
+difference step, the Newton cap, the seed's tolerance, the coarse
+grid's ratio and minimum size and every setting of the sweep are the
+module constants below, since no caller needs another value.
 """
 
 from __future__ import annotations
@@ -59,13 +64,25 @@ __all__ = [
 
 # Shooting: relative step of the forward-difference Jacobian, Newton
 # iteration cap, and the tolerance of the forward-backward sweep that
-# seeds Newton.  On the baseline's alpha study (10 alphas, both
-# functionals) a seed at 1e-3 costs 242 sweeps and 251 coupled passes,
-# 3-4 Newton steps per solve; 1e-4 costs 277 sweeps and 257 passes, and
-# at 1e-2 two of the 20 solves fail after one Newton step.
+# seeds Newton.  With the seed at 1e-3, full Newton steps failed after one
+# step on 5 of 100 draws of the declared parameter box (legacy, T 13-16);
+# at 1e-4 none failed.  On the baseline's alpha study (10 alphas, both
+# functionals) the seed at 1e-4 costs 271 sweeps on the coarse grid.
 _FD_EPSILON = 1e-6
 _MAX_NEWTON_ITERS = 50
-_SEED_TOL = 1e-3
+_SEED_TOL = 1e-4
+
+# Two-level shooting: the coarse grid has n_steps // 4 steps, and runs
+# only when that is at least 500.  On the baseline's alpha study the
+# 500-step root lies 1e-8 to 2.2e-6 from the 2000-step one (max norm),
+# against 1.6e-4 to 6.7e-4 for the 2000-step sweep's psi(0), so the
+# study's 20 fine-grid solves take 70 coupled passes (2-4 chord steps
+# each) against 251 by full Newton steps from the sweep.
+# A ratio of 2 saved less (4.0 s against 2.9 s for the 20 solves, one run
+# each on 2 cores); 8 took 2.1 s there but sent 31 of the 100 box draws to
+# the fallback, against 19 at 4.
+_COARSE_FACTOR = 4
+_COARSE_MIN_STEPS = 500
 
 # Forward-backward sweep: sweep cap, tolerance on the control fixed point,
 # and Anderson mixing's depth (how many past residuals each step
@@ -84,8 +101,11 @@ class SolveReport:
     consistent pass excluded): the seed's for shooting, all of them for
     the forward-backward sweep.  newton_iters counts the shooting solve's
     Newton iterations and coupled_integrations its coupled passes,
-    Jacobian probes and a rejected last step included; both stay 0 for
-    the forward-backward sweep.  residual_norm is max(|psi1(T)|,
+    Jacobian probes and rejected steps included; both stay 0 for the
+    forward-backward sweep.  All three count the work on the report's
+    own grid: a shooting solve's coarse level reports its own work in
+    coarse, which is None when no coarse level ran, so a solve's total
+    is its counts plus coarse's.  residual_norm is max(|psi1(T)|,
     |psi2(T)|), which the sweep's backward pass makes exactly 0; the
     sweep's converged flag says that its control fixed point was reached
     within 500 sweeps.
@@ -99,6 +119,7 @@ class SolveReport:
     solver: str
     sweeps: int
     coupled_integrations: int
+    coarse: SolveReport | None = None
 
 
 def shooting_residual(
@@ -120,24 +141,86 @@ def solve_shooting(
     p: ModelParams,
     residual_tol: float = 1e-10,
 ) -> SolveReport:
-    """Solve the boundary-value problem by single shooting.
+    """Solve the boundary-value problem by single shooting, on two grids.
 
-    Starts Newton once, from psi(0) of a forward-backward sweep stopped at
-    the loose tolerance 1e-3: the sweep finds the optimum's neighbourhood
-    from nothing, and full Newton steps polish the start until
+    On a grid of at least 2000 steps the problem is first solved on a
+    grid 4 times coarser, from psi(0) of a forward-backward sweep stopped
+    at the loose tolerance 1e-4, by full Newton steps.  Its root lies
+    within ~2e-6 of the fine grid's, a hundred times closer than the
+    sweep's psi(0), so Newton on the problem's own grid starts there and
+    takes chord steps: it keeps the coarse level's last Jacobian across
+    accepted steps, one coupled pass each, and recomputes it once at the
+    current point after a rejected step.  When either level fails, or on
+    a grid below 2000 steps, the problem is solved on its own grid from
+    the sweep's psi(0) by full Newton steps alone.  Newton stops when
     max(|psi1(T)|, |psi2(T)|) <= residual_tol.  Raises ValueError, before
     any integration, unless 0 < residual_tol < inf.
-    The solve fails fast and says so (converged=False), never retried:
-    when a Jacobian probe diverges, the Jacobian is singular, or a step's
-    one trial pass diverges or does not lower the residual norm.  Raises
-    NonFiniteError, at the time of divergence, when the seed sweep or the
-    coupled pass from its start diverges.
+
+    The report's counts are the work on the problem's own grid, a failed
+    fine level's included, and its coarse field holds the coarse level's
+    report (None when no coarse level ran or its start diverged).  A
+    level fails fast and says so (converged=False): when a Jacobian probe
+    diverges, the Jacobian is singular, or a step with a Jacobian fresh
+    at its point diverges or does not lower the residual norm.  Raises NonFiniteError, at the time of divergence, when the
+    seed sweep or the coupled pass from its start diverges on the
+    problem's own grid.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive")
+    coarse = None
+    if p.n_steps // _COARSE_FACTOR >= _COARSE_MIN_STEPS:
+        try:
+            coarse, jac = _shoot(cost, replace(p, n_steps=p.n_steps // _COARSE_FACTOR), residual_tol)
+        except NonFiniteError:
+            pass
+    # Work of a failed fine level from the coarse start: (Newton steps, passes).
+    spent = (0, 0)
+    if coarse is not None and coarse.converged:
+        start = (float(coarse.trajectory.psi1[0]), float(coarse.trajectory.psi2[0]))
+        try:
+            fine, _ = _shoot(cost, p, residual_tol, (start, jac))
+        except NonFiniteError:
+            spent = (0, 1)
+        else:
+            if fine.converged:
+                return replace(fine, coarse=coarse)
+            spent = (fine.newton_iters, fine.coupled_integrations)
+    report, _ = _shoot(cost, p, residual_tol)
+    return replace(
+        report,
+        newton_iters=report.newton_iters + spent[0],
+        coupled_integrations=report.coupled_integrations + spent[1],
+        coarse=coarse,
+    )
+
+
+# A 2x2 Jacobian [[a, b], [c, d]] of the shooting residual, as (a, b, c, d).
+_Jacobian = tuple[float, float, float, float]
+
+
+def _shoot(
+    cost: RunningCost,
+    p: ModelParams,
+    residual_tol: float,
+    start: tuple[tuple[float, float], _Jacobian | None] | None = None,
+) -> tuple[SolveReport, _Jacobian | None]:
+    """Newton on the shooting residual of p's own grid.
+
+    With start None, Newton starts from psi(0) of the seed sweep and
+    takes full steps, a fresh forward-difference Jacobian each.  With
+    start = (psi0, jac), it starts from psi0 and takes chord steps with
+    jac (None to compute one), refreshed only after a rejected step.
+    Returns the report and the last Jacobian used (None when Newton
+    took no step).
+    """
     try:
-        seed, sweeps, _ = _sweep(cost, p, _SEED_TOL)
-        pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
+        if start is None:
+            seed, sweeps, _ = _sweep(cost, p, _SEED_TOL)
+            pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
+            jac = None
+        else:
+            (pa, pb), jac = start
+            sweeps = 0
         traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError as exc:
         raise NonFiniteError(exc.time, "shooting start diverged") from exc
@@ -146,18 +229,20 @@ def solve_shooting(
     iters = 0
 
     while norm > residual_tol and iters < _MAX_NEWTON_ITERS:
-        # Forward-difference Jacobian [[a, b], [c, d]] of the residual.
-        da = _FD_EPSILON * max(1.0, abs(pa))
-        db = _FD_EPSILON * max(1.0, abs(pb))
-        try:
-            integrations += 1
-            qa1, qa2 = shooting_residual((pa + da, pb), cost, p)
-            integrations += 1
-            qb1, qb2 = shooting_residual((pa, pb + db), cost, p)
-        except NonFiniteError:
-            break
-        a, c = (qa1 - r1) / da, (qa2 - r2) / da
-        b, d = (qb1 - r1) / db, (qb2 - r2) / db
+        fresh = jac is None or start is None
+        if fresh:
+            # Forward-difference Jacobian [[a, b], [c, d]] of the residual.
+            da = _FD_EPSILON * max(1.0, abs(pa))
+            db = _FD_EPSILON * max(1.0, abs(pb))
+            try:
+                integrations += 1
+                qa1, qa2 = shooting_residual((pa + da, pb), cost, p)
+                integrations += 1
+                qb1, qb2 = shooting_residual((pa, pb + db), cost, p)
+            except NonFiniteError:
+                break
+            jac = ((qa1 - r1) / da, (qb1 - r1) / db, (qa2 - r2) / da, (qb2 - r2) / db)
+        a, b, c, d = jac
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             break
@@ -167,10 +252,14 @@ def solve_shooting(
         try:
             trial_traj = integrate_coupled(trial, cost, p)
         except NonFiniteError:
-            break
-        t1, t2, trial_norm = _residual_of(trial_traj)
+            trial_norm = math.inf
+        else:
+            t1, t2, trial_norm = _residual_of(trial_traj)
         if not trial_norm < norm:
-            break
+            if fresh:
+                break
+            jac = None  # a stale Jacobian gets one fresh retry
+            continue
         pa, pb = trial
         traj, r1, r2, norm = trial_traj, t1, t2, trial_norm
 
@@ -183,7 +272,7 @@ def solve_shooting(
         solver="shooting",
         sweeps=sweeps,
         coupled_integrations=integrations,
-    )
+    ), jac
 
 
 def _anderson_weights(dfs: list[np.ndarray], f: np.ndarray) -> list[float]:

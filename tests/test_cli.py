@@ -72,6 +72,24 @@ class TestSolveCommand:
         assert lines["  state load"].strip() == repr(float(traj.z[-1] - traj.z_control[-1]))
         assert lines["defective nodes"].strip() == repr(float(traj.d[-1]))
 
+    @pytest.mark.parametrize(
+        "n_steps, coarse_line",
+        [
+            (400, "none"),
+            (2000, "500 steps, converged, 4 newton iterations, 13 coupled passes, 13 seed sweeps"),
+        ],
+    )
+    def test_summary_reports_the_coarse_level(self, tmp_path, capsys, n_steps, coarse_line):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(BASELINE_CFG + f"n_steps = {n_steps}\n")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "traj.csv")]) == 0
+        lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+                     if not line.startswith("#"))
+        assert lines["coarse level"].strip() == coarse_line
+        if n_steps == 2000:  # the fine grid starts from the coarse root: no seed
+            assert (lines["newton iterations"].strip(), lines["seed sweeps"].strip(),
+                    lines["coupled passes"].strip()) == ("3", "0", "4")
+
     def test_alpha_zero_solve_is_exactly_trivial(self, tmp_path, capsys):
         path = tmp_path / "zero.cfg"
         path.write_text(BASELINE_CFG.replace("alpha = 0.1", "alpha = 0") + "n_steps = 400\n")
