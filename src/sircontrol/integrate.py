@@ -6,10 +6,24 @@ Three integration paths share one scheme (uniform grid, classical RK4):
                              system with the clamp law substituted at every
                              stage (the shooting solver's workhorse);
   * integrate_state_forward  forward pass of the state under a given
-                             piecewise-constant control schedule;
+                             per-node control schedule;
   * integrate_adjoint_backward
                              backward pass of the costates along a stored
                              state trajectory, terminal data psi(T) = 0.
+
+The last two read the schedule between nodes in one of two ways.  By
+default it is piecewise constant: every stage of the step from t_k uses
+node k's control.  That is the meaning of a schedule for the
+enumeration oracle, the adjoint gradient and the self-checks, whose
+schedules are piecewise constant by construction.  With linear=True it
+is piecewise linear: stage 1 uses node k's control, stages 2 and 3 the
+mean of nodes k and k+1, stage 4 node k+1.  The forward-backward sweep
+uses this, since its schedule samples a continuous optimal control: held
+constant over a step, that control is only first-order accurate in h,
+and so are the sweep's state and costates; interpolated linearly, they
+are second-order (Hager, Numer. Math. 87, 2000).  Each pass builds
+per-step (start, middle, end) control lists once with numpy, so one RK4
+loop serves both readings.
 
 The running cost is integrated as augmented ODEs alongside the state
 (total ``z`` and its control-effort part ``z_control``), so objective
@@ -210,19 +224,35 @@ def integrate_coupled(
     )
 
 
+def _step_controls(u: np.ndarray, linear: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-step (start, middle, end) controls of a node schedule.
+
+    Piecewise constant: all three are node k's value for step k.
+    Linear: node k, the mean of nodes k and k+1, and node k+1.
+    """
+    start = u[:-1]
+    if not linear:
+        return start, start, start
+    end = u[1:]
+    return start, 0.5 * (start + end), end
+
+
 def integrate_state_forward(
     u1_schedule: Sequence[float],
     u2_schedule: Sequence[float],
     cost: RunningCost,
     p: ModelParams,
+    linear: bool = False,
 ) -> Trajectory:
     """Forward RK4 of the state under a per-node control schedule.
 
-    Controls are piecewise constant: all four stages of the step from
-    t_k to t_{k+1} use the node-k value.  The final node's control is
-    recorded but never drives a step.  Schedules must carry n_steps + 1
-    values; admissibility is the caller's contract (gradient checks
-    deliberately probe just outside the box).
+    Controls are piecewise constant unless linear: all four stages of the
+    step from t_k to t_{k+1} use the node-k value, and the final node's
+    control is recorded but never drives a step.  With linear=True
+    stage 1 uses node k, stages 2 and 3 the mean of nodes k and k+1 and
+    stage 4 node k+1.  Schedules must carry n_steps + 1 values;
+    admissibility is the caller's contract (gradient checks deliberately
+    probe just outside the box).
     """
     n = p.n_steps
     u1_arr = np.asarray(u1_schedule, dtype=float)
@@ -236,23 +266,18 @@ def integrate_state_forward(
     beta, alpha = p.beta, p.alpha
     a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
     rhs, isfinite = state_rhs, math.isfinite
-    u1_list = u1_arr.tolist()
-    u2_list = u2_arr.tolist()
+    controls = _step_controls(u1_arr, linear) + _step_controls(u2_arr, linear)
+    steps = zip(*[c.tolist() for c in controls])
 
     s, i, r, d = p.s0, p.i0, p.r0, 0.0
     z = 0.0
     zc = 0.0
-    rows = []
-    for k in range(n + 1):
-        rows.append((s, i, r, d, z, zc))
-        if k == n:
-            break
-        u1 = u1_list[k]
-        u2 = u2_list[k]
-        k1s, k1i, k1r, k1d, k1z, k1c = rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
-        k2s, k2i, k2r, k2d, k2z, k2c = rhs(s + h2 * k1s, i + h2 * k1i, u1, u2, beta, alpha, a_i, w1, w2)
-        k3s, k3i, k3r, k3d, k3z, k3c = rhs(s + h2 * k2s, i + h2 * k2i, u1, u2, beta, alpha, a_i, w1, w2)
-        k4s, k4i, k4r, k4d, k4z, k4c = rhs(s + h * k3s, i + h * k3i, u1, u2, beta, alpha, a_i, w1, w2)
+    rows = [(s, i, r, d, z, zc)]
+    for a1, m1, b1, a2, m2, b2 in steps:
+        k1s, k1i, k1r, k1d, k1z, k1c = rhs(s, i, a1, a2, beta, alpha, a_i, w1, w2)
+        k2s, k2i, k2r, k2d, k2z, k2c = rhs(s + h2 * k1s, i + h2 * k1i, m1, m2, beta, alpha, a_i, w1, w2)
+        k3s, k3i, k3r, k3d, k3z, k3c = rhs(s + h2 * k2s, i + h2 * k2i, m1, m2, beta, alpha, a_i, w1, w2)
+        k4s, k4i, k4r, k4d, k4z, k4c = rhs(s + h * k3s, i + h * k3i, b1, b2, beta, alpha, a_i, w1, w2)
         s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         r = r + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
@@ -260,7 +285,8 @@ def integrate_state_forward(
         z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
         zc = zc + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         if not (isfinite(s) and isfinite(i) and isfinite(z)):
-            raise NonFiniteError((k + 1) * h)
+            raise NonFiniteError(len(rows) * h)
+        rows.append((s, i, r, d, z, zc))
 
     ss, ii, rr, dd, zz, zzc = np.array(rows, dtype=float).T
     return Trajectory(
@@ -270,18 +296,20 @@ def integrate_state_forward(
 
 
 def integrate_adjoint_backward(
-    state_traj: Trajectory, cost: RunningCost, p: ModelParams
+    state_traj: Trajectory, cost: RunningCost, p: ModelParams, linear: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward RK4 of the costates from psi(T) = (0, 0) along a stored state.
 
-    Each backward step over [t_{k-1}, t_k] uses the interval's constant
-    control (the node k-1 sample, matching integrate_state_forward).  The
-    half-step state comes from the cubic Hermite midpoint
+    Each backward step over [t_k, t_{k+1}] reads the stored controls as
+    integrate_state_forward does with the same linear flag: the stage at
+    t_{k+1} uses the step's end control, the two at the midpoint its
+    middle control and the one at t_k its start control.  The half-step
+    state comes from the cubic Hermite midpoint
 
         x_mid = (x_l + x_r)/2 + (h/8) (f_l - f_r)
 
-    with derivatives f from the state equations under that same control,
-    so the pass stays 4th-order accurate.
+    with derivatives f from the state equations, each under its own
+    end's control, so the pass keeps the state pass's order.
 
     Returns (psi1, psi2) node arrays.
     """
@@ -297,37 +325,36 @@ def integrate_adjoint_backward(
     a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
 
     # Hermite midpoints of all intervals at once, state_rhs running on
-    # numpy lanes.  Endpoint derivatives use the interval's control (the
-    # state's right-limit derivative at t_k belongs to the next interval).
+    # numpy lanes.  Under piecewise-constant controls both endpoint
+    # derivatives use the interval's control (the state's right-limit
+    # derivative at t_{k+1} belongs to the next interval).
     s, i = state_traj.s, state_traj.i
-    v1, v2 = state_traj.u1[:-1], state_traj.u2[:-1]
-    fs_l, fi_l, _, _, _, _ = state_rhs(s[:-1], i[:-1], v1, v2, beta, alpha, a_i, w1, w2)
-    fs_r, fi_r, _, _, _, _ = state_rhs(s[1:], i[1:], v1, v2, beta, alpha, a_i, w1, w2)
+    a1, m1, b1 = _step_controls(state_traj.u1, linear)
+    a2, m2, b2 = _step_controls(state_traj.u2, linear)
+    fs_l, fi_l, _, _, _, _ = state_rhs(s[:-1], i[:-1], a1, a2, beta, alpha, a_i, w1, w2)
+    fs_r, fi_r, _, _, _, _ = state_rhs(s[1:], i[1:], b1, b2, beta, alpha, a_i, w1, w2)
     s_mid = (0.5 * (s[:-1] + s[1:]) + h8 * (fs_l - fs_r)).tolist()
     i_mid = (0.5 * (i[:-1] + i[1:]) + h8 * (fi_l - fi_r)).tolist()
 
     s_list = s.tolist()
     i_list = i.tolist()
-    u1_list = v1.tolist()
-    u2_list = v2.tolist()
+    a1, m1, b1, a2, m2, b2 = [c.tolist() for c in (a1, m1, b1, a2, m2, b2)]
     adjoint, isfinite = adjoint_rhs, math.isfinite
 
     p1 = 0.0
     p2 = 0.0
     rows = [(p1, p2)]
-    for k in range(n, 0, -1):
-        u1 = u1_list[k - 1]
-        u2 = u2_list[k - 1]
-        s_l, i_l, s_m, i_m = s_list[k - 1], i_list[k - 1], s_mid[k - 1], i_mid[k - 1]
-        s_r, i_r = s_list[k], i_list[k]
-        k1p1, k1p2 = adjoint(s_r, i_r, p1, p2, u1, u2, beta, alpha, a_i)
-        k2p1, k2p2 = adjoint(s_m, i_m, p1 - h2 * k1p1, p2 - h2 * k1p2, u1, u2, beta, alpha, a_i)
-        k3p1, k3p2 = adjoint(s_m, i_m, p1 - h2 * k2p1, p2 - h2 * k2p2, u1, u2, beta, alpha, a_i)
-        k4p1, k4p2 = adjoint(s_l, i_l, p1 - h * k3p1, p2 - h * k3p2, u1, u2, beta, alpha, a_i)
+    for k in range(n - 1, -1, -1):
+        s_l, i_l, s_m, i_m = s_list[k], i_list[k], s_mid[k], i_mid[k]
+        s_r, i_r = s_list[k + 1], i_list[k + 1]
+        k1p1, k1p2 = adjoint(s_r, i_r, p1, p2, b1[k], b2[k], beta, alpha, a_i)
+        k2p1, k2p2 = adjoint(s_m, i_m, p1 - h2 * k1p1, p2 - h2 * k1p2, m1[k], m2[k], beta, alpha, a_i)
+        k3p1, k3p2 = adjoint(s_m, i_m, p1 - h2 * k2p1, p2 - h2 * k2p2, m1[k], m2[k], beta, alpha, a_i)
+        k4p1, k4p2 = adjoint(s_l, i_l, p1 - h * k3p1, p2 - h * k3p2, a1[k], a2[k], beta, alpha, a_i)
         p1 = p1 - h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
         p2 = p2 - h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
         if not (isfinite(p1) and isfinite(p2)):
-            raise NonFiniteError((k - 1) * h)
+            raise NonFiniteError(k * h)
         rows.append((p1, p2))
 
     psi1, psi2 = np.array(rows[::-1], dtype=float).T

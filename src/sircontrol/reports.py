@@ -84,25 +84,13 @@ def oracle_compare_csv(
     return "\n".join(lines) + "\n"
 
 
-def _status(report: SolveReport) -> str:
-    return "converged" if report.converged else "NOT CONVERGED"
-
-
-def _coarse_line(report: SolveReport) -> str:
-    coarse = report.coarse
-    if coarse is None:
-        return "none"
-    return (f"{len(coarse.trajectory.t) - 1} steps, {_status(coarse)}, "
-            f"{coarse.newton_iters} newton iterations, {coarse.coupled_integrations} "
-            f"coupled passes, {coarse.sweeps} seed sweeps")
-
-
 def solve_summary(report: SolveReport, config: ResolvedConfig) -> str:
     traj = report.trajectory
     control = float(traj.z_control[-1])
+    status = "converged" if report.converged else "NOT CONVERGED"
     lines = header_lines(config, "solve")
     lines.extend([
-        f"solver:             {report.solver} ({_status(report)})",
+        f"solver:             {report.solver} ({status})",
         f"objective:          {fmt(report.objective)}",
         f"  control effort:   {fmt(control)}",
         f"  state load:       {fmt(float(traj.z[-1]) - control)}",
@@ -111,7 +99,6 @@ def solve_summary(report: SolveReport, config: ResolvedConfig) -> str:
         f"newton iterations:  {report.newton_iters}",
         f"seed sweeps:        {report.sweeps}",
         f"coupled passes:     {report.coupled_integrations}",
-        f"coarse level:       {_coarse_line(report)}",
         f"initial costate:    ({fmt(traj.psi1[0])}, {fmt(traj.psi2[0])})",
         f"final state:        S={fmt(traj.s[-1])} I={fmt(traj.i[-1])} "
         f"R={fmt(traj.r[-1])} D={fmt(traj.d[-1])}",

@@ -43,9 +43,7 @@ def _decay_error(p: ModelParams) -> float:
 def check_rk4_order(p: ModelParams) -> tuple[bool, str]:
     """Halving h must shrink the decay-case error nearly 16-fold."""
     base = replace(p, beta=0.0, alpha=0.2, i0=5.0, horizon=10.0)
-    err_coarse = _decay_error(replace(base, n_steps=500))
-    err_fine = _decay_error(replace(base, n_steps=1000))
-    ratio = err_coarse / err_fine
+    ratio = _decay_error(replace(base, n_steps=500)) / _decay_error(replace(base, n_steps=1000))
     ok = 14.0 <= ratio <= 18.0
     return ok, f"error ratio {ratio:.2f} (expected within [14, 18])"
 

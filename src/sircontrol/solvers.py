@@ -5,21 +5,18 @@ boundary-value problem: the state starts at (s0, i0, r0, 0) while the
 costates must vanish at the final time.  Two solvers attack it:
 
   * solve_shooting          single shooting on the unknown initial
-                            costates psi(0): Newton steps on the
-                            2-vector residual psi(T), forward-difference
-                            2x2 Jacobian solved in closed form.  On a
-                            grid of 2000 steps or more it first solves a
-                            grid 4 times coarser, from psi(0) of a
-                            loosely converged forward-backward sweep,
-                            then polishes that root on the fine grid by
-                            chord steps with the coarse Jacobian; else,
-                            or when a level fails, it takes full Newton
-                            steps on the fine grid from the sweep's psi(0);
+                            costates psi(0): chord Newton steps on the
+                            2-vector residual psi(T), from psi(0) of a
+                            forward-backward sweep on a grid of at most
+                            500 steps, with the forward-difference 2x2
+                            Jacobian taken there, solved in closed form;
   * solve_forward_backward  forward-backward sweep: alternate forward
-                            state / backward costate integrations and the
-                            clamp law until the control schedule reaches a
-                            fixed point, each next schedule extrapolated
-                            from the last five by Anderson mixing.
+                            state / backward costate integrations, the
+                            controls read piecewise linearly between
+                            nodes, and the clamp law until the control
+                            schedule reaches a fixed point, each next
+                            schedule extrapolated from the last five by
+                            Anderson mixing.
 
 The sweep only picks the shooting solve's start: shooting's answer is
 still the root of its own residual, the terminal costates of the coupled
@@ -31,9 +28,9 @@ the objective with respect to a piecewise-constant schedule, used for
 finite-difference verification.
 
 Only the shooting tolerance, residual_tol, is an argument; the
-difference step, the Newton cap, the seed's tolerance, the coarse
-grid's ratio and minimum size and every setting of the sweep are the
-module constants below, since no caller needs another value.
+difference step, the Newton cap, the seed's tolerance and grid and every
+setting of the sweep are the module constants below, since no caller
+needs another value.
 """
 
 from __future__ import annotations
@@ -63,26 +60,17 @@ __all__ = [
 ]
 
 # Shooting: relative step of the forward-difference Jacobian, Newton
-# iteration cap, and the tolerance of the forward-backward sweep that
-# seeds Newton.  With the seed at 1e-3, full Newton steps failed after one
-# step on 5 of 100 draws of the declared parameter box (legacy, T 13-16);
-# at 1e-4 none failed.  On the baseline's alpha study (10 alphas, both
-# functionals) the seed at 1e-4 costs 271 sweeps on the coarse grid.
+# iteration cap, and the seed sweep's tolerance and largest grid.  The
+# sweep's psi(0) is second-order in h: on the baseline at 500 steps it
+# lies 6.9e-6 (new) and 8.1e-6 (legacy) from the 4000-step shooting
+# root, against 9.4e-4 and 2.6e-3 when each control was held constant
+# over a step, so chord steps with the seed grid's Jacobian converge on
+# the problem's own grid.  With the seed at 1e-4 the legacy functional
+# at T = 18 took 18 chord steps, at 1e-5 6 and at 1e-6 5.
 _FD_EPSILON = 1e-6
 _MAX_NEWTON_ITERS = 50
-_SEED_TOL = 1e-4
-
-# Two-level shooting: the coarse grid has n_steps // 4 steps, and runs
-# only when that is at least 500.  On the baseline's alpha study the
-# 500-step root lies 1e-8 to 2.2e-6 from the 2000-step one (max norm),
-# against 1.6e-4 to 6.7e-4 for the 2000-step sweep's psi(0), so the
-# study's 20 fine-grid solves take 70 coupled passes (2-4 chord steps
-# each) against 251 by full Newton steps from the sweep.
-# A ratio of 2 saved less (4.0 s against 2.9 s for the 20 solves, one run
-# each on 2 cores); 8 took 2.1 s there but sent 31 of the 100 box draws to
-# the fallback, against 19 at 4.
-_COARSE_FACTOR = 4
-_COARSE_MIN_STEPS = 500
+_SEED_TOL = 1e-6
+_SEED_STEPS = 500
 
 # Forward-backward sweep: sweep cap, tolerance on the control fixed point,
 # and Anderson mixing's depth (how many past residuals each step
@@ -100,12 +88,9 @@ class SolveReport:
     sweeps counts the forward-backward sweeps the solve ran (the final
     consistent pass excluded): the seed's for shooting, all of them for
     the forward-backward sweep.  newton_iters counts the shooting solve's
-    Newton iterations and coupled_integrations its coupled passes,
-    Jacobian probes and rejected steps included; both stay 0 for the
-    forward-backward sweep.  All three count the work on the report's
-    own grid: a shooting solve's coarse level reports its own work in
-    coarse, which is None when no coarse level ran, so a solve's total
-    is its counts plus coarse's.  residual_norm is max(|psi1(T)|,
+    Newton iterations and coupled_integrations its coupled passes on
+    either grid, Jacobian probes and rejected steps included; both stay 0
+    for the forward-backward sweep.  residual_norm is max(|psi1(T)|,
     |psi2(T)|), which the sweep's backward pass makes exactly 0; the
     sweep's converged flag says that its control fixed point was reached
     within 500 sweeps.
@@ -119,7 +104,6 @@ class SolveReport:
     solver: str
     sweeps: int
     coupled_integrations: int
-    coarse: SolveReport | None = None
 
 
 def shooting_residual(
@@ -136,125 +120,104 @@ def _residual_of(traj: Trajectory) -> tuple[float, float, float]:
     return r1, r2, max(abs(r1), abs(r2))
 
 
+def _probe(psi: tuple[float, float], cost: RunningCost, p: ModelParams) -> tuple[float, float]:
+    """shooting_residual, or (nan, nan) when the coupled pass diverges."""
+    try:
+        return shooting_residual(psi, cost, p)
+    except NonFiniteError:
+        return math.nan, math.nan
+
+
+def _seed(cost: RunningCost, p: ModelParams) -> tuple[ModelParams, Trajectory, int]:
+    """Seed sweep: (its grid, its trajectory, its sweep count).
+
+    The grid is p's when p has at most 500 steps, else a 500-step grid.
+    RK4 with those longer steps goes unstable on milder problems than on
+    p's own grid, and where both diverge it does so at a time of its
+    own, so a 500-step grid that diverges hands over to p's, where a
+    divergence is raised at its time on the problem's grid.
+    """
+    if p.n_steps > _SEED_STEPS:
+        seed_p = replace(p, n_steps=_SEED_STEPS)
+        try:
+            seed, sweeps, _ = _sweep(cost, seed_p, _SEED_TOL)
+            return seed_p, seed, sweeps
+        except NonFiniteError:
+            pass
+    seed, sweeps, _ = _sweep(cost, p, _SEED_TOL)
+    return p, seed, sweeps
+
+
 def solve_shooting(
     cost: RunningCost,
     p: ModelParams,
     residual_tol: float = 1e-10,
 ) -> SolveReport:
-    """Solve the boundary-value problem by single shooting, on two grids.
+    """Solve the boundary-value problem by single shooting.
 
-    On a grid of at least 2000 steps the problem is first solved on a
-    grid 4 times coarser, from psi(0) of a forward-backward sweep stopped
-    at the loose tolerance 1e-4, by full Newton steps.  Its root lies
-    within ~2e-6 of the fine grid's, a hundred times closer than the
-    sweep's psi(0), so Newton on the problem's own grid starts there and
-    takes chord steps: it keeps the coarse level's last Jacobian across
-    accepted steps, one coupled pass each, and recomputes it once at the
-    current point after a rejected step.  When either level fails, or on
-    a grid below 2000 steps, the problem is solved on its own grid from
-    the sweep's psi(0) by full Newton steps alone.  Newton stops when
-    max(|psi1(T)|, |psi2(T)|) <= residual_tol.  Raises ValueError, before
-    any integration, unless 0 < residual_tol < inf.
+    The start is psi(0) of a forward-backward sweep run to 1e-6 on the
+    problem's grid, or on 500 steps when the grid is finer (on the
+    problem's grid after all when the 500-step sweep diverges).  The
+    sweep reads its controls piecewise linearly, so its psi(0) is
+    second-order in h and lies within ~1e-5 of the root.  Newton takes
+    chord steps on the problem's own grid: it keeps the forward-difference
+    Jacobian taken at the start on the seed's grid (three coupled passes
+    there, two when that grid is the problem's), one coupled pass per
+    accepted step, and recomputes the Jacobian once at the current point
+    after a rejected step.  Newton stops when max(|psi1(T)|, |psi2(T)|)
+    <= residual_tol.  Raises ValueError, before any integration, unless
+    0 < residual_tol < inf.
 
-    The report's counts are the work on the problem's own grid, a failed
-    fine level's included, and its coarse field holds the coarse level's
-    report (None when no coarse level ran or its start diverged).  A
-    level fails fast and says so (converged=False): when a Jacobian probe
-    diverges, the Jacobian is singular, or a step with a Jacobian fresh
-    at its point diverges or does not lower the residual norm.  Raises NonFiniteError, at the time of divergence, when the
-    seed sweep or the coupled pass from its start diverges on the
-    problem's own grid.
+    The report counts the whole solve's work, the seed's sweeps and the
+    seed grid's passes included (but not the sweeps of a seed grid that
+    diverged).  The solve fails fast and says so (converged=False) when
+    a step whose Jacobian is fresh at its point diverges or does not
+    lower the residual norm; a diverging Jacobian probe or a singular
+    Jacobian counts as such a step.  Raises NonFiniteError, at the time
+    of divergence, when the seed sweep or the coupled pass from its
+    start diverges.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive")
-    coarse = None
-    if p.n_steps // _COARSE_FACTOR >= _COARSE_MIN_STEPS:
-        try:
-            coarse, jac = _shoot(cost, replace(p, n_steps=p.n_steps // _COARSE_FACTOR), residual_tol)
-        except NonFiniteError:
-            pass
-    # Work of a failed fine level from the coarse start: (Newton steps, passes).
-    spent = (0, 0)
-    if coarse is not None and coarse.converged:
-        start = (float(coarse.trajectory.psi1[0]), float(coarse.trajectory.psi2[0]))
-        try:
-            fine, _ = _shoot(cost, p, residual_tol, (start, jac))
-        except NonFiniteError:
-            spent = (0, 1)
-        else:
-            if fine.converged:
-                return replace(fine, coarse=coarse)
-            spent = (fine.newton_iters, fine.coupled_integrations)
-    report, _ = _shoot(cost, p, residual_tol)
-    return replace(
-        report,
-        newton_iters=report.newton_iters + spent[0],
-        coupled_integrations=report.coupled_integrations + spent[1],
-        coarse=coarse,
-    )
-
-
-# A 2x2 Jacobian [[a, b], [c, d]] of the shooting residual, as (a, b, c, d).
-_Jacobian = tuple[float, float, float, float]
-
-
-def _shoot(
-    cost: RunningCost,
-    p: ModelParams,
-    residual_tol: float,
-    start: tuple[tuple[float, float], _Jacobian | None] | None = None,
-) -> tuple[SolveReport, _Jacobian | None]:
-    """Newton on the shooting residual of p's own grid.
-
-    With start None, Newton starts from psi(0) of the seed sweep and
-    takes full steps, a fresh forward-difference Jacobian each.  With
-    start = (psi0, jac), it starts from psi0 and takes chord steps with
-    jac (None to compute one), refreshed only after a rejected step.
-    Returns the report and the last Jacobian used (None when Newton
-    took no step).
-    """
     try:
-        if start is None:
-            seed, sweeps, _ = _sweep(cost, p, _SEED_TOL)
-            pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
-            jac = None
-        else:
-            (pa, pb), jac = start
-            sweeps = 0
+        seed_p, seed, sweeps = _seed(cost, p)
+        pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
         traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError as exc:
         raise NonFiniteError(exc.time, "shooting start diverged") from exc
     r1, r2, norm = _residual_of(traj)
     integrations = 1
     iters = 0
+    jac = None
 
     while norm > residual_tol and iters < _MAX_NEWTON_ITERS:
-        fresh = jac is None or start is None
-        if fresh:
-            # Forward-difference Jacobian [[a, b], [c, d]] of the residual.
+        fresh = False
+        if jac is None:
+            # Forward-difference Jacobian [[a, b], [c, d]] of the residual,
+            # the first at the start on the seed's grid, later ones at
+            # the current point on the problem's.
+            grid = seed_p if iters == 0 else p
+            fresh = grid is p
+            q1, q2 = (r1, r2) if fresh else _probe((pa, pb), cost, grid)
             da = _FD_EPSILON * max(1.0, abs(pa))
             db = _FD_EPSILON * max(1.0, abs(pb))
-            try:
-                integrations += 1
-                qa1, qa2 = shooting_residual((pa + da, pb), cost, p)
-                integrations += 1
-                qb1, qb2 = shooting_residual((pa, pb + db), cost, p)
-            except NonFiniteError:
-                break
-            jac = ((qa1 - r1) / da, (qb1 - r1) / db, (qa2 - r2) / da, (qb2 - r2) / db)
+            qa1, qa2 = _probe((pa + da, pb), cost, grid)
+            qb1, qb2 = _probe((pa, pb + db), cost, grid)
+            integrations += 2 if fresh else 3
+            jac = ((qa1 - q1) / da, (qb1 - q1) / db, (qa2 - q2) / da, (qb2 - q2) / db)
         a, b, c, d = jac
         det = a * d - b * c
-        if det == 0.0 or not math.isfinite(det):
-            break
-        trial = (pa + (-r1 * d + r2 * b) / det, pb + (-r2 * a + r1 * c) / det)
         iters += 1
-        integrations += 1
-        try:
-            trial_traj = integrate_coupled(trial, cost, p)
-        except NonFiniteError:
-            trial_norm = math.inf
-        else:
-            t1, t2, trial_norm = _residual_of(trial_traj)
+        trial_norm = math.inf
+        if det != 0.0 and math.isfinite(det):
+            trial = (pa + (-r1 * d + r2 * b) / det, pb + (-r2 * a + r1 * c) / det)
+            integrations += 1
+            try:
+                trial_traj = integrate_coupled(trial, cost, p)
+            except NonFiniteError:
+                pass
+            else:
+                t1, t2, trial_norm = _residual_of(trial_traj)
         if not trial_norm < norm:
             if fresh:
                 break
@@ -272,7 +235,7 @@ def _shoot(
         solver="shooting",
         sweeps=sweeps,
         coupled_integrations=integrations,
-    ), jac
+    )
 
 
 def _anderson_weights(dfs: list[np.ndarray], f: np.ndarray) -> list[float]:
@@ -316,7 +279,8 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
     """Forward-backward sweep to a control fixed point within tol.
 
     Anderson mixing on u = Phi(u), where u stacks the 2*(n+1) node
-    controls and Phi is a state pass, a costate pass and the clamp law.
+    controls and Phi is a state pass, a costate pass (both reading the
+    controls piecewise linearly) and the clamp law.
     Returns (trajectory of the final consistent pass under Phi(u),
     sweeps, converged).
     """
@@ -330,8 +294,8 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
     iters = 0
 
     for iters in range(1, _FBS_MAX_SWEEPS + 1):
-        traj = integrate_state_forward(u[:n + 1], u[n + 1:], cost, p)
-        psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
+        traj = integrate_state_forward(u[:n + 1], u[n + 1:], cost, p, linear=True)
+        psi1, psi2 = integrate_adjoint_backward(traj, cost, p, linear=True)
         law = np.concatenate(optimal_controls_lanes(
             traj.s, traj.i, psi1, psi2, cost.w1, cost.w2, p.u1_max, p.u2_max
         ))
@@ -350,8 +314,8 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
         u = np.clip(step, 0.0, upper)
 
     # Final consistent pass under the accepted schedule.
-    traj = integrate_state_forward(law[:n + 1], law[n + 1:], cost, p)
-    psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
+    traj = integrate_state_forward(law[:n + 1], law[n + 1:], cost, p, linear=True)
+    psi1, psi2 = integrate_adjoint_backward(traj, cost, p, linear=True)
     return replace(traj, psi1=psi1, psi2=psi2), iters, converged
 
 
@@ -366,10 +330,17 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     combination of the last 5 steps that best cancels f, and clipped to
     the control box.  Converged when max|Phi(u) - u| / (1 + max|Phi(u)|)
     is at most 2e-9; Phi(u) is then the accepted schedule.  On the
-    baseline this takes 19-24 sweeps across alpha 0.05-0.5 under both
-    functionals, and 20-26 at horizons 5 to 18.  The terminal-costate
+    baseline this takes 21-24 sweeps across alpha 0.05-0.5 under both
+    functionals, and 18-27 at horizons 5 to 18.  The terminal-costate
     residual is zero by construction of the backward pass, so
     convergence is measured on the control fixed point.
+
+    Both passes read the schedule piecewise linearly between nodes
+    (integrate.py), so the sweep's state, costates and objective are
+    second-order in h: on the baseline at 2000 steps its objective lies
+    within 4e-10 of shooting's under either functional, against 1.6e-7
+    (new) and 3.8e-7 (legacy) with each control held constant over a
+    step.
     """
     full, iters, converged = _sweep(cost, p, _FBS_TOL)
     return SolveReport(

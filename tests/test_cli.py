@@ -72,23 +72,20 @@ class TestSolveCommand:
         assert lines["  state load"].strip() == repr(float(traj.z[-1] - traj.z_control[-1]))
         assert lines["defective nodes"].strip() == repr(float(traj.d[-1]))
 
+    # On 400 steps the seed runs on the problem's grid: a start pass and
+    # two probes, then one pass per step.  On 2000 it runs on 500 steps,
+    # whose Jacobian costs a base pass and two probes there.
     @pytest.mark.parametrize(
-        "n_steps, coarse_line",
-        [
-            (400, "none"),
-            (2000, "500 steps, converged, 4 newton iterations, 13 coupled passes, 13 seed sweeps"),
-        ],
+        "n_steps, newton, sweeps, passes", [(400, "3", "17", "6"), (2000, "3", "17", "7")]
     )
-    def test_summary_reports_the_coarse_level(self, tmp_path, capsys, n_steps, coarse_line):
+    def test_summary_reports_the_solve_work(self, tmp_path, capsys, n_steps, newton, sweeps, passes):
         path = tmp_path / "scenario.cfg"
         path.write_text(BASELINE_CFG + f"n_steps = {n_steps}\n")
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "traj.csv")]) == 0
         lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()
                      if not line.startswith("#"))
-        assert lines["coarse level"].strip() == coarse_line
-        if n_steps == 2000:  # the fine grid starts from the coarse root: no seed
-            assert (lines["newton iterations"].strip(), lines["seed sweeps"].strip(),
-                    lines["coupled passes"].strip()) == ("3", "0", "4")
+        assert (lines["newton iterations"].strip(), lines["seed sweeps"].strip(),
+                lines["coupled passes"].strip()) == (newton, sweeps, passes)
 
     def test_alpha_zero_solve_is_exactly_trivial(self, tmp_path, capsys):
         path = tmp_path / "zero.cfg"
@@ -164,9 +161,11 @@ class TestCheckCommand:
         assert out.read_text().count("PASS") == 3
 
     # The driven 20-step run blows up at t = 1 at both betas.  The
-    # Hamiltonian check's 4000-step solve diverges in its seed sweep's
-    # first state pass, at t = 0.0225 or t = 3.905.
-    @pytest.mark.parametrize("beta, diverged_at", [("20", "0.0225"), ("5", "3.905")])
+    # Hamiltonian check's 4000-step solve diverges on its own grid, its
+    # 500-step seed grid having diverged first: at beta 20 in the seed
+    # sweep's first state pass, at t = 0.0225; at beta 5 in the coupled
+    # pass from the seed, at t = 4.44.
+    @pytest.mark.parametrize("beta, diverged_at", [("20", "0.0225"), ("5", "4.44")])
     def test_diverging_check_fails_and_the_others_still_run(self, tmp_path, capsys, beta, diverged_at):
         cfg = tmp_path / "diverging.cfg"
         cfg.write_text(BASELINE_CFG.replace("beta = 0.01", f"beta = {beta}") + "n_steps = 20\n")

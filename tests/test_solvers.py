@@ -1,7 +1,7 @@
 """Shooting and forward-backward solvers, adjoint gradient, cross-checks."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,15 +107,15 @@ class TestSolveShooting:
         assert report.residual_norm > 0.0
 
     @pytest.mark.parametrize(
-        "max_newton_iters, newton_iters, coupled", [(50, 4, 13), (1, 1, 4)]
+        "max_newton_iters, newton_iters, coupled", [(50, 3, 6), (1, 1, 4)]
     )
     def test_report_counts_the_seed_and_newton_work(
         self, monkeypatch, max_newton_iters, newton_iters, coupled
     ):
-        # The seed sweep makes one state pass per sweep and a final
-        # consistent one.  Newton makes one coupled pass from the seed,
-        # then per iteration two Jacobian probes and one full step; one
-        # iteration does not converge.
+        # On 200 steps the seed sweep runs on the problem's own grid, one
+        # state pass per sweep and a final consistent one.  Newton makes
+        # one coupled pass from the seed, two Jacobian probes there, and
+        # one pass per step; one step does not converge.
         import sircontrol.solvers
 
         p = make_baseline_params(n_steps=200)
@@ -124,17 +124,16 @@ class TestSolveShooting:
         for name in calls:
             original = getattr(sircontrol.solvers, name)
 
-            def counting(*args, _name=name, _original=original):
+            def counting(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(sircontrol.solvers, name, counting)
         report = solve_shooting(running_cost(p), p)
         assert report.converged == (max_newton_iters == 50)
         assert report.newton_iters == newton_iters
         assert report.coupled_integrations == calls["integrate_coupled"] == coupled
-        assert report.sweeps == calls["integrate_state_forward"] - 1 == 13
-        assert report.coarse is None  # 200 // 4 < 500: no coarse level
+        assert report.sweeps == calls["integrate_state_forward"] - 1 == 16
 
     def test_a_step_that_does_not_lower_the_residual_ends_the_solve(self, monkeypatch):
         # A coarse difference step spoils the Jacobian, so the first full
@@ -176,45 +175,61 @@ class TestSolveShooting:
 
     # Long horizons are where starts not seeded by the sweep fared worst:
     # 38-50 Newton steps, and no convergence on the T = 17.45 draw of the
-    # parameter box.
-    # The coarse level fails after one Newton step on the legacy cases,
-    # which then take full Newton steps on the fine grid.  The box cases
-    # are draws 15, 23, 25, 71 and 73 (rounded) of 100 drawn with
-    # default_rng(55) from the box of test_box.py; each failed after one
-    # full step when the seed sweep stopped at 1e-3.
+    # parameter box.  The box cases are draws 15, 23, 25, 36, 44, 71, 73
+    # and 90 (rounded) of 100 drawn with default_rng(55) from the box of
+    # test_box.py.  Each of 15-73 failed after one full step when the
+    # seed sweep stopped at 1e-3; 36, 44 and 90 failed at 2000 steps
+    # (residual norms 6.6, 1.9 and 1.5) while shooting took its seed from
+    # a sweep that held each control constant over a step.
     @pytest.mark.parametrize(
-        "overrides, fallback",
+        "overrides",
         [
-            (dict(beta=0.009661, alpha=0.1655, c1=1.0013, c2=1.1949, c3=9.8664, horizon=15.92), False),
-            (dict(beta=0.007060, alpha=0.1491, c1=0.9260, c2=0.7781, c3=14.419, horizon=17.45), False),
-            (dict(horizon=18.0), False),
-            (dict(horizon=18.0, functional="legacy"), True),
-            (dict(beta=0.008601, alpha=0.1182, c1=0.9806, c2=0.7615, c3=13.21, horizon=14.63,
-                  functional="legacy"), True),
-            (dict(beta=0.009589, alpha=0.1112, c1=1.267, c2=0.9295, c3=6.831, horizon=13.27,
-                  functional="legacy"), True),
-            (dict(beta=0.01437, alpha=0.1525, c1=0.7658, c2=0.6535, c3=5.897, horizon=14.63,
-                  functional="legacy"), True),
-            (dict(beta=0.01619, alpha=0.1267, c1=1.782, c2=0.5785, c3=6.614, horizon=16.17,
-                  functional="legacy"), True),
-            (dict(beta=0.01204, alpha=0.06936, c1=1.289, c2=0.8118, c3=11.13, horizon=13.1,
-                  functional="legacy"), True),
+            dict(beta=0.009661, alpha=0.1655, c1=1.0013, c2=1.1949, c3=9.8664, horizon=15.92),
+            dict(beta=0.007060, alpha=0.1491, c1=0.9260, c2=0.7781, c3=14.419, horizon=17.45),
+            dict(horizon=18.0),
+            dict(horizon=18.0, functional="legacy"),
+            dict(beta=0.008601, alpha=0.1182, c1=0.9806, c2=0.7615, c3=13.21, horizon=14.63,
+                 functional="legacy"),
+            dict(beta=0.009589, alpha=0.1112, c1=1.267, c2=0.9295, c3=6.831, horizon=13.27,
+                 functional="legacy"),
+            dict(beta=0.01437, alpha=0.1525, c1=0.7658, c2=0.6535, c3=5.897, horizon=14.63,
+                 functional="legacy"),
+            dict(beta=0.01122, alpha=0.148, c1=1.935, c2=0.6859, c3=9.625, horizon=17.23,
+                 functional="legacy"),
+            dict(beta=0.01869, alpha=0.1448, c1=0.7413, c2=0.6895, c3=9.679, horizon=16.87,
+                 functional="legacy"),
+            dict(beta=0.01619, alpha=0.1267, c1=1.782, c2=0.5785, c3=6.614, horizon=16.17,
+                 functional="legacy"),
+            dict(beta=0.01204, alpha=0.06936, c1=1.289, c2=0.8118, c3=11.13, horizon=13.1,
+                 functional="legacy"),
+            dict(beta=0.01851, alpha=0.1286, c1=0.669, c2=0.5281, c3=9.958, horizon=15.84,
+                 functional="legacy"),
         ],
         ids=["box-T15.92", "box-T17.45", "T18", "legacy-T18",
-             "box15", "box23", "box25", "box71", "box73"],
+             "box15", "box23", "box25", "box36", "box44", "box71", "box73", "box90"],
     )
-    def test_long_horizons_converge_in_few_newton_steps(self, overrides, fallback):
+    def test_long_horizons_converge_in_few_newton_steps(self, overrides):
         p = make_baseline_params(**overrides)
         cost = running_cost(p)
         shoot = solve_shooting(cost, p)
         sweep = solve_forward_backward(cost, p)
         assert shoot.converged and sweep.converged
-        assert shoot.coarse.converged is not fallback
         assert shoot.newton_iters <= 8
-        # No step rejected: a full step costs two probes and a trial pass,
-        # a chord step its trial pass alone.
-        per_step = 3 if fallback else 1
-        assert shoot.coupled_integrations == 1 + per_step * shoot.newton_iters
+        # No step rejected: three passes on the seed's grid for the
+        # Jacobian, one from the seed on the problem's, one per chord step.
+        assert shoot.coupled_integrations == 4 + shoot.newton_iters
+        assert abs(shoot.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
+
+    # On coarse grids these failed after one Newton step while the seed
+    # sweep held each control constant over a step.  The gaps to the sweep
+    # also pin its order: that sweep lay 4e-5 to 1.6e-4 from shooting here.
+    @pytest.mark.parametrize("alpha, n_steps", [(0.05, 100), (0.05, 200), (0.3, 140)])
+    def test_coarse_grids_converge_and_agree_with_the_sweep(self, alpha, n_steps):
+        p = make_baseline_params(alpha=alpha, n_steps=n_steps, functional="legacy")
+        cost = running_cost(p)
+        shoot = solve_shooting(cost, p)
+        sweep = solve_forward_backward(cost, p)
+        assert shoot.converged and sweep.converged
         assert abs(shoot.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
 
 
@@ -233,118 +248,62 @@ def _coupled_passes_by_grid(monkeypatch) -> dict[int, int]:
     return passes
 
 
-class TestTwoLevelShooting:
-    def test_the_fine_level_spends_one_pass_per_chord_step(
+class TestChordNewton:
+    def test_each_chord_step_spends_one_pass_on_the_problem_grid(
         self, monkeypatch, baseline_params, baseline_cost
     ):
         passes = _coupled_passes_by_grid(monkeypatch)
         report = solve_shooting(baseline_cost, baseline_params)
-        coarse = report.coarse
-        assert report.converged and coarse.converged
-        assert len(coarse.trajectory.t) == 501 and coarse.coarse is None
-        # Full Newton steps on the coarse grid, from its own seed sweep.
-        assert (coarse.sweeps, coarse.newton_iters, coarse.coupled_integrations) == (13, 4, 13)
-        # On the fine grid: no seed, one pass from the coarse root, one per step.
-        assert (report.sweeps, report.newton_iters, report.coupled_integrations) == (0, 3, 4)
-        assert passes == {500: 13, 2000: 1 + report.newton_iters}
+        assert report.converged
+        # The seed sweep and its Jacobian (a base pass and two probes) on
+        # 500 steps; one pass from the seed and one per step on 2000.
+        assert (report.sweeps, report.newton_iters, report.coupled_integrations) == (17, 3, 7)
+        assert passes == {500: 3, 2000: 1 + report.newton_iters}
         assert report.objective == pytest.approx(reference_values.SHOOTING_OBJECTIVE, rel=1e-12)
 
     def test_a_rejected_chord_step_refreshes_the_jacobian_once(
         self, monkeypatch, baseline_params, baseline_cost
     ):
-        # A coarse Jacobian of the wrong sign makes the first chord step
+        # A seed Jacobian of the wrong sign makes the first chord step
         # raise the residual; the fresh Jacobian (two probes) then converges.
         import sircontrol.solvers
 
-        original = sircontrol.solvers._shoot
+        original = sircontrol.solvers.shooting_residual
 
-        def flipped(cost, p, residual_tol, start=None):
-            report, jac = original(cost, p, residual_tol, start)
-            if start is None:
-                jac = tuple(-x for x in jac)
-            return report, jac
+        def flipped(psi0, cost, p):
+            r1, r2 = original(psi0, cost, p)
+            return (-r1, -r2) if p.n_steps == 500 else (r1, r2)
 
-        monkeypatch.setattr(sircontrol.solvers, "_shoot", flipped)
+        monkeypatch.setattr(sircontrol.solvers, "shooting_residual", flipped)
         passes = _coupled_passes_by_grid(monkeypatch)
         report = solve_shooting(baseline_cost, baseline_params)
-        assert report.converged and report.coarse.converged and report.sweeps == 0
+        assert report.converged
         assert report.newton_iters == 4  # the rejected step and three accepted
-        assert report.coupled_integrations == passes[2000] == 1 + report.newton_iters + 2
+        assert passes == {500: 3, 2000: 1 + report.newton_iters + 2}
+        assert report.coupled_integrations == 3 + passes[2000]
         assert report.objective == pytest.approx(reference_values.SHOOTING_OBJECTIVE, rel=1e-12)
 
-    @pytest.mark.parametrize("failure", ["unconverged", "diverged"])
-    def test_a_failed_coarse_level_falls_back_to_the_one_level_solve(
-        self, monkeypatch, baseline_params, baseline_cost, failure
-    ):
+    @pytest.mark.parametrize("n_steps", [200, 500, 800, 1999])
+    def test_the_seed_grid_has_at_most_500_steps(self, monkeypatch, n_steps):
         import sircontrol.solvers
 
-        with monkeypatch.context() as m:
-            m.setattr(sircontrol.solvers, "_COARSE_MIN_STEPS", 10**9)
-            want = solve_shooting(baseline_cost, baseline_params)
-        assert want.coarse is None and want.sweeps > 0
-
-        if failure == "unconverged":
-            original = sircontrol.solvers._shoot
-
-            def failing(cost, p, residual_tol, start=None):
-                report, jac = original(cost, p, residual_tol, start)
-                if p.n_steps == 500:
-                    report = replace(report, converged=False)
-                return report, jac
-
-            monkeypatch.setattr(sircontrol.solvers, "_shoot", failing)
-        else:
-            original = sircontrol.solvers.integrate_coupled
-
-            def diverging(psi0, cost, p):
-                if p.n_steps == 500:
-                    raise NonFiniteError(0.5, "coarse pass diverged")
-                return original(psi0, cost, p)
-
-            monkeypatch.setattr(sircontrol.solvers, "integrate_coupled", diverging)
-        got = solve_shooting(baseline_cost, baseline_params)
-        for field in fields(want.trajectory):
-            assert np.array_equal(getattr(got.trajectory, field.name), getattr(want.trajectory, field.name))
-        for field in fields(want):
-            if field.name not in ("trajectory", "coarse"):
-                assert getattr(got, field.name) == getattr(want, field.name), field.name
-        if failure == "unconverged":
-            assert got.coarse is not None and not got.coarse.converged
-        else:
-            assert got.coarse is None
-
-    def test_a_failed_fine_level_falls_back_and_counts_its_work(
-        self, monkeypatch, baseline_params, baseline_cost
-    ):
-        import sircontrol.solvers
-
-        with monkeypatch.context() as m:
-            m.setattr(sircontrol.solvers, "_COARSE_MIN_STEPS", 10**9)
-            want = solve_shooting(baseline_cost, baseline_params)
-        original = sircontrol.solvers._shoot
-
-        def failing(cost, p, residual_tol, start=None):
-            report, jac = original(cost, p, residual_tol, start)
-            if start is not None:
-                report = replace(report, converged=False)
-            return report, jac
-
-        monkeypatch.setattr(sircontrol.solvers, "_shoot", failing)
-        got = solve_shooting(baseline_cost, baseline_params)
-        assert got.converged and got.coarse.converged
-        assert np.array_equal(got.trajectory.psi1, want.trajectory.psi1)
-        assert got.objective == want.objective and got.sweeps == want.sweeps
-        # The chord attempt took 3 steps and 4 passes (see above).
-        assert got.newton_iters == want.newton_iters + 3
-        assert got.coupled_integrations == want.coupled_integrations + 4
-
-    @pytest.mark.parametrize("n_steps", [200, 800, 1999])
-    def test_grids_below_2000_steps_have_no_coarse_level(self, monkeypatch, n_steps):
         p = make_baseline_params(n_steps=n_steps)
+        sweeps: dict[int, int] = {}
+        original = sircontrol.solvers.integrate_state_forward
+
+        def counting(u1, u2, cost, p, **kwargs):
+            sweeps[p.n_steps] = sweeps.get(p.n_steps, 0) + 1
+            return original(u1, u2, cost, p, **kwargs)
+
+        monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", counting)
         passes = _coupled_passes_by_grid(monkeypatch)
         report = solve_shooting(running_cost(p), p)
-        assert report.converged and report.coarse is None and report.sweeps > 0
-        assert passes == {n_steps: 1 + 3 * report.newton_iters}
+        assert report.converged
+        assert sweeps == {min(n_steps, 500): report.sweeps + 1}
+        if n_steps <= 500:  # the start's own pass serves as the Jacobian's base
+            assert passes == {n_steps: 3 + report.newton_iters}
+        else:
+            assert passes == {500: 3, n_steps: 1 + report.newton_iters}
 
 
 class TestSolveForwardBackward:
@@ -399,12 +358,12 @@ class TestSolveForwardBackward:
         original = sircontrol.solvers.integrate_state_forward
         passes = 0
 
-        def checking(u1, u2, *args):
+        def checking(u1, u2, *args, **kwargs):
             nonlocal passes
             passes += 1
             assert np.all((u1 >= 0.0) & (u1 <= p.u1_max))
             assert np.all((u2 >= 0.0) & (u2 <= p.u2_max))
-            return original(u1, u2, *args)
+            return original(u1, u2, *args, **kwargs)
 
         monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", checking)
         report = solve_forward_backward(running_cost(p), p)
