@@ -15,8 +15,8 @@ costates must vanish at the final time.  Two solvers attack it:
                             controls read piecewise linearly between
                             nodes, and the clamp law until the control
                             schedule reaches a fixed point, each next
-                            schedule extrapolated from the last five by
-                            Anderson mixing.
+                            schedule extrapolated from the last step by
+                            Anderson mixing of depth one.
 
 The sweep only picks the shooting solve's start: shooting's answer is
 still the root of its own residual, the terminal costates of the coupled
@@ -73,12 +73,10 @@ _SEED_TOL = 1e-6
 _SEED_STEPS = 500
 
 # Forward-backward sweep: sweep cap, tolerance on the control fixed point,
-# and Anderson mixing's depth (how many past residuals each step
-# extrapolates from) and mixing (the step's fraction of the residual).
+# and Anderson(1)'s mixing (the step's fraction of the residual).
 _FBS_MAX_SWEEPS = 500
 _FBS_TOL = 1e-9
-_ANDERSON_DEPTH = 5
-_ANDERSON_MIXING = 0.5
+_ANDERSON_MIXING = 0.7
 
 
 @dataclass(frozen=True)
@@ -163,8 +161,9 @@ def solve_shooting(
     chord steps on the problem's own grid: it keeps the forward-difference
     Jacobian taken at the start on the seed's grid (three coupled passes
     there, two when that grid is the problem's), one coupled pass per
-    accepted step, and recomputes the Jacobian once at the current point
-    after a rejected step.  Newton stops when max(|psi1(T)|, |psi2(T)|)
+    accepted step, and recomputes the Jacobian at the current point after
+    a rejected step (once) and after an accepted step that does not halve
+    the residual norm.  Newton stops when max(|psi1(T)|, |psi2(T)|)
     <= residual_tol.  Raises ValueError, before any integration, unless
     0 < residual_tol < inf.
 
@@ -223,6 +222,8 @@ def solve_shooting(
                 break
             jac = None  # a stale Jacobian gets one fresh retry
             continue
+        if trial_norm > 0.5 * norm:
+            jac = None  # a step that does not halve the norm: refresh at the new point
         pa, pb = trial
         traj, r1, r2, norm = trial_traj, t1, t2, trial_norm
 
@@ -238,58 +239,23 @@ def solve_shooting(
     )
 
 
-def _anderson_weights(dfs: list[np.ndarray], f: np.ndarray) -> list[float]:
-    """Weights gamma that minimise |f - sum_j gamma_j dfs[j]| in 2-norm.
-
-    Modified Gram-Schmidt with elementwise sums and a back-substitution
-    in Python, so that no LAPACK or BLAS routine runs: the first
-    np.linalg call alone adds ~1.3 MiB of peak RSS.  A column whose part
-    orthogonal to the columns before it is at most 1e-8 of its norm is
-    nearly dependent and gets gamma = 0.
-    """
-    qs: list[np.ndarray] = []
-    r_cols: list[list[float]] = []  # column k of R: R[0..k, k]
-    kept: list[int] = []
-    for j, col in enumerate(dfs):
-        norm = math.sqrt(float(np.sum(col * col)))
-        v = col
-        r_col = []
-        for q in qs:
-            c = float(np.sum(q * v))
-            v = v - c * q
-            r_col.append(c)
-        diag = math.sqrt(float(np.sum(v * v)))
-        if not diag > 1e-8 * norm:
-            continue
-        qs.append(v / diag)
-        r_cols.append(r_col + [diag])
-        kept.append(j)
-    rhs = [float(np.sum(q * f)) for q in qs]
-    x = [0.0] * len(qs)
-    for k in reversed(range(len(qs))):
-        acc = rhs[k] - sum(r_cols[i][k] * x[i] for i in range(k + 1, len(qs)))
-        x[k] = acc / r_cols[k][k]
-    gamma = [0.0] * len(dfs)
-    for k, j in enumerate(kept):
-        gamma[j] = x[k]
-    return gamma
-
-
 def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, int, bool]:
     """Forward-backward sweep to a control fixed point within tol.
 
-    Anderson mixing on u = Phi(u), where u stacks the 2*(n+1) node
+    Anderson(1) mixing on u = Phi(u), where u stacks the 2*(n+1) node
     controls and Phi is a state pass, a costate pass (both reading the
-    controls piecewise linearly) and the clamp law.
+    controls piecewise linearly) and the clamp law: with f = Phi(u) - u
+    and du, df the differences from the previous (u, f), the next
+    schedule is u + b*f - g*(du + b*df), with b the mixing and
+    g = <df, f> / <df, df> (no correction when df = 0), clipped to the
+    control box.
     Returns (trajectory of the final consistent pass under Phi(u),
     sweeps, converged).
     """
     n = p.n_steps
     upper = np.concatenate((np.full(n + 1, p.u1_max), np.full(n + 1, p.u2_max)))
     u = np.zeros(2 * (n + 1))
-    u_prev = f_prev = None
-    dus: list[np.ndarray] = []  # newest first: u_k - u_{k-1}
-    dfs: list[np.ndarray] = []  # and f_k - f_{k-1}, f = Phi(u) - u
+    u_prev = f_prev = None  # the previous (u, f) pair, f = Phi(u) - u
     converged = False
     iters = 0
 
@@ -303,13 +269,14 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
         if float(np.max(np.abs(f))) / (1.0 + float(np.max(law))) <= 2.0 * tol:
             converged = True
             break
-        if f_prev is not None:
-            dus.insert(0, u - u_prev)
-            dfs.insert(0, f - f_prev)
-            del dus[_ANDERSON_DEPTH:], dfs[_ANDERSON_DEPTH:]
         step = u + _ANDERSON_MIXING * f
-        for g, du, df in zip(_anderson_weights(dfs, f), dus, dfs):
-            step -= g * (du + _ANDERSON_MIXING * df)
+        if f_prev is not None:
+            # Elementwise sums, not np.dot, so that no BLAS or LAPACK
+            # routine runs: the first one adds ~1.3 MiB of peak RSS.
+            du, df = u - u_prev, f - f_prev
+            dfdf = float(np.sum(df * df))
+            if dfdf != 0.0:
+                step -= float(np.sum(df * f)) / dfdf * (du + _ANDERSON_MIXING * df)
         u_prev, f_prev = u, f
         u = np.clip(step, 0.0, upper)
 
@@ -325,13 +292,13 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     The sweep map Phi integrates the state forward under the current
     schedule u, the costates backward along it, and applies the clamp
     law at every node.  Its fixed point u = Phi(u) is found by Anderson
-    mixing (Anderson 1965; Walker & Ni 2011): each next schedule is
-    u + 0.5 * f, f = Phi(u) - u, corrected by the least-squares
-    combination of the last 5 steps that best cancels f, and clipped to
-    the control box.  Converged when max|Phi(u) - u| / (1 + max|Phi(u)|)
-    is at most 2e-9; Phi(u) is then the accepted schedule.  On the
-    baseline this takes 21-24 sweeps across alpha 0.05-0.5 under both
-    functionals, and 18-27 at horizons 5 to 18.  The terminal-costate
+    mixing of depth one (Anderson 1965; Walker & Ni 2011): each next
+    schedule is u + 0.7 * f, f = Phi(u) - u, corrected by the multiple
+    of the last step that best cancels f, and clipped to the control
+    box.  Converged when max|Phi(u) - u| / (1 + max|Phi(u)|) is at most
+    2e-9; Phi(u) is then the accepted schedule.  On the baseline this
+    takes 19-24 sweeps across alpha 0.05-0.5 under both functionals,
+    and 18-26 at horizons 5 to 18.  The terminal-costate
     residual is zero by construction of the backward pass, so
     convergence is measured on the control fixed point.
 

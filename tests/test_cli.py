@@ -76,7 +76,7 @@ class TestSolveCommand:
     # two probes, then one pass per step.  On 2000 it runs on 500 steps,
     # whose Jacobian costs a base pass and two probes there.
     @pytest.mark.parametrize(
-        "n_steps, newton, sweeps, passes", [(400, "3", "17", "6"), (2000, "3", "17", "7")]
+        "n_steps, newton, sweeps, passes", [(400, "3", "15", "6"), (2000, "3", "15", "7")]
     )
     def test_summary_reports_the_solve_work(self, tmp_path, capsys, n_steps, newton, sweeps, passes):
         path = tmp_path / "scenario.cfg"
