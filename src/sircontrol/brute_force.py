@@ -9,13 +9,18 @@ provably cannot win.
 
 Schedules that share their first j intervals' levels share their
 trajectory up to the end of interval j, so the enumeration walks the
-prefix tree depth first: starting from one root lane (s0, i0, z = 0), each
-lane of depth j expands into its L^2 children (one per (u1, u2) level
-pair of interval j), which are advanced over that interval's steps_j fine
-steps as numpy lanes.  Each distinct prefix is integrated once, so the
-walk costs at most sum_j L^(2(j+1)) * steps_j lane-steps instead of
-L^(2m) * n_steps.  Children are expanded in chunks of at most _BATCH
-lanes, so no more than about m * _BATCH lanes are held at once.
+prefix tree breadth first: starting from one root lane (s0, i0, z = 0),
+each lane of depth j expands into its L^2 children (one per (u1, u2)
+level pair of interval j), which are advanced over that interval's
+steps_j fine steps as numpy lanes, in chunks of at most _BATCH.  Each
+distinct prefix is integrated once, so the walk costs at most sum_j
+L^(2(j+1)) * steps_j lane-steps instead of L^(2m) * n_steps.  The last
+depth's chunks are scored as they come; within the guard an earlier
+depth holds at most 2^16 = _BATCH prefixes (L = 2, 9 intervals).  A
+chunk that ends with NaN or inf lanes, from an interval that starts
+before the earliest divergence found so far, steps them again node by
+node to find where the first one diverged (sums and products keep a
+value non-finite, so the other lanes never were).
 
 Branch and bound (Land & Doig 1960) makes that sum an upper bound.  A
 caller may pass a hint, per-node controls such as a solver's optimum.
@@ -24,9 +29,9 @@ nearest level of the grid (a tie goes to the lower level), and that grid
 schedule, integrated by integrate_state_forward, gives the incumbent:
 the objective of a schedule in the search set.  After each interval the
 walk drops every lane whose cost so far z exceeds the incumbent
-strictly; ties and NaN lanes survive.  Only a schedule is taken from the
-caller, never an objective, so a bad hint costs work but cannot change
-the answer.
+strictly; ties and NaN lanes survive, so no depth is ever empty.  Only
+a schedule is taken from the caller, never an objective, so a bad hint
+costs work but cannot change the answer.
 
 Dropping is exact when z never decreases along a lane, since then every
 completion of a dropped prefix ends above the incumbent, which the
@@ -163,47 +168,18 @@ def _incumbent(cost: RunningCost, p: ModelParams, n_intervals: int, levels_per_c
         return np.inf
 
 
-def _divergence_time(
-    cost: RunningCost, p: ModelParams, n_intervals: int, levels_per_control: int
-) -> float:
-    """Earliest time at which a lane of the walk turned non-finite.
-
-    Walks the prefix tree again one step at a time, and stops each lane
-    at the earliest divergence found so far, so only the error path of an
-    enumeration in which every schedule diverged pays for the checks.
-    """
-    h = p.horizon / p.n_steps
-    earliest = p.n_steps
-
-    def advance_checked(s, i, z, u1, u2, first, last, cost, p):
-        nonlocal earliest
-        for k in range(first, min(last, earliest)):
-            s, i, z = _advance_lanes(s, i, z, u1, u2, k, k + 1, cost, p)
-            if not (np.isfinite(s).all() and np.isfinite(i).all() and np.isfinite(z).all()):
-                earliest = k + 1
-                break
-        return s, i, z
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in _walk_schedules(cost, p, n_intervals, levels_per_control, advance_checked):
-            pass
-    return earliest * h
-
-
 def _walk_schedules(
     cost: RunningCost,
     p: ModelParams,
     n_intervals: int,
     levels_per_control: int,
-    advance=_advance_lanes,
     bound: float = np.inf,
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Depth-first walk of the schedule prefix tree.
+) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
+    """Breadth-first walk of the schedule prefix tree.
 
-    Yields (schedule indices, objectives, lane-steps so far) for each chunk
-    of complete schedules, in walk order, not index order.  The last
-    yield follows the last integration, so its count is the total.
-    advance integrates a chunk of lanes over one interval's fine steps.
+    Yields (schedule indices, objectives, lane-steps so far, earliest node
+    at which a lane's s, i or z was non-finite, else n_steps) per chunk of
+    complete schedules, in walk order; the last yield's counts are final.
     Prefixes whose cost so far exceeds bound are not expanded.
     """
     n_levels = levels_per_control
@@ -211,39 +187,38 @@ def _walk_schedules(
     levels1 = control_levels(p.u1_max, n_levels)
     levels2 = control_levels(p.u2_max, n_levels)
     bounds = interval_boundaries(p.n_steps, n_intervals).tolist()
-    u2_weight = n_levels**n_intervals
 
-    # Each frame holds the lanes of one tree depth (prefixes of that many
-    # intervals) and the next child index to expand.  idx1/idx2 are the
-    # prefix's u1 and u2 digits read as base-L numbers.
-    root = (np.array([float(p.s0)]), np.array([float(p.i0)]), np.zeros(1),
-            np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-    frames = [[root, 0]]
+    # The lanes of one tree depth (prefixes of that many intervals);
+    # idx1/idx2 are the prefix's u1 and u2 digits read as base-L numbers.
+    lanes = (np.array([float(p.s0)]), np.array([float(p.i0)]), np.zeros(1),
+             np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
     lane_steps = 0
-    while frames:
-        (s, i, z, idx1, idx2), start = frames[-1]
-        stop = min(start + _BATCH, len(s) * n_pairs)
-        if start == stop:
-            frames.pop()
-            continue
-        frames[-1][1] = stop
-        depth = len(frames) - 1
-        parent, pair = np.divmod(np.arange(start, stop), n_pairs)
-        d1, d2 = np.divmod(pair, n_levels)
-        first, last = bounds[depth], bounds[depth + 1]
-        lanes = advance(
-            s[parent], i[parent], z[parent], levels1[d1], levels2[d2], first, last, cost, p
-        )
-        prefix = (idx1[parent] * n_levels + d1, idx2[parent] * n_levels + d2)
-        lane_steps += len(parent) * (last - first)
-        if depth == n_intervals - 1:
-            yield prefix[0] * u2_weight + prefix[1], lanes[2], lane_steps
-            continue
-        frame = (*lanes, *prefix)
-        keep = ~(lanes[2] > bound)
-        if not keep.all():
-            frame = tuple(a[keep] for a in frame)
-        frames.append([frame, 0])
+    earliest = p.n_steps
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        s, i, z, idx1, idx2 = lanes
+        survivors = []
+        for start in range(0, len(s) * n_pairs, _BATCH):
+            parent, pair = np.divmod(np.arange(start, min(start + _BATCH, len(s) * n_pairs)), n_pairs)
+            d1, d2 = np.divmod(pair, n_levels)
+            ends = _advance_lanes(s[parent], i[parent], z[parent], levels1[d1], levels2[d2],
+                                  first, last, cost, p)
+            lane_steps += len(parent) * (last - first)
+            if first < earliest and not all(np.isfinite(a).all() for a in ends):
+                bad = ~(np.isfinite(ends[0]) & np.isfinite(ends[1]) & np.isfinite(ends[2]))
+                state = (s[parent[bad]], i[parent[bad]], z[parent[bad]])
+                controls = (levels1[d1[bad]], levels2[d2[bad]])
+                for k in range(first, min(last, earliest)):
+                    state = _advance_lanes(*state, *controls, k, k + 1, cost, p)
+                    if not all(np.isfinite(a).all() for a in state):
+                        earliest = k + 1
+                        break
+            prefix = (idx1[parent] * n_levels + d1, idx2[parent] * n_levels + d2)
+            if last == p.n_steps:
+                yield prefix[0] * n_levels**n_intervals + prefix[1], ends[2], lane_steps, earliest
+            else:
+                keep = ~(ends[2] > bound)
+                survivors.append(tuple(a[keep] for a in (*ends, *prefix)))
+        lanes = tuple(np.concatenate(column) for column in zip(*survivors))
 
 
 def brute_force_best(
@@ -274,12 +249,11 @@ def brute_force_best(
     bound = _incumbent(cost, p, n_intervals, levels_per_control, hint)
     best_obj = np.inf
     best_idx = -1
-    lane_steps = 0
     # Diverged lanes are expected on stiff instances; they rank as +inf so
     # that a NaN cannot hide a chunk's minimum.
     with np.errstate(over="ignore", invalid="ignore"):
-        walk = _walk_schedules(cost, p, n_intervals, levels_per_control, bound=bound)
-        for idx, objs, lane_steps in walk:
+        walk = _walk_schedules(cost, p, n_intervals, levels_per_control, bound)
+        for idx, objs, lane_steps, diverged_at in walk:
             objs = np.where(np.isfinite(objs), objs, np.inf)
             obj = objs.min()
             if obj == np.inf:
@@ -290,8 +264,8 @@ def brute_force_best(
             if (obj, first) < (best_obj, best_idx):
                 best_obj, best_idx = float(obj), first
     if best_idx < 0:
-        diverged_at = _divergence_time(cost, p, n_intervals, levels_per_control)
-        raise NonFiniteError(diverged_at, "every enumerated schedule diverged")
+        raise NonFiniteError(diverged_at * (p.horizon / p.n_steps),
+                             "every enumerated schedule diverged")
 
     # Digits of the index (base L, most significant first) select the level
     # of u1 on intervals 0..m-1, then of u2 on intervals 0..m-1.

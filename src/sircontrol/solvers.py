@@ -83,8 +83,8 @@ _ANDERSON_MIXING = 0.7
 class SolveReport:
     """Outcome of one solve, returned even on failure (converged=False).
 
-    sweeps counts the forward-backward sweeps the solve ran (the final
-    consistent pass excluded): the seed's for shooting, all of them for
+    sweeps counts the forward-backward sweeps the solve ran, one state
+    and one costate pass each: the seed's for shooting, all of them for
     the forward-backward sweep.  newton_iters counts the shooting solve's
     Newton iterations and coupled_integrations its coupled passes on
     either grid, Jacobian probes and rejected steps included; both stay 0
@@ -249,8 +249,8 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
     schedule is u + b*f - g*(du + b*df), with b the mixing and
     g = <df, f> / <df, df> (no correction when df = 0), clipped to the
     control box.
-    Returns (trajectory of the final consistent pass under Phi(u),
-    sweeps, converged).
+    Returns (the last sweep's state and costates under its schedule u,
+    sweeps, converged): when converged, the pass whose u passed the test.
     """
     n = p.n_steps
     upper = np.concatenate((np.full(n + 1, p.u1_max), np.full(n + 1, p.u2_max)))
@@ -280,9 +280,6 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
         u_prev, f_prev = u, f
         u = np.clip(step, 0.0, upper)
 
-    # Final consistent pass under the accepted schedule.
-    traj = integrate_state_forward(law[:n + 1], law[n + 1:], cost, p, linear=True)
-    psi1, psi2 = integrate_adjoint_backward(traj, cost, p, linear=True)
     return replace(traj, psi1=psi1, psi2=psi2), iters, converged
 
 
@@ -296,7 +293,7 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     schedule is u + 0.7 * f, f = Phi(u) - u, corrected by the multiple
     of the last step that best cancels f, and clipped to the control
     box.  Converged when max|Phi(u) - u| / (1 + max|Phi(u)|) is at most
-    2e-9; Phi(u) is then the accepted schedule.  On the baseline this
+    2e-9; the report holds that u and its pass.  On the baseline this
     takes 19-24 sweeps across alpha 0.05-0.5 under both functionals,
     and 18-26 at horizons 5 to 18.  The terminal-costate
     residual is zero by construction of the backward pass, so

@@ -84,7 +84,7 @@ class TestBruteForce:
         assert np.diff(bounds).tolist() == [33, 33, 34]
         assert levels[1] == 0.45
         seen = []
-        for idx, objs, _ in brute_force._walk_schedules(cost, p, n_intervals=3, levels_per_control=3):
+        for idx, objs, _, _ in brute_force._walk_schedules(cost, p, n_intervals=3, levels_per_control=3):
             for index, obj in zip(idx.tolist(), objs.tolist()):
                 digits = [index // 3**k % 3 for k in reversed(range(6))]
                 traj = integrate_state_forward(
@@ -132,16 +132,33 @@ class TestBruteForce:
         full = np.full(p.n_steps + 1, 0.9)
         assert result.objective == float(integrate_state_forward(full, full, cost, p).z[-1])
 
+    @pytest.mark.parametrize("batch", [65536, 7, 1])
+    def test_lanes_that_diverge_mid_walk_never_win(self, monkeypatch, batch):
+        # After the first of 3 intervals, 6 of the 9 lanes have overflowed,
+        # and every descendant of theirs stays non-finite: they are carried
+        # to the end and must neither win nor change the lane-step count.
+        p = make_baseline_params(beta=0.5, n_steps=80)
+        monkeypatch.setattr(brute_force, "_BATCH", batch)
+        result = brute_force_best(running_cost(p), p, n_intervals=3, levels_per_control=3)
+        assert result.objective == 87.61358841201877
+        assert result.u1_levels.tolist() == [0.9, 0.0, 0.0]
+        assert result.u2_levels.tolist() == [0.9, 0.9, 0.0]
+        assert result.lane_steps == 9 * 26 + 81 * 27 + 729 * 27  # unpruned
+
     def test_raises_when_every_schedule_diverges(self):
         p = make_baseline_params(beta=5.0, n_steps=20)
         with pytest.raises(NonFiniteError):
             brute_force_best(running_cost(p), p, n_intervals=1, levels_per_control=2)
 
+    @pytest.mark.parametrize("batch", [65536, 1])
     @pytest.mark.parametrize("n_intervals, levels", [(1, 2), (3, 3)])
-    def test_every_schedule_diverging_names_the_earliest_divergence(self, n_intervals, levels):
+    def test_every_schedule_diverging_names_the_earliest_divergence(self, monkeypatch, n_intervals,
+                                                                    levels, batch):
         # Every lane blows up in the second of 20 steps (t = 1), long
-        # before the horizon, with or without a hint.
+        # before the horizon, with or without a hint; in chunks of one
+        # lane the time is the earliest over all chunks.
         p = make_baseline_params(beta=5.0, n_steps=20)
+        monkeypatch.setattr(brute_force, "_BATCH", batch)
         full = np.full(p.n_steps + 1, 0.9)
         for hint in (None, (full, full)):
             with pytest.raises(NonFiniteError, match="every enumerated schedule diverged") as err:

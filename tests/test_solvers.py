@@ -113,9 +113,9 @@ class TestSolveShooting:
         self, monkeypatch, max_newton_iters, newton_iters, coupled
     ):
         # On 200 steps the seed sweep runs on the problem's own grid, one
-        # state pass per sweep and a final consistent one.  Newton makes
-        # one coupled pass from the seed, two Jacobian probes there, and
-        # one pass per step; one step does not converge.
+        # state pass per sweep.  Newton makes one coupled pass from the
+        # seed, two Jacobian probes there, and one pass per step; one step
+        # does not converge.
         import sircontrol.solvers
 
         p = make_baseline_params(n_steps=200)
@@ -133,7 +133,7 @@ class TestSolveShooting:
         assert report.converged == (max_newton_iters == 50)
         assert report.newton_iters == newton_iters
         assert report.coupled_integrations == calls["integrate_coupled"] == coupled
-        assert report.sweeps == calls["integrate_state_forward"] - 1 == 14
+        assert report.sweeps == calls["integrate_state_forward"] == 14
 
     def test_a_step_that_does_not_lower_the_residual_ends_the_solve(self, monkeypatch):
         # A coarse difference step spoils the Jacobian, so the first full
@@ -314,7 +314,7 @@ class TestChordNewton:
         passes = _coupled_passes_by_grid(monkeypatch)
         report = solve_shooting(running_cost(p), p)
         assert report.converged
-        assert sweeps == {min(n_steps, 500): report.sweeps + 1}
+        assert sweeps == {min(n_steps, 500): report.sweeps}
         if n_steps <= 500:  # the start's own pass serves as the Jacobian's base
             assert passes == {n_steps: 3 + report.newton_iters}
         else:
@@ -383,15 +383,23 @@ class TestSolveForwardBackward:
         monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", checking)
         report = solve_forward_backward(running_cost(p), p)
         assert report.converged
-        assert passes == report.sweeps + 1
+        assert passes == report.sweeps
 
-    def test_converged_controls_satisfy_clamp_law_within_tolerance(self, baseline_params, baseline_cost):
-        report = solve_forward_backward(baseline_cost, baseline_params)
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"functional": "legacy", "alpha": 0.15}], ids=["new", "legacy-alpha0.15"]
+    )
+    def test_converged_controls_satisfy_clamp_law_within_tolerance(self, overrides):
+        # The reported trajectory is the pass the stopping rule accepted:
+        # its controls u and the clamp law Phi(u) on its state and
+        # costates meet that rule, in its own form.
+        p = make_baseline_params(**overrides)
+        cost = running_cost(p)
+        report = solve_forward_backward(cost, p)
         traj = report.trajectory
-        law1 = np.clip(-traj.psi1 * traj.s / (2.0 * baseline_cost.w1), 0.0, baseline_params.u1_max)
-        law2 = np.clip(-traj.psi2 * traj.i / (2.0 * baseline_cost.w2), 0.0, baseline_params.u2_max)
-        assert np.max(np.abs(traj.u1 - law1)) <= 1e-6
-        assert np.max(np.abs(traj.u2 - law2)) <= 1e-6
+        law1 = np.clip(-traj.psi1 * traj.s / (2.0 * cost.w1), 0.0, p.u1_max)
+        law2 = np.clip(-traj.psi2 * traj.i / (2.0 * cost.w2), 0.0, p.u2_max)
+        u, law = np.concatenate((traj.u1, traj.u2)), np.concatenate((law1, law2))
+        assert np.max(np.abs(u - law)) / (1.0 + np.max(law)) <= 2e-9
 
     def test_honest_failure_after_max_iters(self, monkeypatch, baseline_params, baseline_cost):
         import sircontrol.solvers
