@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 from .brute_force import ENUMERATION_GUARD, exceeds_guard
 from .errors import ConfigError
-from .model import FUNCTIONAL_LEGACY, PARAM_CHECKS, ModelParams
+from .model import PARAM_CHECKS, ModelParams
 
 __all__ = ["ResolvedConfig", "parse_config"]
 
@@ -55,10 +55,6 @@ _SCHEMA = _typed_fields(ModelParams) | _OWN_KEYS
 # problem from the pair.
 _CONFIG_CHECKS = [
     ("residual_tol", lambda c: 0.0 < c.residual_tol < math.inf, "must be positive"),
-    # running_cost puts c3 on u1^2 under the legacy functional; a negative
-    # c3 fails PARAM_CHECKS already.
-    ("c3", lambda c: c.functional != FUNCTIONAL_LEGACY or c.c3 != 0.0,
-     "must be positive under the legacy functional"),
     ("alpha_min", lambda c: math.isfinite(c.alpha_min) and c.alpha_min >= 0.0,
      "must be a finite number >= 0"),
     ("alpha_max", lambda c: math.isfinite(c.alpha_max), "must be a finite number"),

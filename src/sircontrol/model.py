@@ -80,6 +80,10 @@ PARAM_CHECKS: list[tuple[str, Callable[["ModelParams"], bool], str]] = [
     ("r0", lambda p: _finite(p.r0) and p.r0 >= 0.0, "must be a finite number >= 0"),
     ("n_steps", lambda p: isinstance(p.n_steps, int) and p.n_steps >= 2, "must be an integer >= 2"),
     ("functional", lambda p: p.functional in FUNCTIONALS, "must be 'new' or 'legacy'"),
+    # running_cost puts c3 on u1^2 under the legacy functional; a negative
+    # c3 fails the c3 rule above already.
+    ("c3", lambda p: p.functional != FUNCTIONAL_LEGACY or p.c3 != 0.0,
+     "must be positive under the legacy functional"),
 ]
 
 
@@ -89,7 +93,7 @@ class ModelParams:
 
     beta        transmission intensity per (node * time)
     alpha       disease-induced death rate per time
-    c1, c2, c3  cost weights (c1, c2 strictly positive)
+    c1, c2, c3  cost weights (c1, c2 strictly positive; c3 too under "legacy")
     u1_max      vaccination-rate upper bound
     u2_max      treatment-rate upper bound
     horizon     final time T of the control window [0, T]
@@ -146,12 +150,10 @@ def running_cost(p: ModelParams) -> RunningCost:
     "new":    (a_i, w1, w2) = (c3*alpha, c1, c2)
     "legacy": (a_i, w1, w2) = (c1, c3, c2)
 
-    The legacy convention puts c3 on u1^2, so it needs c3 > 0.
+    The legacy convention puts c3 on u1^2; ModelParams holds it to c3 > 0.
     """
     if p.functional == FUNCTIONAL_NEW:
         return RunningCost(a_i=p.c3 * p.alpha, w1=p.c1, w2=p.c2)
-    if p.c3 <= 0.0:
-        raise ValueError("legacy functional requires c3 > 0 (it weights u1^2)")
     return RunningCost(a_i=p.c1, w1=p.c3, w2=p.c2)
 
 

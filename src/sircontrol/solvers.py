@@ -126,26 +126,6 @@ def _probe(psi: tuple[float, float], cost: RunningCost, p: ModelParams) -> tuple
         return math.nan, math.nan
 
 
-def _seed(cost: RunningCost, p: ModelParams) -> tuple[ModelParams, Trajectory, int]:
-    """Seed sweep: (its grid, its trajectory, its sweep count).
-
-    The grid is p's when p has at most 500 steps, else a 500-step grid.
-    RK4 with those longer steps goes unstable on milder problems than on
-    p's own grid, and where both diverge it does so at a time of its
-    own, so a 500-step grid that diverges hands over to p's, where a
-    divergence is raised at its time on the problem's grid.
-    """
-    if p.n_steps > _SEED_STEPS:
-        seed_p = replace(p, n_steps=_SEED_STEPS)
-        try:
-            seed, sweeps, _ = _sweep(cost, seed_p, _SEED_TOL)
-            return seed_p, seed, sweeps
-        except NonFiniteError:
-            pass
-    seed, sweeps, _ = _sweep(cost, p, _SEED_TOL)
-    return p, seed, sweeps
-
-
 def solve_shooting(
     cost: RunningCost,
     p: ModelParams,
@@ -154,8 +134,7 @@ def solve_shooting(
     """Solve the boundary-value problem by single shooting.
 
     The start is psi(0) of a forward-backward sweep run to 1e-6 on the
-    problem's grid, or on 500 steps when the grid is finer (on the
-    problem's grid after all when the 500-step sweep diverges).  The
+    problem's grid, or on 500 steps when the grid is finer.  The
     sweep reads its controls piecewise linearly, so its psi(0) is
     second-order in h and lies within ~1e-5 of the root.  Newton takes
     chord steps on the problem's own grid: it keeps the forward-difference
@@ -168,18 +147,20 @@ def solve_shooting(
     0 < residual_tol < inf.
 
     The report counts the whole solve's work, the seed's sweeps and the
-    seed grid's passes included (but not the sweeps of a seed grid that
-    diverged).  The solve fails fast and says so (converged=False) when
-    a step whose Jacobian is fresh at its point diverges or does not
-    lower the residual norm; a diverging Jacobian probe or a singular
-    Jacobian counts as such a step.  Raises NonFiniteError, at the time
-    of divergence, when the seed sweep or the coupled pass from its
-    start diverges.
+    seed grid's passes included.  The solve fails fast and says so
+    (converged=False) when a step whose Jacobian is fresh at its point
+    diverges or does not lower the residual norm; a diverging Jacobian
+    probe or a singular Jacobian counts as such a step.  Raises
+    NonFiniteError, at the time of divergence on its grid, when the seed
+    sweep or the coupled pass from its start diverges: a seed grid that
+    diverges is not retried on a finer one.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive")
+    # p itself up to 500 steps, so that `grid is p` below holds there.
+    seed_p = p if p.n_steps <= _SEED_STEPS else replace(p, n_steps=_SEED_STEPS)
     try:
-        seed_p, seed, sweeps = _seed(cost, p)
+        seed, sweeps, _ = _sweep(cost, seed_p, _SEED_TOL)
         pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
         traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError as exc:

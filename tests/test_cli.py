@@ -161,11 +161,10 @@ class TestCheckCommand:
         assert out.read_text().count("PASS") == 3
 
     # The driven 20-step run blows up at t = 1 at both betas.  The
-    # Hamiltonian check's 4000-step solve diverges on its own grid, its
-    # 500-step seed grid having diverged first: at beta 20 in the seed
-    # sweep's first state pass, at t = 0.0225; at beta 5 in the coupled
-    # pass from the seed, at t = 4.44.
-    @pytest.mark.parametrize("beta, diverged_at", [("20", "0.0225"), ("5", "4.44")])
+    # Hamiltonian check's 4000-step solve diverges in its seed sweep's
+    # first state pass, the uncontrolled run on the 500-step seed grid:
+    # at t = 0.06 at beta 20 and at t = 0.08 at beta 5.
+    @pytest.mark.parametrize("beta, diverged_at", [("20", "0.06"), ("5", "0.08")])
     def test_diverging_check_fails_and_the_others_still_run(self, tmp_path, capsys, beta, diverged_at):
         cfg = tmp_path / "diverging.cfg"
         cfg.write_text(BASELINE_CFG.replace("beta = 0.01", f"beta = {beta}") + "n_steps = 20\n")

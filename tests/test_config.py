@@ -191,6 +191,10 @@ def test_legacy_functional_needs_positive_c3():
         parse_config(MINIMAL.replace("c3 = 10", "c3 = 0") + "functional = legacy\n")
     assert err.value.problems == [("c3", "must be positive under the legacy functional")]
     assert parse_config(MINIMAL.replace("c3 = 10", "c3 = 0")).params.c3 == 0.0
+    # A negative c3 gets one problem, not a second from the legacy rule.
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace("c3 = 10", "c3 = -1") + "functional = legacy\n")
+    assert err.value.problems == [("c3", "must be a finite number >= 0")]
 
 
 def test_functional_value_is_validated():
@@ -205,14 +209,15 @@ def test_solver_keys_parse_and_validate():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "residual_tol = -1\n")
     assert ("residual_tol", "must be positive") in err.value.problems
-    # Reported after the model's invariants, before the cross-key checks.
+    # Reported after the model's invariants (the legacy functional's c3
+    # rule among them), before the cross-key checks.
     text = MINIMAL.replace("c1 = 1", "c1 = 0").replace("c3 = 10", "c3 = 0")
     with pytest.raises(ConfigError) as err:
         parse_config(text + "functional = legacy\nresidual_tol = nan\nalpha_points = 0\n")
     assert err.value.problems == [
         ("c1", "must be positive"),
-        ("residual_tol", "must be positive"),
         ("c3", "must be positive under the legacy functional"),
+        ("residual_tol", "must be positive"),
         ("alpha_points", "must be >= 1"),
     ]
 

@@ -279,9 +279,11 @@ class TestRunningCostMapping:
         assert (cost.a_i, cost.w1, cost.w2) == (p.c1, p.c3, p.c2)
 
     def test_legacy_needs_positive_c3(self):
-        p = make_baseline_params(functional="legacy", c3=0.0)
-        with pytest.raises(ValueError, match="c3"):
-            running_cost(p)
+        # c3 weights u1^2 under the legacy functional, so the parameters
+        # are rejected before running_cost can map them.
+        with pytest.raises(ValueError, match="c3 must be positive under the legacy functional"):
+            make_baseline_params(functional="legacy", c3=0.0)
+        assert running_cost(make_baseline_params(c3=0.0)).a_i == 0.0
 
     def test_new_at_alpha_zero_has_no_state_term(self):
         p = make_baseline_params(alpha=0.0)

@@ -298,6 +298,47 @@ class TestChordNewton:
         assert report.coupled_integrations == 3 + passes[2000]
         assert report.objective == pytest.approx(reference_values.SHOOTING_OBJECTIVE, rel=1e-12)
 
+    def test_the_retry_rescues_a_stiff_solve(self):
+        # Outside the declared box (beta 50x the baseline, alpha 10x,
+        # both controls capped at 5), the first chord step with the
+        # 500-step seed grid's Jacobian raises the residual.  The fresh
+        # Jacobian on the problem's grid then converges in 17 Newton
+        # steps, 6.2e-7 from the sweep; without the retry the solve ends
+        # after that first step.  Six more stiff configurations converge
+        # only through it: the new functional at beta 0.3 and 0.5, T = 18,
+        # u_max = 5, on 600 to 4000 steps.
+        p = make_baseline_params(beta=0.5, alpha=1.0, u1_max=5.0, u2_max=5.0, functional="legacy")
+        cost = running_cost(p)
+        report = solve_shooting(cost, p)
+        assert report.converged
+        assert report.newton_iters <= 20
+        sweep = solve_forward_backward(cost, p)
+        assert abs(report.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
+
+    @pytest.mark.parametrize("functional", ["new", "legacy"])
+    def test_a_seed_that_diverges_on_500_steps_ends_the_solve(self, monkeypatch, functional):
+        # At beta 5 the seed sweep's first state pass, the uncontrolled
+        # run, blows up at t = 0.08 on the 500-step seed grid.  The solve
+        # raises there; it neither retries the seed on the problem's
+        # 2000 steps nor makes any coupled pass.
+        import sircontrol.solvers
+
+        p = make_baseline_params(beta=5.0, functional=functional)
+        state_passes: dict[int, int] = {}
+        original = sircontrol.solvers.integrate_state_forward
+
+        def counting(u1, u2, cost, p, **kwargs):
+            state_passes[p.n_steps] = state_passes.get(p.n_steps, 0) + 1
+            return original(u1, u2, cost, p, **kwargs)
+
+        monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", counting)
+        passes = _coupled_passes_by_grid(monkeypatch)
+        with pytest.raises(NonFiniteError, match=r"\(shooting start diverged\)") as err:
+            solve_shooting(running_cost(p), p)
+        assert err.value.time == 0.08
+        assert passes == {}
+        assert list(state_passes) == [500]
+
     @pytest.mark.parametrize("n_steps", [200, 500, 800, 1999])
     def test_the_seed_grid_has_at_most_500_steps(self, monkeypatch, n_steps):
         import sircontrol.solvers
@@ -400,6 +441,19 @@ class TestSolveForwardBackward:
         law2 = np.clip(-traj.psi2 * traj.i / (2.0 * cost.w2), 0.0, p.u2_max)
         u, law = np.concatenate((traj.u1, traj.u2)), np.concatenate((law1, law2))
         assert np.max(np.abs(u - law)) / (1.0 + np.max(law)) <= 2e-9
+
+    # Outside the declared box: beta 50 and 500 times the baseline's.
+    # The sweep took 17 sweeps at beta 0.2-5 under both functionals.
+    # Nothing is asserted about shooting here, which does not converge
+    # at these betas (its seed grid diverges at beta 5).
+    @pytest.mark.parametrize("functional", ["new", "legacy"])
+    @pytest.mark.parametrize("beta", [0.5, 5.0])
+    def test_converges_at_large_beta(self, beta, functional):
+        p = make_baseline_params(beta=beta, functional=functional)
+        report = solve_forward_backward(running_cost(p), p)
+        assert report.converged
+        assert report.sweeps <= 20
+        assert math.isfinite(report.objective)
 
     def test_honest_failure_after_max_iters(self, monkeypatch, baseline_params, baseline_cost):
         import sircontrol.solvers
