@@ -6,15 +6,23 @@ a single artifact: the legacy form rewards a rising death rate (its
 optimal value falls as alpha grows), the new form does not.
 
 Every solve stands alone, so a row equals the direct solves at its
-alpha.  One row per alpha is emitted in input order, and failed solves
-are retained with their converged flag down rather than dropped.  A
-solve whose shooting start diverges fails too: nan values, 0 Newton steps.
+alpha, and the 2 * len(alphas) solves run in min(2 * len(alphas),
+usable CPUs) worker processes; their rows equal the serial ones exactly.
+The workers are forked, so they see the parent's imported modules as
+they are, and the sweep needs the ``fork`` start method and
+``os.sched_getaffinity`` (Linux).  No worker outlives the call.  One row
+per alpha is emitted in input order, and failed solves are retained with
+their converged flag down rather than dropped.  A solve whose shooting
+start diverges fails too: nan values, 0 Newton steps.  Any other error
+of a solve reaches the caller.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .errors import NonFiniteError
 from .model import FUNCTIONAL_LEGACY, FUNCTIONAL_NEW, ModelParams, running_cost
@@ -48,11 +56,9 @@ def _outcome(p: ModelParams, residual_tol: float) -> tuple[float, float, bool, f
     return rep.objective, float(rep.trajectory.d[-1]), rep.converged, rep.residual_norm, rep.newton_iters
 
 
-def _solve_point(base: ModelParams, alpha: float, residual_tol: float) -> SweepRow:
-    obj_new, d_new, conv_new, res_new, iters_new = _outcome(
-        replace(base, alpha=alpha, functional=FUNCTIONAL_NEW), residual_tol)
-    obj_legacy, _, conv_legacy, res_legacy, iters_legacy = _outcome(
-        replace(base, alpha=alpha, functional=FUNCTIONAL_LEGACY), residual_tol)
+def _row(alpha: float, new: tuple, legacy: tuple) -> SweepRow:
+    obj_new, d_new, conv_new, res_new, iters_new = new
+    obj_legacy, _, conv_legacy, res_legacy, iters_legacy = legacy
     return SweepRow(
         alpha=alpha,
         objective_new=obj_new,
@@ -74,8 +80,8 @@ def sweep_alpha(
 ) -> list[SweepRow]:
     """Solve both functionals at every alpha; one row per alpha, input order.
 
-    residual_tol is solve_shooting's, which rejects it before any solve
-    unless 0 < residual_tol < inf.
+    residual_tol is solve_shooting's, which rejects it before any
+    integration unless 0 < residual_tol < inf.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -84,4 +90,13 @@ def sweep_alpha(
         raise ValueError("alphas must be >= 0")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-    return [_solve_point(base, alpha, residual_tol) for alpha in alphas]
+    # Built here, so an invalid parameter set raises before any worker starts.
+    problems = [replace(base, alpha=a, functional=f) for a in alphas
+                for f in (FUNCTIONAL_NEW, FUNCTIONAL_LEGACY)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(problems), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        outcomes = list(pool.map(_outcome, problems, repeat(residual_tol)))
+    return [_row(a, new, legacy) for a, new, legacy in zip(alphas, outcomes[::2], outcomes[1::2])]

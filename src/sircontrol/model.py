@@ -44,7 +44,7 @@ Everything here is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -121,6 +121,11 @@ class ModelParams:
         if bad:
             msg = "; ".join(f"{f} {reason}" for f, reason in bad)
             raise ValueError(f"invalid model parameters: {msg}")
+        # Every pass then runs on Python floats: numpy scalars would make
+        # each RK4 stage about twice as slow, for the same values.
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)

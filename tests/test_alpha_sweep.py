@@ -1,10 +1,12 @@
-"""Alpha study: row bookkeeping, rows equal to direct solves, edge alphas."""
+"""Alpha study: row bookkeeping, rows equal to direct solves, edge alphas, workers."""
 
 import math
+import multiprocessing
+from dataclasses import replace
 
 import pytest
 
-from sircontrol import NonFiniteError, running_cost, solve_shooting, sweep_alpha
+from sircontrol import ConfigError, NonFiniteError, running_cost, solve_shooting, sweep_alpha
 
 from conftest import make_baseline_params
 
@@ -35,8 +37,6 @@ class TestSweepAlpha:
     def test_rows_match_direct_solves_field_for_field(self, small_params, grid_rows, alpha):
         # Every solve of the sweep stands alone, so each row of a grid
         # equals the direct solves at its alpha exactly.
-        from dataclasses import replace
-
         row = grid_rows[GRID.index(alpha)]
         assert row.alpha == alpha
         p_new = replace(small_params, alpha=alpha, functional="new")
@@ -107,3 +107,49 @@ class TestSweepAlpha:
             sweep_alpha(small_params, [0.2, 0.1])
         with pytest.raises(ValueError):
             sweep_alpha(small_params, [0.1, 0.1])
+
+
+class TestWorkers:
+    """The solves run in forked worker processes; none outlives a sweep."""
+
+    def test_no_worker_outlives_a_sweep(self, small_params):
+        sweep_alpha(small_params, [0.1, 0.2])
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_reaches_the_caller(self, small_params, monkeypatch):
+        import sircontrol.alpha_sweep
+
+        def fails(cost, p, residual_tol):
+            raise RuntimeError(f"solve failed at alpha {p.alpha}")
+
+        monkeypatch.setattr(sircontrol.alpha_sweep, "solve_shooting", fails)
+        with pytest.raises(RuntimeError, match="solve failed at alpha 0.1"):
+            sweep_alpha(small_params, [0.1, 0.2])
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_config_error_keeps_its_problems(self, small_params, monkeypatch):
+        import sircontrol.alpha_sweep
+
+        def rejects(cost, p, residual_tol):
+            raise ConfigError([("c3", "bad"), ("alpha", f"{p.alpha} is odd")])
+
+        monkeypatch.setattr(sircontrol.alpha_sweep, "solve_shooting", rejects)
+        with pytest.raises(ConfigError) as info:
+            sweep_alpha(small_params, [0.1, 0.2])
+        assert info.value.problems == [("c3", "bad"), ("alpha", "0.1 is odd")]
+        assert multiprocessing.active_children() == []
+
+    def test_a_bad_tolerance_raises_and_leaves_no_worker(self, small_params):
+        with pytest.raises(ValueError, match="residual_tol must be positive"):
+            sweep_alpha(small_params, [0.1, 0.2], residual_tol=0.0)
+        assert multiprocessing.active_children() == []
+
+    def test_invalid_parameters_raise_before_any_worker_starts(self, small_params, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="invalid model parameters: c3 must be positive"):
+            sweep_alpha(replace(small_params, c3=0.0), [0.1])  # c3 = 0 is legal only under "new"

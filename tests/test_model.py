@@ -288,3 +288,28 @@ class TestRunningCostMapping:
     def test_new_at_alpha_zero_has_no_state_term(self):
         p = make_baseline_params(alpha=0.0)
         assert running_cost(p).a_i == 0.0
+
+
+class TestPlainFloats:
+    FLOAT_FIELDS = ("beta", "alpha", "c1", "c2", "c3", "u1_max", "u2_max", "horizon", "s0", "i0", "r0")
+
+    def test_numpy_scalars_are_held_as_floats(self):
+        base = make_baseline_params()
+        p = ModelParams(**{**base.__dict__, **{f: np.float64(getattr(base, f)) for f in self.FLOAT_FIELDS}})
+        assert all(type(getattr(p, f)) is float for f in self.FLOAT_FIELDS)
+        assert type(p.n_steps) is int and p.functional == "new"
+        assert p == base
+
+    def test_a_numpy_scalar_solve_equals_the_float_solve_bit_for_bit(self):
+        from sircontrol import solve_shooting
+
+        # Criterion 04 builds its draws from numpy products like these.
+        factors = np.array([1.3, 0.7])
+        floats = make_baseline_params(n_steps=400, beta=float(0.01 * factors[0]), alpha=float(0.1 * factors[1]))
+        scalars = make_baseline_params(n_steps=400, beta=0.01 * factors[0], alpha=0.1 * factors[1])
+        want = solve_shooting(running_cost(floats), floats)
+        got = solve_shooting(running_cost(scalars), scalars)
+        assert (got.objective, got.residual_norm, got.newton_iters) == (
+            want.objective, want.residual_norm, want.newton_iters)
+        assert np.array_equal(got.trajectory.s, want.trajectory.s)
+        assert np.array_equal(got.trajectory.psi2, want.trajectory.psi2)

@@ -1,8 +1,12 @@
-"""Public surface: the exported names, and the README's quickstart runs."""
+"""Public surface: the exported names, picklable errors, a light import, and the README's quickstart runs."""
 
 import importlib
+import os
+import pickle
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sircontrol
@@ -49,3 +53,33 @@ def test_readme_quickstart_runs(capsys):
     code = re.search(r"```python\n(.*?)```", quickstart, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.split()[1] == "True"  # report.converged
+
+
+def test_every_exported_error_survives_pickling():
+    # The alpha study's worker processes hand their errors back pickled.
+    errors = [
+        sircontrol.SirControlError("plain"),
+        sircontrol.NonFiniteError(0.5),
+        sircontrol.NonFiniteError(0.5, "shooting start diverged"),
+        sircontrol.TooLargeError("4096 schedules exceed the guard"),
+        sircontrol.ConfigError([("c3", "bad"), ("alpha", "must be a finite number >= 0")]),
+    ]
+    exported = {getattr(sircontrol, name) for name in sircontrol.__all__}
+    assert {type(exc) for exc in errors} == {t for t in exported if isinstance(t, type) and issubclass(t, Exception)}
+    for exc in errors:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert getattr(back, "time", None) == getattr(exc, "time", None)
+        assert getattr(back, "problems", None) == getattr(exc, "problems", None)
+    assert str(errors[2]) == "non-finite value encountered at t = 0.5 (shooting start diverged)"
+    assert str(errors[4]) == "invalid configuration: c3: bad; alpha: must be a finite number >= 0"
+
+
+def test_importing_the_package_loads_no_process_machinery():
+    # The alpha study imports its worker pool when it runs, so import time stays low.
+    code = "import sys, sircontrol; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    src = str(Path(sircontrol.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
