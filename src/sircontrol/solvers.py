@@ -16,7 +16,10 @@ costates must vanish at the final time.  Two solvers attack it:
                             nodes, and the clamp law until the control
                             schedule reaches a fixed point, each next
                             schedule extrapolated from the last step by
-                            Anderson mixing of depth one.
+                            Anderson mixing of depth one, on the
+                            problem's grid from the schedule of the same
+                            500-step seed sweep that shooting starts
+                            from, interpolated.
 
 The sweep only picks the shooting solve's start: shooting's answer is
 still the root of its own residual, the terminal costates of the coupled
@@ -60,7 +63,8 @@ __all__ = [
 ]
 
 # Shooting: relative step of the forward-difference Jacobian, Newton
-# iteration cap, and the seed sweep's tolerance and largest grid.  The
+# iteration cap, and the seed sweep's tolerance and largest grid (the
+# same seed starts the forward-backward sweep on finer grids).  The
 # sweep's psi(0) is second-order in h: on the baseline at 500 steps it
 # lies 6.9e-6 (new) and 8.1e-6 (legacy) from the 4000-step shooting
 # root, against 9.4e-4 and 2.6e-3 when each control was held constant
@@ -84,8 +88,9 @@ class SolveReport:
     """Outcome of one solve, returned even on failure (converged=False).
 
     sweeps counts the forward-backward sweeps the solve ran, one state
-    and one costate pass each: the seed's for shooting, all of them for
-    the forward-backward sweep.  newton_iters counts the shooting solve's
+    and one costate pass each: the seed's for shooting, the seed's and
+    the problem grid's for the forward-backward sweep (a seed that
+    diverges counts none).  newton_iters counts the shooting solve's
     Newton iterations and coupled_integrations its coupled passes on
     either grid, Jacobian probes and rejected steps included; both stay 0
     for the forward-backward sweep.  residual_norm is max(|psi1(T)|,
@@ -157,8 +162,7 @@ def solve_shooting(
     """
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive")
-    # p itself up to 500 steps, so that `grid is p` below holds there.
-    seed_p = p if p.n_steps <= _SEED_STEPS else replace(p, n_steps=_SEED_STEPS)
+    seed_p = _seed_grid(p)
     try:
         seed, sweeps, _ = _sweep(cost, seed_p, _SEED_TOL)
         pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
@@ -220,7 +224,15 @@ def solve_shooting(
     )
 
 
-def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, int, bool]:
+def _seed_grid(p: ModelParams) -> ModelParams:
+    """The seed sweep's problem: p itself up to 500 steps, so that
+    `grid is p` holds there, else p on 500 steps."""
+    return p if p.n_steps <= _SEED_STEPS else replace(p, n_steps=_SEED_STEPS)
+
+
+def _sweep(
+    cost: RunningCost, p: ModelParams, tol: float, u: np.ndarray | None = None
+) -> tuple[Trajectory, int, bool]:
     """Forward-backward sweep to a control fixed point within tol.
 
     Anderson(1) mixing on u = Phi(u), where u stacks the 2*(n+1) node
@@ -229,13 +241,15 @@ def _sweep(cost: RunningCost, p: ModelParams, tol: float) -> tuple[Trajectory, i
     and du, df the differences from the previous (u, f), the next
     schedule is u + b*f - g*(du + b*df), with b the mixing and
     g = <df, f> / <df, df> (no correction when df = 0), clipped to the
-    control box.
+    control box.  The first schedule is u, the stacked node controls
+    (u1, u2) inside the box, or zero controls when u is None.
     Returns (the last sweep's state and costates under its schedule u,
     sweeps, converged): when converged, the pass whose u passed the test.
     """
     n = p.n_steps
     upper = np.concatenate((np.full(n + 1, p.u1_max), np.full(n + 1, p.u2_max)))
-    u = np.zeros(2 * (n + 1))
+    if u is None:
+        u = np.zeros(2 * (n + 1))
     u_prev = f_prev = None  # the previous (u, f) pair, f = Phi(u) - u
     converged = False
     iters = 0
@@ -274,11 +288,18 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     schedule is u + 0.7 * f, f = Phi(u) - u, corrected by the multiple
     of the last step that best cancels f, and clipped to the control
     box.  Converged when max|Phi(u) - u| / (1 + max|Phi(u)|) is at most
-    2e-9; the report holds that u and its pass.  On the baseline this
-    takes 19-24 sweeps across alpha 0.05-0.5 under both functionals,
-    and 18-26 at horizons 5 to 18.  The terminal-costate
+    2e-9; the report holds that u and its pass.  The terminal-costate
     residual is zero by construction of the backward pass, so
     convergence is measured on the control fixed point.
+
+    On grids finer than 500 steps the sweep starts from a coarse
+    answer (nested iteration): the seed sweep that solve_shooting runs,
+    to 1e-6 on 500 steps, its node schedule interpolated linearly to
+    the problem's grid.  When that seed diverges, the sweep starts from
+    zero controls, as it does on grids of at most 500 steps.  On the
+    baseline this takes 13-17 seed sweeps and 10-14 on 2000 steps
+    across alpha 0.05-0.5 under both functionals, and 12-20 plus 8-14
+    at horizons 5 to 18.
 
     Both passes read the schedule piecewise linearly between nodes
     (integrate.py), so the sweep's state, costates and objective are
@@ -287,7 +308,18 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     (new) and 3.8e-7 (legacy) with each control held constant over a
     step.
     """
-    full, iters, converged = _sweep(cost, p, _FBS_TOL)
+    seed_p = _seed_grid(p)
+    start, seed_sweeps = None, 0
+    if seed_p is not p:
+        try:
+            seed, seed_sweeps, _ = _sweep(cost, seed_p, _SEED_TOL)
+        except NonFiniteError:
+            pass  # the fine sweep may still converge from zero controls
+        else:
+            nodes = np.linspace(0.0, seed_p.n_steps, p.n_steps + 1)
+            coarse = np.arange(seed_p.n_steps + 1)
+            start = np.concatenate([np.interp(nodes, coarse, u) for u in (seed.u1, seed.u2)])
+    full, iters, converged = _sweep(cost, p, _FBS_TOL, start)
     return SolveReport(
         trajectory=full,
         objective=float(full.z[-1]),
@@ -295,7 +327,7 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
         newton_iters=0,
         converged=converged,
         solver="forward-backward",
-        sweeps=iters,
+        sweeps=seed_sweeps + iters,
         coupled_integrations=0,
     )
 

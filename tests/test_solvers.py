@@ -263,6 +263,22 @@ def _coupled_passes_by_grid(monkeypatch) -> dict[int, int]:
     return passes
 
 
+def _state_passes_by_grid(monkeypatch) -> dict[int, int]:
+    """Count the solvers' state passes per grid size from here on, the
+    grids in the order of their first pass."""
+    import sircontrol.solvers
+
+    passes: dict[int, int] = {}
+    original = sircontrol.solvers.integrate_state_forward
+
+    def counting(u1, u2, cost, p, **kwargs):
+        passes[p.n_steps] = passes.get(p.n_steps, 0) + 1
+        return original(u1, u2, cost, p, **kwargs)
+
+    monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", counting)
+    return passes
+
+
 class TestChordNewton:
     def test_each_chord_step_spends_one_pass_on_the_problem_grid(
         self, monkeypatch, baseline_params, baseline_cost
@@ -321,17 +337,8 @@ class TestChordNewton:
         # run, blows up at t = 0.08 on the 500-step seed grid.  The solve
         # raises there; it neither retries the seed on the problem's
         # 2000 steps nor makes any coupled pass.
-        import sircontrol.solvers
-
         p = make_baseline_params(beta=5.0, functional=functional)
-        state_passes: dict[int, int] = {}
-        original = sircontrol.solvers.integrate_state_forward
-
-        def counting(u1, u2, cost, p, **kwargs):
-            state_passes[p.n_steps] = state_passes.get(p.n_steps, 0) + 1
-            return original(u1, u2, cost, p, **kwargs)
-
-        monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", counting)
+        state_passes = _state_passes_by_grid(monkeypatch)
         passes = _coupled_passes_by_grid(monkeypatch)
         with pytest.raises(NonFiniteError, match=r"\(shooting start diverged\)") as err:
             solve_shooting(running_cost(p), p)
@@ -341,17 +348,8 @@ class TestChordNewton:
 
     @pytest.mark.parametrize("n_steps", [200, 500, 800, 1999])
     def test_the_seed_grid_has_at_most_500_steps(self, monkeypatch, n_steps):
-        import sircontrol.solvers
-
         p = make_baseline_params(n_steps=n_steps)
-        sweeps: dict[int, int] = {}
-        original = sircontrol.solvers.integrate_state_forward
-
-        def counting(u1, u2, cost, p, **kwargs):
-            sweeps[p.n_steps] = sweeps.get(p.n_steps, 0) + 1
-            return original(u1, u2, cost, p, **kwargs)
-
-        monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", counting)
+        sweeps = _state_passes_by_grid(monkeypatch)
         passes = _coupled_passes_by_grid(monkeypatch)
         report = solve_shooting(running_cost(p), p)
         assert report.converged
@@ -363,22 +361,56 @@ class TestChordNewton:
 
 
 class TestSolveForwardBackward:
-    def test_zero_state_weight_converges_immediately(self):
+    # Zero controls are the fixed point here: one sweep on each grid.
+    def test_zero_state_weight_converges_immediately(self, monkeypatch):
         p = make_baseline_params(alpha=0.0)
+        passes = _state_passes_by_grid(monkeypatch)
         report = solve_forward_backward(running_cost(p), p)
         assert report.converged
-        assert (report.sweeps, report.newton_iters) == (1, 0)
+        assert passes == {500: 1, 2000: 1}
+        assert (report.sweeps, report.newton_iters) == (2, 0)
         assert report.objective == 0.0
         assert np.all(report.trajectory.u1 == 0.0)
 
-    def test_degenerate_control_box(self, baseline_cost):
+    def test_degenerate_control_box(self, monkeypatch, baseline_cost):
         p = make_baseline_params(u1_max=0.0, u2_max=0.0)
+        passes = _state_passes_by_grid(monkeypatch)
         report = solve_forward_backward(baseline_cost, p)
         assert report.converged
-        assert (report.sweeps, report.newton_iters) == (1, 0)
+        assert passes == {500: 1, 2000: 1}
+        assert (report.sweeps, report.newton_iters) == (2, 0)
         assert np.all(report.trajectory.u1 == 0.0)
 
-    # Anderson mixing takes 19-24 sweeps on each scenario here.  A
+    # The sweep on the problem's grid starts from the 500-step seed's
+    # schedule, so it is the seed's sweeps plus the fine grid's.  Grids of
+    # at most 500 steps are their own seed grid and sweep from zero
+    # controls once.  At beta 5 the seed's first state pass, the
+    # uncontrolled run, diverges on 500 steps at t = 0.08; the
+    # 2000-step sweep then starts from zero controls and converges.
+    # Without the seed start, the 2000-step sweep takes 19 on the baseline.
+    @pytest.mark.parametrize(
+        "overrides, passes_by_grid, sweeps",
+        [
+            ({}, [(500, 15), (2000, 11)], 26),
+            ({"n_steps": 200}, [(200, 18)], 18),
+            ({"n_steps": 500}, [(500, 19)], 19),
+            ({"beta": 5.0}, [(500, 1), (2000, 17)], 17),
+            ({"beta": 5.0, "functional": "legacy"}, [(500, 1), (2000, 17)], 17),
+        ],
+        ids=["baseline", "n200", "n500", "beta5-new", "beta5-legacy"],
+    )
+    def test_the_sweep_starts_from_the_seed_grid(
+        self, monkeypatch, overrides, passes_by_grid, sweeps
+    ):
+        p = make_baseline_params(**overrides)
+        passes = _state_passes_by_grid(monkeypatch)
+        report = solve_forward_backward(running_cost(p), p)
+        assert report.converged
+        assert list(passes.items()) == passes_by_grid
+        assert report.sweeps == sweeps
+
+    # Anderson mixing takes 25-30 sweeps on each scenario here: 15-17 on
+    # the 500-step seed grid and 10-13 on 2000 steps from its schedule.  A
     # relaxation halved on a stall took 69 (legacy, T15) to 198 (alpha
     # 0.05) and never converged at legacy alpha 0.45, so the bound of 40
     # catches a fallback to slow mixing.
@@ -407,24 +439,28 @@ class TestSolveForwardBackward:
     def test_every_swept_schedule_lies_in_the_control_box(self, monkeypatch):
         # Anderson steps extrapolate past [0, u_max] on this box (by up to
         # 4e-5 without the clip); every schedule that drives a state pass
-        # must be clipped back into it.
+        # must be clipped back into it.  At 2000 steps that includes the
+        # start interpolated from the 500-step seed (11 + 6 passes).
         import sircontrol.solvers
 
-        p = make_baseline_params(n_steps=200, u1_max=0.5, u2_max=0.3)
+        box = {"u1_max": 0.5, "u2_max": 0.3}
         original = sircontrol.solvers.integrate_state_forward
         passes = 0
 
         def checking(u1, u2, *args, **kwargs):
             nonlocal passes
             passes += 1
-            assert np.all((u1 >= 0.0) & (u1 <= p.u1_max))
-            assert np.all((u2 >= 0.0) & (u2 <= p.u2_max))
+            assert np.all((u1 >= 0.0) & (u1 <= box["u1_max"]))
+            assert np.all((u2 >= 0.0) & (u2 <= box["u2_max"]))
             return original(u1, u2, *args, **kwargs)
 
         monkeypatch.setattr(sircontrol.solvers, "integrate_state_forward", checking)
-        report = solve_forward_backward(running_cost(p), p)
-        assert report.converged
-        assert passes == report.sweeps
+        for n_steps in (200, 2000):
+            passes = 0
+            p = make_baseline_params(n_steps=n_steps, **box)
+            report = solve_forward_backward(running_cost(p), p)
+            assert report.converged
+            assert passes == report.sweeps
 
     @pytest.mark.parametrize(
         "overrides", [{}, {"functional": "legacy", "alpha": 0.15}], ids=["new", "legacy-alpha0.15"]
@@ -443,25 +479,32 @@ class TestSolveForwardBackward:
         assert np.max(np.abs(u - law)) / (1.0 + np.max(law)) <= 2e-9
 
     # Outside the declared box: beta 50 and 500 times the baseline's.
-    # The sweep took 17 sweeps at beta 0.2-5 under both functionals.
+    # State passes per grid: at beta 0.5, 13 on 500 steps and 13 (new)
+    # or 11 (legacy) on 2000; at beta 5 the seed diverges on its first
+    # pass and the sweep from zero controls takes 17 on 2000 steps.
     # Nothing is asserted about shooting here, which does not converge
     # at these betas (its seed grid diverges at beta 5).
     @pytest.mark.parametrize("functional", ["new", "legacy"])
     @pytest.mark.parametrize("beta", [0.5, 5.0])
-    def test_converges_at_large_beta(self, beta, functional):
+    def test_converges_at_large_beta(self, monkeypatch, beta, functional):
         p = make_baseline_params(beta=beta, functional=functional)
+        passes = _state_passes_by_grid(monkeypatch)
         report = solve_forward_backward(running_cost(p), p)
         assert report.converged
-        assert report.sweeps <= 20
+        assert max(passes.values()) <= 20
         assert math.isfinite(report.objective)
 
     def test_honest_failure_after_max_iters(self, monkeypatch, baseline_params, baseline_cost):
+        # The cap holds on each grid: the seed stops unconverged after
+        # two sweeps and the sweep on 2000 steps starts from it anyway.
         import sircontrol.solvers
 
         monkeypatch.setattr(sircontrol.solvers, "_FBS_MAX_SWEEPS", 2)
+        passes = _state_passes_by_grid(monkeypatch)
         report = solve_forward_backward(baseline_cost, baseline_params)
         assert not report.converged
-        assert (report.sweeps, report.newton_iters) == (2, 0)
+        assert passes == {500: 2, 2000: 2}
+        assert (report.sweeps, report.newton_iters) == (4, 0)
 
 
 class TestControlGradient:
