@@ -37,7 +37,10 @@ on arrays), so the cross-checks integrate exactly the same system.  The
 kernels take flat arguments and return plain tuples: the RK4 loops call
 them several times per step on Python floats, where building value
 objects would cost more than the arithmetic, and the same code runs
-unchanged on numpy lanes or whole trajectory arrays.
+unchanged on numpy lanes or whole trajectory arrays.  One more kernel,
+coupled_linearization, differentiates the coupled state-costate system
+under the clamp law for shooting's exact Jacobian; it runs on numpy
+lanes only and returns one 4x4 matrix per lane.
 Everything here is a pure function.
 """
 
@@ -250,3 +253,27 @@ def optimal_controls_lanes(s, i, psi1, psi2, w1, w2, u1_max, u2_max):
         np.where(u1 <= 0.0, 0.0, np.where(u1 >= u1_max, u1_max, u1)),
         np.where(u2 <= 0.0, 0.0, np.where(u2 >= u2_max, u2_max, u2)),
     )
+
+
+def coupled_linearization(s, i, psi1, psi2, u1, u2, beta, alpha, w1, w2, u1_max, u2_max):
+    """Derivative of (dS, dI, dpsi1, dpsi2) in (S, I, psi1, psi2), clamp law substituted.
+
+    (u1, u2) must be the clamp law's controls at the point.  Each control
+    moves with its stationary point, u1 with -psi1*S/(2*w1) and u2 with
+    -psi2*I/(2*w2), strictly inside its box (0 < u < u_max), and is held
+    where it clamps, a bound tie included, as the law's inclusive
+    comparisons resolve it.  Works on 1-d numpy lanes: returns an array of
+    shape (lanes, 4, 4), rows the derivatives, columns the variables.
+    """
+    g1 = (-0.5 / w1) * ((u1 > 0.0) & (u1 < u1_max))
+    g2 = (-0.5 / w2) * ((u2 > 0.0) & (u2 < u2_max))
+    du1_ds, du1_dp1 = g1 * psi1, g1 * s
+    du2_di, du2_dp2 = g2 * psi2, g2 * i
+    beta_s, beta_i, beta_dp = beta * s, beta * i, beta * (psi1 - psi2)
+    zero = np.zeros_like(beta_s)
+    return np.array([
+        [-beta_i - u1 - s * du1_ds, -beta_s, -s * du1_dp1, zero],
+        [beta_i, beta_s - u2 - alpha - i * du2_di, zero, -i * du2_dp2],
+        [psi1 * du1_ds, beta_dp, beta_i + u1 + psi1 * du1_dp1, -beta_i],
+        [beta_dp, psi2 * du2_di, beta_s, -beta_s + u2 + alpha + psi2 * du2_dp2],
+    ]).transpose(2, 0, 1)

@@ -98,7 +98,6 @@ def solve_summary(report: SolveReport, config: ResolvedConfig) -> str:
         f"terminal residual:  {fmt(report.residual_norm)}",
         f"newton iterations:  {report.newton_iters}",
         f"seed sweeps:        {report.sweeps}",
-        f"coupled passes:     {report.coupled_integrations}",
         f"initial costate:    ({fmt(traj.psi1[0])}, {fmt(traj.psi2[0])})",
         f"final state:        S={fmt(traj.s[-1])} I={fmt(traj.i[-1])} "
         f"R={fmt(traj.r[-1])} D={fmt(traj.d[-1])}",

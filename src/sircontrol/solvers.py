@@ -5,11 +5,11 @@ boundary-value problem: the state starts at (s0, i0, r0, 0) while the
 costates must vanish at the final time.  Two solvers attack it:
 
   * solve_shooting          single shooting on the unknown initial
-                            costates psi(0): chord Newton steps on the
-                            2-vector residual psi(T), from psi(0) of a
+                            costates psi(0): Newton steps on the 2-vector
+                            residual psi(T), from psi(0) of a
                             forward-backward sweep on a grid of at most
-                            500 steps, with the forward-difference 2x2
-                            Jacobian taken there, solved in closed form;
+                            500 steps, each with the exact 2x2 Jacobian
+                            of its coupled RK4 pass, solved in closed form;
   * solve_forward_backward  forward-backward sweep: alternate forward
                             state / backward costate integrations, the
                             controls read piecewise linearly between
@@ -30,8 +30,8 @@ cross-check.  control_gradient supplies the adjoint-based derivative of
 the objective with respect to a piecewise-constant schedule, used for
 finite-difference verification.
 
-Only the shooting tolerance, residual_tol, is an argument; the
-difference step, the Newton cap, the seed's tolerance and grid and every
+Only the shooting tolerance, residual_tol, is an argument; the Newton
+cap, the Jacobian's block size, the seed's tolerance and grid and every
 setting of the sweep are the module constants below, since no caller
 needs another value.
 """
@@ -52,7 +52,14 @@ from .integrate import (
     integrate_state_forward,
     interval_boundaries,
 )
-from .model import ModelParams, RunningCost, optimal_controls_lanes
+from .model import (
+    ModelParams,
+    RunningCost,
+    adjoint_rhs,
+    coupled_linearization,
+    optimal_controls_lanes,
+    state_rhs,
+)
 
 __all__ = [
     "SolveReport",
@@ -62,19 +69,20 @@ __all__ = [
     "control_gradient",
 ]
 
-# Shooting: relative step of the forward-difference Jacobian, Newton
-# iteration cap, and the seed sweep's tolerance and largest grid (the
-# same seed starts the forward-backward sweep on finer grids).  The
-# sweep's psi(0) is second-order in h: on the baseline at 500 steps it
-# lies 6.9e-6 (new) and 8.1e-6 (legacy) from the 4000-step shooting
-# root, against 9.4e-4 and 2.6e-3 when each control was held constant
-# over a step, so chord steps with the seed grid's Jacobian converge on
-# the problem's own grid.  With the seed at 1e-4 the legacy functional
-# at T = 18 took 18 chord steps, at 1e-5 6 and at 1e-6 5.
-_FD_EPSILON = 1e-6
+# Shooting: Newton iteration cap, the seed sweep's tolerance and largest
+# grid (the same seed starts the forward-backward sweep on finer grids),
+# and the most steps whose matrices the Jacobian holds at once: on 2000
+# steps one Jacobian allocates at most 2.7 MiB with all of them at once
+# and 0.7 MiB in blocks of 500, at the same speed.  The sweep's psi(0)
+# is second-order in h: on the baseline at 500 steps it lies 6.9e-6
+# (new) and 8.1e-6 (legacy) from the 4000-step shooting root, against
+# 9.4e-4 and 2.6e-3 when each control was held constant over a step, so
+# Newton converges from it on the problem's own grid in 2-3 steps
+# across the declared box.
 _MAX_NEWTON_ITERS = 50
 _SEED_TOL = 1e-6
 _SEED_STEPS = 500
+_JACOBIAN_BLOCK = 500
 
 # Forward-backward sweep: sweep cap, tolerance on the control fixed point,
 # and Anderson(1)'s mixing (the step's fraction of the residual).
@@ -91,12 +99,12 @@ class SolveReport:
     and one costate pass each: the seed's for shooting, the seed's and
     the problem grid's for the forward-backward sweep (a seed that
     diverges counts none).  newton_iters counts the shooting solve's
-    Newton iterations and coupled_integrations its coupled passes on
-    either grid, Jacobian probes and rejected steps included; both stay 0
-    for the forward-backward sweep.  residual_norm is max(|psi1(T)|,
-    |psi2(T)|), which the sweep's backward pass makes exactly 0; the
-    sweep's converged flag says that its control fixed point was reached
-    within 500 sweeps.
+    Newton steps, a rejected last step included; each is one coupled
+    pass beyond the one from the start, and it stays 0 for the
+    forward-backward sweep.  residual_norm is max(|psi1(T)|, |psi2(T)|),
+    which the sweep's backward pass makes exactly 0; the sweep's
+    converged flag says that its control fixed point was reached within
+    500 sweeps.
     """
 
     trajectory: Trajectory
@@ -106,7 +114,6 @@ class SolveReport:
     converged: bool
     solver: str
     sweeps: int
-    coupled_integrations: int
 
 
 def shooting_residual(
@@ -123,14 +130,6 @@ def _residual_of(traj: Trajectory) -> tuple[float, float, float]:
     return r1, r2, max(abs(r1), abs(r2))
 
 
-def _probe(psi: tuple[float, float], cost: RunningCost, p: ModelParams) -> tuple[float, float]:
-    """shooting_residual, or (nan, nan) when the coupled pass diverges."""
-    try:
-        return shooting_residual(psi, cost, p)
-    except NonFiniteError:
-        return math.nan, math.nan
-
-
 def solve_shooting(
     cost: RunningCost,
     p: ModelParams,
@@ -141,74 +140,45 @@ def solve_shooting(
     The start is psi(0) of a forward-backward sweep run to 1e-6 on the
     problem's grid, or on 500 steps when the grid is finer.  The
     sweep reads its controls piecewise linearly, so its psi(0) is
-    second-order in h and lies within ~1e-5 of the root.  Newton takes
-    chord steps on the problem's own grid: it keeps the forward-difference
-    Jacobian taken at the start on the seed's grid (three coupled passes
-    there, two when that grid is the problem's), one coupled pass per
-    accepted step, and recomputes the Jacobian at the current point after
-    a rejected step (once) and after an accepted step that does not halve
-    the residual norm.  Newton stops when max(|psi1(T)|, |psi2(T)|)
-    <= residual_tol.  Raises ValueError, before any integration, unless
-    0 < residual_tol < inf.
+    second-order in h and lies within ~1e-5 of the root.  Newton then
+    takes full steps on the problem's own grid, one coupled pass each,
+    with the exact Jacobian of the pass it starts from (_jacobian), until
+    max(|psi1(T)|, |psi2(T)|) <= residual_tol.  Raises ValueError, before
+    any integration, unless 0 < residual_tol < inf.
 
-    The report counts the whole solve's work, the seed's sweeps and the
-    seed grid's passes included.  The solve fails fast and says so
-    (converged=False) when a step whose Jacobian is fresh at its point
-    diverges or does not lower the residual norm; a diverging Jacobian
-    probe or a singular Jacobian counts as such a step.  Raises
-    NonFiniteError, at the time of divergence on its grid, when the seed
-    sweep or the coupled pass from its start diverges: a seed grid that
-    diverges is not retried on a finer one.
+    The report counts the seed's sweeps and the Newton steps; the solve
+    makes 1 + newton_iters coupled passes.  It fails fast and says so
+    (converged=False) when the Jacobian is singular or not finite, which
+    counts no step, or when a step diverges or does not lower the
+    residual norm.  Raises NonFiniteError, at the time of divergence on
+    its grid, when the seed sweep or the coupled pass from its start
+    diverges: a seed grid that diverges is not retried on a finer one.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive")
-    seed_p = _seed_grid(p)
     try:
-        seed, sweeps, _ = _sweep(cost, seed_p, _SEED_TOL)
+        seed, sweeps, _ = _sweep(cost, _seed_grid(p), _SEED_TOL)
         pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
         traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError as exc:
         raise NonFiniteError(exc.time, "shooting start diverged") from exc
     r1, r2, norm = _residual_of(traj)
-    integrations = 1
     iters = 0
-    jac = None
 
     while norm > residual_tol and iters < _MAX_NEWTON_ITERS:
-        fresh = False
-        if jac is None:
-            # Forward-difference Jacobian [[a, b], [c, d]] of the residual,
-            # the first at the start on the seed's grid, later ones at
-            # the current point on the problem's.
-            grid = seed_p if iters == 0 else p
-            fresh = grid is p
-            q1, q2 = (r1, r2) if fresh else _probe((pa, pb), cost, grid)
-            da = _FD_EPSILON * max(1.0, abs(pa))
-            db = _FD_EPSILON * max(1.0, abs(pb))
-            qa1, qa2 = _probe((pa + da, pb), cost, grid)
-            qb1, qb2 = _probe((pa, pb + db), cost, grid)
-            integrations += 2 if fresh else 3
-            jac = ((qa1 - q1) / da, (qb1 - q1) / db, (qa2 - q2) / da, (qb2 - q2) / db)
-        a, b, c, d = jac
+        a, b, c, d = _jacobian(traj, cost, p)
         det = a * d - b * c
+        if not (det != 0.0 and math.isfinite(det)):
+            break
         iters += 1
-        trial_norm = math.inf
-        if det != 0.0 and math.isfinite(det):
-            trial = (pa + (-r1 * d + r2 * b) / det, pb + (-r2 * a + r1 * c) / det)
-            integrations += 1
-            try:
-                trial_traj = integrate_coupled(trial, cost, p)
-            except NonFiniteError:
-                pass
-            else:
-                t1, t2, trial_norm = _residual_of(trial_traj)
+        trial = (pa + (-r1 * d + r2 * b) / det, pb + (-r2 * a + r1 * c) / det)
+        try:
+            trial_traj = integrate_coupled(trial, cost, p)
+        except NonFiniteError:
+            break
+        t1, t2, trial_norm = _residual_of(trial_traj)
         if not trial_norm < norm:
-            if fresh:
-                break
-            jac = None  # a stale Jacobian gets one fresh retry
-            continue
-        if trial_norm > 0.5 * norm:
-            jac = None  # a step that does not halve the norm: refresh at the new point
+            break
         pa, pb = trial
         traj, r1, r2, norm = trial_traj, t1, t2, trial_norm
 
@@ -220,8 +190,62 @@ def solve_shooting(
         converged=norm <= residual_tol,
         solver="shooting",
         sweeps=sweeps,
-        coupled_integrations=integrations,
     )
+
+
+def _jacobian(traj: Trajectory, cost: RunningCost, p: ModelParams) -> tuple[float, float, float, float]:
+    """Exact derivative (a, b, c, d) = d(psi1(T), psi2(T)) / d(psi1(0), psi2(0))
+    of the coupled RK4 pass that produced traj.
+
+    Each step's RK4 stage points are rebuilt from the stored nodes on
+    numpy lanes with the kernels the pass called, and the chain rule runs
+    through the four stages: with A_j the model's linearization at stage
+    j, K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2),
+    K4 = A4 (I + h K3), and the step's matrix is
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).  The product of the step
+    matrices, taken in a balanced tree per block of at most 500 steps,
+    maps (S, I, psi1, psi2) at t = 0 to t = T; the start's state is
+    fixed, so the answer is its costate block.  Overflow gives a
+    non-finite entry, quietly, which the caller treats as a failed step.
+    """
+    n = p.n_steps
+    h = p.horizon / n
+    beta, alpha = p.beta, p.alpha
+    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
+    u1m, u2m = p.u1_max, p.u2_max
+    eye = np.eye(4)
+
+    def slopes(s, i, psi1, psi2, u1, u2):
+        ds, di, _, _, _, _ = state_rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
+        dp1, dp2 = adjoint_rhs(s, i, psi1, psi2, u1, u2, beta, alpha, a_i)
+        lin = coupled_linearization(s, i, psi1, psi2, u1, u2, beta, alpha, w1, w2, u1m, u2m)
+        return (ds, di, dp1, dp2), lin
+
+    def stage(x, k, f):
+        xs, xi, x1, x2 = (xv + f * kv for xv, kv in zip(x, k))
+        return slopes(xs, xi, x1, x2, *optimal_controls_lanes(xs, xi, x1, x2, w1, w2, u1m, u2m))
+
+    total = eye
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _JACOBIAN_BLOCK):
+            nodes = slice(lo, min(lo + _JACOBIAN_BLOCK, n))
+            x = (traj.s[nodes], traj.i[nodes], traj.psi1[nodes], traj.psi2[nodes])
+            # Stage 1's controls are the ones the pass stored at the node.
+            f1, k1 = slopes(*x, traj.u1[nodes], traj.u2[nodes])
+            f2, a2 = stage(x, f1, h / 2.0)
+            f3, a3 = stage(x, f2, h / 2.0)
+            _, a4 = stage(x, f3, h)
+            k2 = a2 @ (eye + h / 2.0 * k1)
+            k3 = a3 @ (eye + h / 2.0 * k2)
+            k4 = a4 @ (eye + h * k3)
+            steps = eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            while len(steps) > 1:
+                # Later steps multiply from the left.
+                half = len(steps) // 2
+                paired = steps[1:2 * half:2] @ steps[0:2 * half:2]
+                steps = np.concatenate((paired, steps[2 * half:]))
+            total = steps[0] @ total
+    return float(total[2, 2]), float(total[2, 3]), float(total[3, 2]), float(total[3, 3])
 
 
 def _seed_grid(p: ModelParams) -> ModelParams:
@@ -328,7 +352,6 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
         converged=converged,
         solver="forward-backward",
         sweeps=seed_sweeps + iters,
-        coupled_integrations=0,
     )
 
 

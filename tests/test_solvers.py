@@ -11,6 +11,7 @@ from sircontrol import (
     RunningCost,
     control_gradient,
     expand_piecewise_schedule,
+    integrate_coupled,
     integrate_state_forward,
     interval_boundaries,
     optimal_controls,
@@ -21,7 +22,7 @@ from sircontrol import (
     sweep_alpha,
 )
 
-from conftest import make_baseline_params
+from conftest import dual_terminal_costates, make_baseline_params
 from fixtures import reference_values
 
 
@@ -107,15 +108,14 @@ class TestSolveShooting:
         assert report.residual_norm > 0.0
 
     @pytest.mark.parametrize(
-        "max_newton_iters, newton_iters, coupled", [(50, 3, 6), (1, 1, 4)]
+        "max_newton_iters, newton_iters, coupled", [(50, 2, 3), (1, 1, 2)]
     )
     def test_report_counts_the_seed_and_newton_work(
         self, monkeypatch, max_newton_iters, newton_iters, coupled
     ):
         # On 200 steps the seed sweep runs on the problem's own grid, one
         # state pass per sweep.  Newton makes one coupled pass from the
-        # seed, two Jacobian probes there, and one pass per step; one step
-        # does not converge.
+        # seed and one per step; one step does not converge.
         import sircontrol.solvers
 
         p = make_baseline_params(n_steps=200)
@@ -132,21 +132,27 @@ class TestSolveShooting:
         report = solve_shooting(running_cost(p), p)
         assert report.converged == (max_newton_iters == 50)
         assert report.newton_iters == newton_iters
-        assert report.coupled_integrations == calls["integrate_coupled"] == coupled
+        assert calls["integrate_coupled"] == coupled
         assert report.sweeps == calls["integrate_state_forward"] == 14
 
     def test_a_step_that_does_not_lower_the_residual_ends_the_solve(self, monkeypatch):
-        # A coarse difference step spoils the Jacobian, so the first full
-        # step raises the residual norm: the solve stops after that one
-        # trial pass (seed pass, two probes, trial) instead of halving it.
+        # A Jacobian of the wrong sign sends the first step uphill, so it
+        # raises the residual norm: the solve stops after that one trial
+        # pass (seed pass, trial) instead of trying another step.
         import sircontrol.solvers
 
-        monkeypatch.setattr(sircontrol.solvers, "_FD_EPSILON", 0.01)
+        exact = sircontrol.solvers._jacobian
+
+        def negated(traj, cost, p):
+            return tuple(-x for x in exact(traj, cost, p))
+
+        monkeypatch.setattr(sircontrol.solvers, "_jacobian", negated)
+        passes = _coupled_passes_by_grid(monkeypatch)
         p = make_baseline_params(n_steps=200)
         report = solve_shooting(running_cost(p), p)
         assert not report.converged
         assert report.newton_iters == 1
-        assert report.coupled_integrations == 4
+        assert passes == {200: 2}
 
     def test_options_validation(self, monkeypatch, baseline_params, baseline_cost):
         # An infinite residual_tol would report any start as converged.
@@ -208,16 +214,16 @@ class TestSolveShooting:
         ids=["box-T15.92", "box-T17.45", "T18", "legacy-T18",
              "box15", "box23", "box25", "box36", "box44", "box71", "box73", "box90"],
     )
-    def test_long_horizons_converge_in_few_newton_steps(self, overrides):
+    def test_long_horizons_converge_in_few_newton_steps(self, monkeypatch, overrides):
         p = make_baseline_params(**overrides)
         cost = running_cost(p)
+        passes = _coupled_passes_by_grid(monkeypatch)
         shoot = solve_shooting(cost, p)
         sweep = solve_forward_backward(cost, p)
         assert shoot.converged and sweep.converged
-        assert shoot.newton_iters <= 8
-        # No step rejected: three passes on the seed's grid for the
-        # Jacobian, one from the seed on the problem's, one per chord step.
-        assert shoot.coupled_integrations == 4 + shoot.newton_iters
+        assert shoot.newton_iters <= 3
+        # One pass from the seed and one per step, all on the problem's grid.
+        assert passes == {2000: 1 + shoot.newton_iters}
         assert abs(shoot.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
 
     # On coarse grids these failed after one Newton step while the seed
@@ -232,9 +238,9 @@ class TestSolveShooting:
         assert shoot.converged and sweep.converged
         assert abs(shoot.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
 
-    # On 20 steps chord steps lower the residual only a little; without a
-    # fresh Jacobian after a step that does not halve it these spent all
-    # 50 steps unconverged (10-17 steps with it).  The two discretizations
+    # On 20 steps chord steps (a forward-difference Jacobian kept from
+    # the start) crawled: 10-17 steps, or all 50 unconverged without a
+    # refresh.  Exact Newton takes 5 on each.  The two discretizations
     # differ at O(h^2) with h = 0.5: the gaps to the sweep measured 9.5e-5
     # to 1.9e-4.
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.15, 0.2, 0.3])
@@ -244,7 +250,7 @@ class TestSolveShooting:
         shoot = solve_shooting(cost, p)
         sweep = solve_forward_backward(cost, p)
         assert shoot.converged and sweep.converged
-        assert shoot.newton_iters <= 20
+        assert shoot.newton_iters <= 5
         assert abs(shoot.objective - sweep.objective) / abs(sweep.objective) <= 1e-3
 
 
@@ -280,56 +286,89 @@ def _state_passes_by_grid(monkeypatch) -> dict[int, int]:
 
 
 class TestChordNewton:
+    """Shooting's Newton steps.  They were chord steps, reusing one
+    forward-difference Jacobian; the class and its first test keep that
+    name so that the test ids the suite reports stay stable."""
+
     def test_each_chord_step_spends_one_pass_on_the_problem_grid(
         self, monkeypatch, baseline_params, baseline_cost
     ):
         passes = _coupled_passes_by_grid(monkeypatch)
         report = solve_shooting(baseline_cost, baseline_params)
         assert report.converged
-        # The seed sweep and its Jacobian (a base pass and two probes) on
-        # 500 steps; one pass from the seed and one per step on 2000.
-        assert (report.sweeps, report.newton_iters, report.coupled_integrations) == (15, 3, 7)
-        assert passes == {500: 3, 2000: 1 + report.newton_iters}
+        # The seed sweep on 500 steps; one pass from the seed and one per
+        # step on 2000.
+        assert (report.sweeps, report.newton_iters) == (15, 2)
+        assert passes == {2000: 3}
         assert report.objective == pytest.approx(reference_values.SHOOTING_OBJECTIVE, rel=1e-12)
 
-    def test_a_rejected_chord_step_refreshes_the_jacobian_once(
-        self, monkeypatch, baseline_params, baseline_cost
-    ):
-        # A seed Jacobian of the wrong sign makes the first chord step
-        # raise the residual; the fresh Jacobian (two probes) then converges.
-        import sircontrol.solvers
-
-        original = sircontrol.solvers.shooting_residual
-
-        def flipped(psi0, cost, p):
-            r1, r2 = original(psi0, cost, p)
-            return (-r1, -r2) if p.n_steps == 500 else (r1, r2)
-
-        monkeypatch.setattr(sircontrol.solvers, "shooting_residual", flipped)
-        passes = _coupled_passes_by_grid(monkeypatch)
-        report = solve_shooting(baseline_cost, baseline_params)
-        assert report.converged
-        assert report.newton_iters == 4  # the rejected step and three accepted
-        assert passes == {500: 3, 2000: 1 + report.newton_iters + 2}
-        assert report.coupled_integrations == 3 + passes[2000]
-        assert report.objective == pytest.approx(reference_values.SHOOTING_OBJECTIVE, rel=1e-12)
-
-    def test_the_retry_rescues_a_stiff_solve(self):
+    def test_a_stiff_solve_converges(self):
         # Outside the declared box (beta 50x the baseline, alpha 10x,
-        # both controls capped at 5), the first chord step with the
-        # 500-step seed grid's Jacobian raises the residual.  The fresh
-        # Jacobian on the problem's grid then converges in 17 Newton
-        # steps, 6.2e-7 from the sweep; without the retry the solve ends
-        # after that first step.  Six more stiff configurations converge
-        # only through it: the new functional at beta 0.3 and 0.5, T = 18,
-        # u_max = 5, on 600 to 4000 steps.
+        # both controls capped at 5), ||J|| reaches 2e6.  Newton converges
+        # in 8 steps, 6.2e-7 from the sweep.  With a forward-difference
+        # Jacobian from the 500-step seed grid the first step raised the
+        # residual, and only a retry with a fresh one converged, in 17.
         p = make_baseline_params(beta=0.5, alpha=1.0, u1_max=5.0, u2_max=5.0, functional="legacy")
         cost = running_cost(p)
         report = solve_shooting(cost, p)
         assert report.converged
-        assert report.newton_iters <= 20
+        assert report.newton_iters <= 8
         sweep = solve_forward_backward(cost, p)
         assert abs(report.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
+
+    # The Jacobian is the exact derivative of the coupled RK4 pass: a
+    # dual-number run of the model's kernels agrees with it to 6e-15
+    # (measured, relative to its largest entry), at the root and away
+    # from it.  Central differences are no check: the clamp law's kinks
+    # leave them 1e-3 off even at the baseline.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(horizon=18.0, functional="legacy"),
+            dict(n_steps=200),
+            dict(beta=0.5, alpha=1.0, u1_max=5.0, u2_max=5.0, functional="legacy"),
+        ],
+        ids=["baseline", "legacy-T18", "n200", "stiff"],
+    )
+    def test_the_jacobian_is_the_derivative_of_the_pass(self, overrides):
+        import sircontrol.solvers
+
+        p = make_baseline_params(**overrides)
+        cost = running_cost(p)
+        root = solve_shooting(cost, p).trajectory
+        for offset in ((0.0, 0.0), (0.01, -0.05)):
+            psi0 = (float(root.psi1[0]) + offset[0], float(root.psi2[0]) + offset[1])
+            traj = integrate_coupled(psi0, cost, p)
+            ref1, ref2 = dual_terminal_costates(psi0, cost, p)
+            assert (ref1.x, ref2.x) == (traj.psi1[-1], traj.psi2[-1])
+            ref = np.array([ref1.d1, ref1.d2, ref2.d1, ref2.d2])
+            jac = np.array(sircontrol.solvers._jacobian(traj, cost, p))
+            assert np.max(np.abs(jac - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    # Far outside the declared box the pass from the seed stays finite
+    # but huge (residuals 9.5e163 and 1.9e249 here).  At beta 10 its
+    # derivative overflows to nan, which ends the solve before any step;
+    # at beta 2 it reaches 1.6e253, and the step it gives raises the
+    # residual, which ends the solve after that step.  Either way no
+    # numpy warning escapes.
+    @pytest.mark.parametrize(
+        "overrides, newton_iters",
+        [
+            (dict(beta=10.0, horizon=0.5, functional="legacy"), 0),
+            (dict(beta=2.0, horizon=5.0), 1),
+        ],
+        ids=["nan-jacobian", "uphill-step"],
+    )
+    def test_an_overflowing_solve_ends_quietly(self, overrides, newton_iters):
+        import warnings
+
+        p = make_baseline_params(n_steps=600, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_shooting(running_cost(p), p)
+        assert not report.converged
+        assert report.newton_iters == newton_iters
 
     @pytest.mark.parametrize("functional", ["new", "legacy"])
     def test_a_seed_that_diverges_on_500_steps_ends_the_solve(self, monkeypatch, functional):
@@ -354,10 +393,7 @@ class TestChordNewton:
         report = solve_shooting(running_cost(p), p)
         assert report.converged
         assert sweeps == {min(n_steps, 500): report.sweeps}
-        if n_steps <= 500:  # the start's own pass serves as the Jacobian's base
-            assert passes == {n_steps: 3 + report.newton_iters}
-        else:
-            assert passes == {500: 3, n_steps: 1 + report.newton_iters}
+        assert passes == {n_steps: 1 + report.newton_iters}
 
 
 class TestSolveForwardBackward:
