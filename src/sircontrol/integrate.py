@@ -22,8 +22,8 @@ uses this, since its schedule samples a continuous optimal control: held
 constant over a step, that control is only first-order accurate in h,
 and so are the sweep's state and costates; interpolated linearly, they
 are second-order (Hager, Numer. Math. 87, 2000).  Each pass builds
-per-step (start, middle, end) control lists once with numpy, so one RK4
-loop serves both readings.
+per-step (start, middle, end) controls once with numpy, so one code path
+serves both readings.
 
 The running cost is integrated as augmented ODEs alongside the state
 (total ``z`` and its control-effort part ``z_control``), so objective
@@ -35,26 +35,38 @@ derivatives from the state equations, which preserves 4th-order accuracy.
 
 No model equation is written here: every stage, and every Hermite
 endpoint derivative, calls the kernels of ``model.py`` (state_rhs,
-adjoint_rhs, optimal_controls).  Inner loops run on plain Python floats:
-the systems are tiny (at most 8 scalar equations) and per-step numpy
-dispatch would dominate the cost.
+adjoint_rhs, optimal_controls).  The forward passes' inner loops run on
+plain Python floats: the systems are tiny (at most 8 scalar equations)
+and per-step numpy dispatch would dominate the cost.
 
-The three passes, and the enumeration lanes of ``brute_force.py``, keep
-their own RK4 loops because they carry different data: 8 unknowns with
-the clamp law at every stage, 6 under fixed controls, 2 costates along an
-interpolated state, and numpy lanes.  One shared RK4 loop would have to
-branch on its caller, and its callbacks cost time: a generic driver with
-one callback per stage and tuple arithmetic gave bit-identical coupled
-passes but took 1.8-2.1x as long (2000 steps, medians of 15 alternating
-runs, 2 cores, Python 3.11).  Each loop binds the kernels to locals,
-unpacks their tuples straight into locals and records one tuple per
-node, which keeps it as fast as the hand-inlined arithmetic it replaced.
+The two forward passes, and the enumeration lanes of ``brute_force.py``,
+keep their own RK4 loops because they carry different data: 8 unknowns
+with the clamp law at every stage, 6 under fixed controls, and numpy
+lanes over schedules.  One shared RK4 loop would have to branch on its
+caller, and its callbacks cost time: a generic driver with one callback
+per stage and tuple arithmetic gave bit-identical coupled passes but
+took 1.8-2.1x as long (2000 steps, medians of 15 alternating runs, 2
+cores, Python 3.11).  Each loop binds the kernels to locals, unpacks
+their tuples straight into locals and records one tuple per node, which
+keeps it as fast as the hand-inlined arithmetic it replaced.
+
+The costate pass has no RK4 loop over stages.  Along a stored state the
+costate field is affine in psi, so each RK4 step is an affine map; all of
+them are built at once on numpy lanes over the time steps of one
+problem, and a two-line scalar recurrence applies them.  (The lanes run
+over steps, not over problems: a driver stepping many solves in
+lockstep on lanes was measured to pay only from 20-30 of them.)  At
+2000 steps that took 1.8-2.6 ms against 6-7 ms for the loop of four
+adjoint_rhs calls per step it replaced (minimum of 30 runs, 2 cores,
+Python 3.11, numpy 2.4), and it agrees with that loop, kept in the
+tests as the reference, to within a few units of rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -156,8 +168,11 @@ def integrate_coupled(
 
     Controls are recomputed from the clamp law at every RK4 stage (not
     frozen per step), so the stored trajectory satisfies the pointwise
-    optimality structure by construction.  Raises NonFiniteError if the
-    run diverges, which the shooting solver treats as a rejected guess.
+    optimality structure by construction.  The costate sums are
+    Kahan-compensated: shooting drives psi(T) down to its rounding floor,
+    where plain sums left Newton's convergence to the rounding of its
+    start.  Raises NonFiniteError if the run diverges, which the shooting
+    solver treats as a rejected guess.
     """
     n = p.n_steps
     h = p.horizon / n
@@ -170,6 +185,7 @@ def integrate_coupled(
 
     s, i, r, d = p.s0, p.i0, p.r0, 0.0
     p1, p2 = float(psi0[0]), float(psi0[1])
+    c1 = c2 = 0.0  # each costate sum's last rounding error, taken off the next step (Kahan)
     z = 0.0
     zc = 0.0
     rows = []
@@ -209,8 +225,14 @@ def integrate_coupled(
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         r = r + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         d = d + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        p1 = p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
-        p2 = p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
+        y1 = h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1) - c1
+        t1 = p1 + y1
+        c1 = (t1 - p1) - y1
+        p1 = t1
+        y2 = h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2) - c2
+        t2 = p2 + y2
+        c2 = (t2 - p2) - y2
+        p2 = t2
         z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
         zc = zc + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         if not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2) and isfinite(z)):
@@ -311,51 +333,72 @@ def integrate_adjoint_backward(
     with derivatives f from the state equations, each under its own
     end's control, so the pass keeps the state pass's order.
 
-    Returns (psi1, psi2) node arrays.
+    Along a given state the costate field is affine in psi, so each RK4
+    step is an affine map psi_k = M_k psi_{k+1} + q_k.  All of them are
+    built at once on numpy lanes over the steps, and one scalar
+    recurrence from psi(T) = 0 applies them.
+
+    Returns (psi1, psi2) node arrays.  Raises NonFiniteError at the time
+    of the first node whose costates are not finite.
     """
     n = state_traj.n_steps
     if n != p.n_steps:
         raise ValueError(f"trajectory has {n} steps, params expect {p.n_steps}")
 
     h = p.horizon / n
-    h2 = h / 2.0
-    h6 = h / 6.0
     h8 = h / 8.0
     beta, alpha = p.beta, p.alpha
     a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
 
-    # Hermite midpoints of all intervals at once, state_rhs running on
-    # numpy lanes.  Under piecewise-constant controls both endpoint
-    # derivatives use the interval's control (the state's right-limit
-    # derivative at t_{k+1} belongs to the next interval).
+    def field(s, i, u1, u2):
+        # dpsi/dt = A psi + c as the 3x3 matrix [[A, c], [0, 0]] acting on
+        # (psi1, psi2, 1), steps on the last axis: A's columns are the
+        # field at unit costates without the source, c the field at zero
+        # costates.
+        col1 = adjoint_rhs(s, i, 1.0, 0.0, u1, u2, beta, alpha, 0.0)
+        col2 = adjoint_rhs(s, i, 0.0, 1.0, u1, u2, beta, alpha, 0.0)
+        source = adjoint_rhs(s, i, 0.0, 0.0, u1, u2, beta, alpha, a_i)
+        zero = np.zeros(n)
+        return np.array([[col1[0], col2[0], source[0]], [col1[1], col2[1], source[1]], [zero, zero, zero]])
+
+    # The stages chain as in solvers._jacobian, backward: with A_j the
+    # field at stage j, K1 = A1, K2 = A2 (I - h/2 K1), K3 = A3 (I - h/2 K2),
+    # K4 = A4 (I - h K3), and the step is I - h/6 (K1 + 2 K2 + 2 K3 + K4).
+    eye = np.eye(3)[:, :, None]
+
+    def stage(a, k, f):
+        return np.einsum("ijn,jkn->ikn", a, eye - f * k)
+
     s, i = state_traj.s, state_traj.i
     a1, m1, b1 = _step_controls(state_traj.u1, linear)
     a2, m2, b2 = _step_controls(state_traj.u2, linear)
-    fs_l, fi_l, _, _, _, _ = state_rhs(s[:-1], i[:-1], a1, a2, beta, alpha, a_i, w1, w2)
-    fs_r, fi_r, _, _, _, _ = state_rhs(s[1:], i[1:], b1, b2, beta, alpha, a_i, w1, w2)
-    s_mid = (0.5 * (s[:-1] + s[1:]) + h8 * (fs_l - fs_r)).tolist()
-    i_mid = (0.5 * (i[:-1] + i[1:]) + h8 * (fi_l - fi_r)).tolist()
+    # A state that overflows the field gives non-finite steps, quietly;
+    # the recurrence raises at the first node they reach.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Hermite midpoints.  Under piecewise-constant controls both
+        # endpoint derivatives use the interval's control (the state's
+        # right-limit derivative at t_{k+1} belongs to the next interval).
+        fs_l, fi_l, _, _, _, _ = state_rhs(s[:-1], i[:-1], a1, a2, beta, alpha, a_i, w1, w2)
+        fs_r, fi_r, _, _, _, _ = state_rhs(s[1:], i[1:], b1, b2, beta, alpha, a_i, w1, w2)
+        mid = field(
+            0.5 * (s[:-1] + s[1:]) + h8 * (fs_l - fs_r), 0.5 * (i[:-1] + i[1:]) + h8 * (fi_l - fi_r), m1, m2
+        )
+        k1 = field(s[1:], i[1:], b1, b2)
+        k2 = stage(mid, k1, h / 2.0)
+        k3 = stage(mid, k2, h / 2.0)
+        k4 = stage(field(s[:-1], i[:-1], a1, a2), k3, h)
+        step = eye - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    s_list = s.tolist()
-    i_list = i.tolist()
-    a1, m1, b1, a2, m2, b2 = [c.tolist() for c in (a1, m1, b1, a2, m2, b2)]
-    adjoint, isfinite = adjoint_rhs, math.isfinite
-
+    m11, m12, q1, m21, m22, q2 = step[:2].reshape(6, n).tolist()
+    isfinite = math.isfinite
     p1 = 0.0
     p2 = 0.0
     rows = [(p1, p2)]
     for k in range(n - 1, -1, -1):
-        s_l, i_l, s_m, i_m = s_list[k], i_list[k], s_mid[k], i_mid[k]
-        s_r, i_r = s_list[k + 1], i_list[k + 1]
-        k1p1, k1p2 = adjoint(s_r, i_r, p1, p2, b1[k], b2[k], beta, alpha, a_i)
-        k2p1, k2p2 = adjoint(s_m, i_m, p1 - h2 * k1p1, p2 - h2 * k1p2, m1[k], m2[k], beta, alpha, a_i)
-        k3p1, k3p2 = adjoint(s_m, i_m, p1 - h2 * k2p1, p2 - h2 * k2p2, m1[k], m2[k], beta, alpha, a_i)
-        k4p1, k4p2 = adjoint(s_l, i_l, p1 - h * k3p1, p2 - h * k3p2, a1[k], a2[k], beta, alpha, a_i)
-        p1 = p1 - h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
-        p2 = p2 - h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
+        p1, p2 = m11[k] * p1 + m12[k] * p2 + q1[k], m21[k] * p1 + m22[k] * p2 + q2[k]
         if not (isfinite(p1) and isfinite(p2)):
             raise NonFiniteError(k * h)
         rows.append((p1, p2))
 
-    psi1, psi2 = np.array(rows[::-1], dtype=float).T
+    psi1, psi2 = np.fromiter(chain.from_iterable(reversed(rows)), float, 2 * (n + 1)).reshape(n + 1, 2).T
     return psi1, psi2

@@ -21,6 +21,9 @@ costates must vanish at the final time.  Two solvers attack it:
                             500-step seed sweep that shooting starts
                             from, interpolated.
 
+Shooting, and the forward-backward sweep on grids finer than 500 steps,
+start from one seed sweep on at most 500 steps; it runs once when both
+solve the same problem one after the other (_seed keeps the last one).
 The sweep only picks the shooting solve's start: shooting's answer is
 still the root of its own residual, the terminal costates of the coupled
 RK4 pass, at residual_tol, while the sweep's is the fixed point of
@@ -38,6 +41,7 @@ needs another value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -95,10 +99,12 @@ _ANDERSON_MIXING = 0.7
 class SolveReport:
     """Outcome of one solve, returned even on failure (converged=False).
 
-    sweeps counts the forward-backward sweeps the solve ran, one state
-    and one costate pass each: the seed's for shooting, the seed's and
-    the problem grid's for the forward-backward sweep (a seed that
-    diverges counts none).  newton_iters counts the shooting solve's
+    sweeps counts the forward-backward sweeps the answer rests on, one
+    state and one costate pass each: the seed's for shooting, the seed's
+    and the problem grid's for the forward-backward sweep (a seed that
+    diverges counts none).  The seed's count is the same whether this
+    solve ran the seed sweep or found it cached by the solve before it
+    on the same problem, so the report does not depend on call history.  newton_iters counts the shooting solve's
     Newton steps, a rejected last step included; each is one coupled
     pass beyond the one from the start, and it stays 0 for the
     forward-backward sweep.  residual_norm is max(|psi1(T)|, |psi2(T)|),
@@ -157,7 +163,7 @@ def solve_shooting(
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive")
     try:
-        seed, sweeps, _ = _sweep(cost, _seed_grid(p), _SEED_TOL)
+        seed, sweeps, _ = _seed(cost, _seed_grid(p))
         pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
         traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError as exc:
@@ -254,6 +260,15 @@ def _seed_grid(p: ModelParams) -> ModelParams:
     return p if p.n_steps <= _SEED_STEPS else replace(p, n_steps=_SEED_STEPS)
 
 
+@functools.lru_cache(maxsize=1)
+def _seed(cost: RunningCost, seed_p: ModelParams) -> tuple[Trajectory, int, bool]:
+    """The seed sweep, to 1e-6 on seed_p, run once for the problem that
+    both solvers see in turn.  The entry is shared safely: the key is two
+    frozen dataclasses, equal by value, and the trajectory's arrays are
+    read-only.  A seed that raises is not cached."""
+    return _sweep(cost, seed_p, _SEED_TOL)
+
+
 def _sweep(
     cost: RunningCost, p: ModelParams, tol: float, u: np.ndarray | None = None
 ) -> tuple[Trajectory, int, bool]:
@@ -318,8 +333,9 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
 
     On grids finer than 500 steps the sweep starts from a coarse
     answer (nested iteration): the seed sweep that solve_shooting runs,
-    to 1e-6 on 500 steps, its node schedule interpolated linearly to
-    the problem's grid.  When that seed diverges, the sweep starts from
+    to 1e-6 on 500 steps and not run again when shooting has just seen
+    the same problem, its node schedule interpolated linearly to the
+    problem's grid.  When that seed diverges, the sweep starts from
     zero controls, as it does on grids of at most 500 steps.  On the
     baseline this takes 13-17 seed sweeps and 10-14 on 2000 steps
     across alpha 0.05-0.5 under both functionals, and 12-20 plus 8-14
@@ -336,7 +352,7 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     start, seed_sweeps = None, 0
     if seed_p is not p:
         try:
-            seed, seed_sweeps, _ = _sweep(cost, seed_p, _SEED_TOL)
+            seed, seed_sweeps, _ = _seed(cost, seed_p)
         except NonFiniteError:
             pass  # the fine sweep may still converge from zero controls
         else:

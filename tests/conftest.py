@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from sircontrol import (
     ModelParams,
+    NonFiniteError,
     RunningCost,
     Trajectory,
     adjoint_rhs,
@@ -10,6 +13,7 @@ from sircontrol import (
     running_cost,
     state_rhs,
 )
+from sircontrol.solvers import _seed
 
 
 def make_baseline_params(**overrides) -> ModelParams:
@@ -77,7 +81,8 @@ def dual_terminal_costates(psi0, cost: RunningCost, p: ModelParams) -> tuple[Dua
     seeded with d/dpsi1(0) and d/dpsi2(0): a reference for the exact
     shooting Jacobian, independent of the model's hand-derived
     linearization.  R, D and the cost do not feed back, so only
-    (S, I, psi1, psi2) are carried."""
+    (S, I, psi1, psi2) are carried; the costate sums are compensated as
+    the pass compensates them."""
     h = p.horizon / p.n_steps
     h2, h6 = h / 2.0, h / 6.0
 
@@ -86,14 +91,73 @@ def dual_terminal_costates(psi0, cost: RunningCost, p: ModelParams) -> tuple[Dua
         ds, di, _, _, _, _ = state_rhs(s, i, u1, u2, p.beta, p.alpha, cost.a_i, cost.w1, cost.w2)
         return (ds, di) + adjoint_rhs(s, i, p1, p2, u1, u2, p.beta, p.alpha, cost.a_i)
 
-    x = (p.s0, p.i0, Dual(float(psi0[0]), 1.0), Dual(float(psi0[1]), 0.0, 1.0))
+    s, i, p1, p2 = p.s0, p.i0, Dual(float(psi0[0]), 1.0), Dual(float(psi0[1]), 0.0, 1.0)
+    c1 = c2 = 0.0
     for _ in range(p.n_steps):
+        x = (s, i, p1, p2)
         k1 = slopes(*x)
         k2 = slopes(*(v + h2 * k for v, k in zip(x, k1)))
         k3 = slopes(*(v + h2 * k for v, k in zip(x, k2)))
         k4 = slopes(*(v + h * k for v, k in zip(x, k3)))
-        x = tuple(v + h6 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4))
-    return x[2], x[3]
+        ds, di, dp1, dp2 = (h6 * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4))
+        s, i = s + ds, i + di
+        y1, y2 = dp1 - c1, dp2 - c2
+        t1, t2 = p1 + y1, p2 + y2
+        c1, c2 = (t1 - p1) - y1, (t2 - p2) - y2
+        p1, p2 = t1, t2
+    return p1, p2
+
+
+def adjoint_backward_reference(state_traj: Trajectory, cost: RunningCost, p: ModelParams, linear: bool = False):
+    """integrate_adjoint_backward as a scalar RK4 loop, four adjoint_rhs
+    calls per step, with the same Hermite midpoints and control reading:
+    the reference for the pass's affine step maps."""
+    n = p.n_steps
+    h = p.horizon / n
+    h2, h6, h8 = h / 2.0, h / 6.0, h / 8.0
+    beta, alpha, a_i = p.beta, p.alpha, cost.a_i
+    s, i = state_traj.s.tolist(), state_traj.i.tolist()
+
+    def reading(u):
+        start = u[:-1].tolist()
+        if not linear:
+            return start, start, start
+        end = u[1:].tolist()
+        return start, [0.5 * (a + b) for a, b in zip(start, end)], end
+
+    a1, m1, b1 = reading(state_traj.u1)
+    a2, m2, b2 = reading(state_traj.u2)
+
+    def midpoint(k):
+        fs_l, fi_l, _, _, _, _ = state_rhs(s[k], i[k], a1[k], a2[k], beta, alpha, a_i, cost.w1, cost.w2)
+        fs_r, fi_r, _, _, _, _ = state_rhs(s[k + 1], i[k + 1], b1[k], b2[k], beta, alpha, a_i, cost.w1, cost.w2)
+        return 0.5 * (s[k] + s[k + 1]) + h8 * (fs_l - fs_r), 0.5 * (i[k] + i[k + 1]) + h8 * (fi_l - fi_r)
+
+    p1 = p2 = 0.0
+    rows = [(p1, p2)]
+    for k in range(n - 1, -1, -1):
+        s_m, i_m = midpoint(k)
+        k1p1, k1p2 = adjoint_rhs(s[k + 1], i[k + 1], p1, p2, b1[k], b2[k], beta, alpha, a_i)
+        k2p1, k2p2 = adjoint_rhs(s_m, i_m, p1 - h2 * k1p1, p2 - h2 * k1p2, m1[k], m2[k], beta, alpha, a_i)
+        k3p1, k3p2 = adjoint_rhs(s_m, i_m, p1 - h2 * k2p1, p2 - h2 * k2p2, m1[k], m2[k], beta, alpha, a_i)
+        k4p1, k4p2 = adjoint_rhs(s[k], i[k], p1 - h * k3p1, p2 - h * k3p2, a1[k], a2[k], beta, alpha, a_i)
+        p1 = p1 - h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
+        p2 = p2 - h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
+        if not (math.isfinite(p1) and math.isfinite(p2)):
+            raise NonFiniteError(k * h)
+        rows.append((p1, p2))
+    psi1, psi2 = np.array(rows[::-1]).T
+    return psi1, psi2
+
+
+@pytest.fixture(autouse=True)
+def cold_seed_memo():
+    """Every test starts, and leaves the next one, with no seed sweep
+    cached: a seed cached under one test's patched integrators would
+    change another's counts and failures."""
+    _seed.cache_clear()
+    yield
+    _seed.cache_clear()
 
 
 @pytest.fixture

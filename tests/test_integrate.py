@@ -15,7 +15,7 @@ from sircontrol import (
     running_cost,
 )
 
-from conftest import evaluate_objective_trapezoid, make_baseline_params
+from conftest import adjoint_backward_reference, evaluate_objective_trapezoid, make_baseline_params
 
 
 def rk4_step(f, t, y, h):
@@ -244,6 +244,71 @@ class TestAdjointBackward:
         for missing in ({"u1": None}, {"u2": None}, {"u1": None, "u2": None}):
             with pytest.raises(ValueError, match="control samples"):
                 replace(traj, **missing)
+
+
+class TestAffineStepMaps:
+    """integrate_adjoint_backward builds its RK4 steps as affine maps on
+    numpy lanes; conftest's adjoint_backward_reference is the scalar loop
+    of four adjoint_rhs calls per step that it replaced."""
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["held", "linear"])
+    @pytest.mark.parametrize("n_steps", [200, 500, 2000])
+    def test_the_pass_agrees_with_the_scalar_loop(self, n_steps, linear):
+        # Only the order of the rounding differs; measured within 4e-15.
+        rng = np.random.default_rng(n_steps)
+        for functional in ("new", "legacy"):
+            p = make_baseline_params(n_steps=n_steps, functional=functional)
+            cost = running_cost(p)
+            traj = integrate_state_forward(
+                rng.uniform(0.0, p.u1_max, n_steps + 1), rng.uniform(0.0, p.u2_max, n_steps + 1),
+                cost, p, linear=linear,
+            )
+            for got, ref in zip(
+                integrate_adjoint_backward(traj, cost, p, linear=linear),
+                adjoint_backward_reference(traj, cost, p, linear=linear),
+            ):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    # A sample large enough to overflow the field makes every later
+    # costate non-finite.  The loop and the pass both meet it at the step
+    # whose left end it is, and raise there.
+    @pytest.mark.parametrize("linear", [False, True], ids=["held", "linear"])
+    @pytest.mark.parametrize("node", [0, 37, 199, 200])
+    def test_costates_that_diverge_raise_where_the_loop_does(self, node, linear):
+        import warnings
+        from dataclasses import replace
+
+        p = make_baseline_params(n_steps=200)
+        cost = running_cost(p)
+        rng = np.random.default_rng(node)
+        traj = integrate_state_forward(rng.uniform(0.0, 0.9, 201), rng.uniform(0.0, 0.9, 201), cost, p, linear=linear)
+        s = traj.s.copy()
+        s[node] = 1e200
+        traj = replace(traj, s=s)
+        times = []
+        for integrate in (integrate_adjoint_backward, adjoint_backward_reference):
+            with warnings.catch_warnings(), pytest.raises(NonFiniteError) as err:
+                warnings.simplefilter("error")
+                integrate(traj, cost, p, linear=linear)
+            times.append(err.value.time)
+        assert times[0] == times[1] == min(node, 199) * (p.horizon / 200)
+
+    def test_costates_that_overflow_raise_a_few_steps_after_the_loop(self):
+        # Infection-free at beta 1, psi2 grows backward like exp(beta*S*t)
+        # = exp(95 t) and overflows.  The loop raises as soon as a stage
+        # slope A psi overflows, while the pass carries on until psi
+        # itself does: 13 steps (0.065) later, since |A| is about 95 and
+        # one step multiplies psi by about 1.6.
+        p = make_baseline_params(beta=1.0, i0=0.0)
+        cost = running_cost(p)
+        zeros = zeros_schedule(p)
+        traj = integrate_state_forward(zeros, zeros, cost, p)
+        times = []
+        for integrate in (integrate_adjoint_backward, adjoint_backward_reference):
+            with pytest.raises(NonFiniteError) as err:
+                integrate(traj, cost, p)
+            times.append(err.value.time)
+        assert times[1] - 0.1 <= times[0] < times[1]
 
 
 class TestPiecewiseLinearControls:

@@ -305,7 +305,7 @@ class TestChordNewton:
     def test_a_stiff_solve_converges(self):
         # Outside the declared box (beta 50x the baseline, alpha 10x,
         # both controls capped at 5), ||J|| reaches 2e6.  Newton converges
-        # in 8 steps, 6.2e-7 from the sweep.  With a forward-difference
+        # in 6 steps, 6.2e-7 from the sweep.  With a forward-difference
         # Jacobian from the 500-step seed grid the first step raised the
         # residual, and only a retry with a fresh one converged, in 17.
         p = make_baseline_params(beta=0.5, alpha=1.0, u1_max=5.0, u2_max=5.0, functional="legacy")
@@ -315,6 +315,57 @@ class TestChordNewton:
         assert report.newton_iters <= 8
         sweep = solve_forward_backward(cost, p)
         assert abs(report.objective - sweep.objective) / abs(sweep.objective) <= 1e-5
+
+    def test_the_stiff_solve_converges_from_rounding_level_moves_of_its_start(self, monkeypatch):
+        # The stiff solve above ends near its residual floor, eps * ||J||
+        # * |psi(0)|.  With plain costate sums in the coupled pass, moving
+        # its start by 1e-12 (relative) left it unconverged on 13 of 30
+        # draws; compensated sums converge from all of them in 6 steps.
+        import sircontrol.solvers
+
+        p = make_baseline_params(beta=0.5, alpha=1.0, u1_max=5.0, u2_max=5.0, functional="legacy")
+        cost = running_cost(p)
+        original = sircontrol.solvers.integrate_coupled
+        unconverged = []
+        for move in np.random.default_rng(0).normal(size=(10, 2)) * 1e-12:
+            calls = 0
+
+            def moved_start(psi0, cost, p, move=move):
+                nonlocal calls
+                calls += 1
+                if calls == 1:
+                    psi0 = (psi0[0] * (1.0 + move[0]), psi0[1] * (1.0 + move[1]))
+                return original(psi0, cost, p)
+
+            monkeypatch.setattr(sircontrol.solvers, "integrate_coupled", moved_start)
+            report = solve_shooting(cost, p)
+            if not (report.converged and report.newton_iters <= 8):
+                unconverged.append((tuple(move), report.newton_iters, report.residual_norm))
+        assert unconverged == []
+
+    # Five configurations of the stiff panel (beta, horizon, alpha,
+    # functional, steps and both control caps) that ended unconverged
+    # just above residual_tol = 1e-10, at 1.05e-10 to 2.39e-10, while the
+    # coupled pass summed its costates plainly.  With compensated sums
+    # they reach 3.9e-13 to 4.0e-11.
+    @pytest.mark.parametrize(
+        "beta, horizon, alpha, functional, n_steps, u_max",
+        [
+            (0.3, 10.0, 1.0, "legacy", 1000, 5.0),
+            (0.5, 0.5, 0.1, "new", 2000, 0.9),
+            (0.5, 5.0, 1.0, "new", 1000, 5.0),
+            (1.0, 0.5, 1.0, "new", 1000, 5.0),
+            (1.0, 0.5, 1.0, "legacy", 1000, 5.0),
+        ],
+    )
+    def test_solves_near_the_residual_floor_converge(self, beta, horizon, alpha, functional, n_steps, u_max):
+        p = make_baseline_params(
+            beta=beta, horizon=horizon, alpha=alpha, functional=functional, n_steps=n_steps,
+            u1_max=u_max, u2_max=u_max,
+        )
+        report = solve_shooting(running_cost(p), p)
+        assert report.converged
+        assert report.residual_norm <= 1e-10
 
     # The Jacobian is the exact derivative of the coupled RK4 pass: a
     # dual-number run of the model's kernels agrees with it to 6e-15
@@ -394,6 +445,32 @@ class TestChordNewton:
         assert report.converged
         assert sweeps == {min(n_steps, 500): report.sweeps}
         assert passes == {n_steps: 1 + report.newton_iters}
+
+
+class TestSeedMemo:
+    """Shooting and the forward-backward sweep on one problem share one
+    seed sweep (solvers._seed); tests start with it empty (conftest)."""
+
+    def test_shooting_then_the_sweep_run_the_seed_once(self, monkeypatch, baseline_params, baseline_cost):
+        passes = _state_passes_by_grid(monkeypatch)
+        shoot = solve_shooting(baseline_cost, baseline_params)
+        sweep = solve_forward_backward(running_cost(baseline_params), baseline_params)
+        # The seed's 15 sweeps on 500 steps run once; each report still
+        # counts them, as with nothing cached (TestChordNewton and
+        # test_the_sweep_starts_from_the_seed_grid pin 15 and 26).
+        assert passes == {500: 15, 2000: 11}
+        assert (shoot.sweeps, sweep.sweeps) == (15, 26)
+
+    @pytest.mark.parametrize("functional", ["new", "legacy"])
+    def test_a_diverging_seed_is_not_cached(self, monkeypatch, functional):
+        # At beta 5 the seed's first state pass diverges on 500 steps;
+        # every solve runs it again and raises again.
+        p = make_baseline_params(beta=5.0, functional=functional)
+        passes = _state_passes_by_grid(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NonFiniteError, match=r"\(shooting start diverged\)"):
+                solve_shooting(running_cost(p), p)
+        assert passes == {500: 2}
 
 
 class TestSolveForwardBackward:
