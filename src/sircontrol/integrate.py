@@ -1,6 +1,8 @@
 """Fixed-step classical RK4 integration of the model systems.
 
-Three integration paths share one scheme (uniform grid, classical RK4):
+This module owns the three passes, the RK4 step maps of their linear
+fields and the derivative of the coupled pass (coupled_jacobian, for
+shooting).  The passes share one scheme (uniform grid, classical RK4):
 
   * integrate_coupled        forward pass of the coupled state+costate
                              system with the clamp law substituted at every
@@ -33,9 +35,9 @@ The backward pass needs state values at RK4 half-steps; those come from
 cubic Hermite interpolation of the stored node samples with endpoint
 derivatives from the state equations, which preserves 4th-order accuracy.
 
-No model equation is written here: every stage, and every Hermite
-endpoint derivative, calls the kernels of ``model.py`` (state_rhs,
-adjoint_rhs, optimal_controls).  The forward passes' inner loops run on
+No model equation is written here: every stage, Hermite endpoint
+derivative and linearization calls the kernels of ``model.py``, the
+clamp law's included.  The forward passes' inner loops run on
 plain Python floats: the systems are tiny (at most 8 scalar equations)
 and per-step numpy dispatch would dominate the cost.
 
@@ -60,6 +62,10 @@ lockstep on lanes was measured to pay only from 20-30 of them.)  At
 adjoint_rhs calls per step it replaced (minimum of 30 runs, 2 cores,
 Python 3.11, numpy 2.4), and it agrees with that loop, kept in the
 tests as the reference, to within a few units of rounding.
+
+Where a field is linear (the costate field along a stored state, the
+coupled linearization along a pass), _rk4_step_maps chains its four
+stages into each step's matrix, in one layout, (d, d, lanes), lanes last.
 """
 
 from __future__ import annotations
@@ -72,7 +78,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteError
-from .model import ModelParams, RunningCost, adjoint_rhs, optimal_controls, state_rhs
+from .model import (ModelParams, RunningCost, adjoint_rhs, coupled_linearization, optimal_controls,
+                    optimal_controls_lanes, state_rhs)
 
 __all__ = [
     "Trajectory",
@@ -84,9 +91,9 @@ __all__ = [
 ]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _columns(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
+    """The columns of a pass's rows, each a tuple of width floats."""
+    return np.fromiter(chain.from_iterable(rows), float, width * len(rows)).reshape(len(rows), width).T
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class Trajectory:
         for name in ("t", "s", "i", "r", "d", "z", "z_control", "u1", "u2", "psi1", "psi2"):
             arr = getattr(self, name)
             if arr is not None:
-                _freeze(arr)
+                arr.setflags(write=False)
 
     @property
     def n_steps(self) -> int:
@@ -238,12 +245,84 @@ def integrate_coupled(
         if not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2) and isfinite(z)):
             raise NonFiniteError((k + 1) * h)
 
-    ss, ii, rr, dd, pp1, pp2, uu1, uu2, zz, zzc = np.array(rows, dtype=float).T
+    ss, ii, rr, dd, pp1, pp2, uu1, uu2, zz, zzc = _columns(rows, 10)
     return Trajectory(
         t=np.arange(n + 1) * h,
         s=ss, i=ii, r=rr, d=dd, z=zz, z_control=zzc,
         u1=uu1, u2=uu2, psi1=pp1, psi2=pp2,
     )
+
+
+def _rk4_step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, a4: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step matrices, (d, d, lanes), of a linear field.
+
+    a1 .. a4 are the field's (d, d, lanes) matrices at the step's four
+    stage points in the order the step takes them; a negative h steps
+    backward.  With K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2)
+    and K4 = A4 (I + h K3), each step is I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+    """
+    # Lanes last, contracted by einsum: lanes first took 2-4x as long (3x3
+    # on 2000 lanes, 4x4 on 500), and matmul there changed the costate
+    # pass's rounding.
+    eye = np.eye(len(a1))[:, :, None]
+    k2 = np.einsum("ijn,jkn->ikn", a2, eye + h / 2.0 * a1)
+    k3 = np.einsum("ijn,jkn->ikn", a3, eye + h / 2.0 * k2)
+    k4 = np.einsum("ijn,jkn->ikn", a4, eye + h * k3)
+    return eye + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# The most steps whose matrices coupled_jacobian holds at once: on 2000
+# steps it allocates at most 2.7 MiB with all of them at once and 0.7 MiB
+# in blocks of 500, at the same speed.
+_JACOBIAN_BLOCK = 500
+
+
+def coupled_jacobian(traj: Trajectory, cost: RunningCost, p: ModelParams) -> tuple[float, float, float, float]:
+    """Exact derivative (a, b, c, d) = d(psi1(T), psi2(T)) / d(psi1(0), psi2(0))
+    of the coupled RK4 pass that produced traj.
+
+    Each step's RK4 stage points are rebuilt from the stored nodes on
+    numpy lanes with the kernels the pass called, and _rk4_step_maps
+    chains the model's linearization at the four stages into each step's
+    matrix.  Their product, in a balanced tree per block of at most 500
+    steps, maps (S, I, psi1, psi2) at t = 0 to t = T; the start's state
+    is fixed, so the answer is its costate block.  Overflow gives a
+    non-finite entry, quietly, which the caller treats as a failed step.
+    """
+    n = p.n_steps
+    h = p.horizon / n
+    beta, alpha = p.beta, p.alpha
+    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
+    u1m, u2m = p.u1_max, p.u2_max
+
+    def slopes(s, i, psi1, psi2, u1, u2):
+        ds, di, _, _, _, _ = state_rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
+        dp1, dp2 = adjoint_rhs(s, i, psi1, psi2, u1, u2, beta, alpha, a_i)
+        lin = coupled_linearization(s, i, psi1, psi2, u1, u2, beta, alpha, w1, w2, u1m, u2m)
+        return (ds, di, dp1, dp2), lin
+
+    def stage(x, k, f):
+        xs, xi, x1, x2 = (xv + f * kv for xv, kv in zip(x, k))
+        return slopes(xs, xi, x1, x2, *optimal_controls_lanes(xs, xi, x1, x2, w1, w2, u1m, u2m))
+
+    total = np.eye(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _JACOBIAN_BLOCK):
+            nodes = slice(lo, min(lo + _JACOBIAN_BLOCK, n))
+            x = (traj.s[nodes], traj.i[nodes], traj.psi1[nodes], traj.psi2[nodes])
+            # Stage 1's controls are the ones the pass stored at the node.
+            f1, a1 = slopes(*x, traj.u1[nodes], traj.u2[nodes])
+            f2, a2 = stage(x, f1, h / 2.0)
+            f3, a3 = stage(x, f2, h / 2.0)
+            _, a4 = stage(x, f3, h)
+            steps = _rk4_step_maps(a1, a2, a3, a4, h).transpose(2, 0, 1)
+            while len(steps) > 1:
+                # Later steps multiply from the left.
+                half = len(steps) // 2
+                paired = steps[1:2 * half:2] @ steps[0:2 * half:2]
+                steps = np.concatenate((paired, steps[2 * half:]))
+            total = steps[0] @ total
+    return float(total[2, 2]), float(total[2, 3]), float(total[3, 2]), float(total[3, 3])
 
 
 def _step_controls(u: np.ndarray, linear: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,7 +389,7 @@ def integrate_state_forward(
             raise NonFiniteError(len(rows) * h)
         rows.append((s, i, r, d, z, zc))
 
-    ss, ii, rr, dd, zz, zzc = np.array(rows, dtype=float).T
+    ss, ii, rr, dd, zz, zzc = _columns(rows, 6)
     return Trajectory(
         t=np.arange(n + 1) * h, s=ss, i=ii, r=rr, d=dd, z=zz, z_control=zzc,
         u1=u1_arr.copy(), u2=u2_arr.copy(),
@@ -361,14 +440,6 @@ def integrate_adjoint_backward(
         zero = np.zeros(n)
         return np.array([[col1[0], col2[0], source[0]], [col1[1], col2[1], source[1]], [zero, zero, zero]])
 
-    # The stages chain as in solvers._jacobian, backward: with A_j the
-    # field at stage j, K1 = A1, K2 = A2 (I - h/2 K1), K3 = A3 (I - h/2 K2),
-    # K4 = A4 (I - h K3), and the step is I - h/6 (K1 + 2 K2 + 2 K3 + K4).
-    eye = np.eye(3)[:, :, None]
-
-    def stage(a, k, f):
-        return np.einsum("ijn,jkn->ikn", a, eye - f * k)
-
     s, i = state_traj.s, state_traj.i
     a1, m1, b1 = _step_controls(state_traj.u1, linear)
     a2, m2, b2 = _step_controls(state_traj.u2, linear)
@@ -383,11 +454,7 @@ def integrate_adjoint_backward(
         mid = field(
             0.5 * (s[:-1] + s[1:]) + h8 * (fs_l - fs_r), 0.5 * (i[:-1] + i[1:]) + h8 * (fi_l - fi_r), m1, m2
         )
-        k1 = field(s[1:], i[1:], b1, b2)
-        k2 = stage(mid, k1, h / 2.0)
-        k3 = stage(mid, k2, h / 2.0)
-        k4 = stage(field(s[:-1], i[:-1], a1, a2), k3, h)
-        step = eye - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        step = _rk4_step_maps(field(s[1:], i[1:], b1, b2), mid, mid, field(s[:-1], i[:-1], a1, a2), -h)
 
     m11, m12, q1, m21, m22, q2 = step[:2].reshape(6, n).tolist()
     isfinite = math.isfinite
@@ -400,5 +467,5 @@ def integrate_adjoint_backward(
             raise NonFiniteError(k * h)
         rows.append((p1, p2))
 
-    psi1, psi2 = np.fromiter(chain.from_iterable(reversed(rows)), float, 2 * (n + 1)).reshape(n + 1, 2).T
+    psi1, psi2 = _columns(rows[::-1], 2)
     return psi1, psi2

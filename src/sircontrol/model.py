@@ -40,7 +40,7 @@ objects would cost more than the arithmetic, and the same code runs
 unchanged on numpy lanes or whole trajectory arrays.  One more kernel,
 coupled_linearization, differentiates the coupled state-costate system
 under the clamp law for shooting's exact Jacobian; it runs on numpy
-lanes only and returns one 4x4 matrix per lane.
+lanes only and returns one 4x4 matrix per lane, lanes last.
 Everything here is a pure function.
 """
 
@@ -263,7 +263,7 @@ def coupled_linearization(s, i, psi1, psi2, u1, u2, beta, alpha, w1, w2, u1_max,
     -psi2*I/(2*w2), strictly inside its box (0 < u < u_max), and is held
     where it clamps, a bound tie included, as the law's inclusive
     comparisons resolve it.  Works on 1-d numpy lanes: returns an array of
-    shape (lanes, 4, 4), rows the derivatives, columns the variables.
+    shape (4, 4, lanes), rows the derivatives, columns the variables.
     """
     g1 = (-0.5 / w1) * ((u1 > 0.0) & (u1 < u1_max))
     g2 = (-0.5 / w2) * ((u2 > 0.0) & (u2 < u2_max))
@@ -276,4 +276,4 @@ def coupled_linearization(s, i, psi1, psi2, u1, u2, beta, alpha, w1, w2, u1_max,
         [beta_i, beta_s - u2 - alpha - i * du2_di, zero, -i * du2_dp2],
         [psi1 * du1_ds, beta_dp, beta_i + u1 + psi1 * du1_dp1, -beta_i],
         [beta_dp, psi2 * du2_di, beta_s, -beta_s + u2 + alpha + psi2 * du2_dp2],
-    ]).transpose(2, 0, 1)
+    ])

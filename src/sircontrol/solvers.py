@@ -33,10 +33,11 @@ cross-check.  control_gradient supplies the adjoint-based derivative of
 the objective with respect to a piecewise-constant schedule, used for
 finite-difference verification.
 
-Only the shooting tolerance, residual_tol, is an argument; the Newton
-cap, the Jacobian's block size, the seed's tolerance and grid and every
-setting of the sweep are the module constants below, since no caller
-needs another value.
+Every pass, and the coupled pass's derivative, comes from integrate.py;
+this module holds only Newton, the sweep and the gradient.  Only
+residual_tol is an argument; the Newton cap, the seed's tolerance and
+grid and every setting of the sweep are the module constants below,
+since no caller needs another value.
 """
 
 from __future__ import annotations
@@ -50,20 +51,14 @@ import numpy as np
 from .errors import NonFiniteError
 from .integrate import (
     Trajectory,
+    coupled_jacobian,
     expand_piecewise_schedule,
     integrate_adjoint_backward,
     integrate_coupled,
     integrate_state_forward,
     interval_boundaries,
 )
-from .model import (
-    ModelParams,
-    RunningCost,
-    adjoint_rhs,
-    coupled_linearization,
-    optimal_controls_lanes,
-    state_rhs,
-)
+from .model import ModelParams, RunningCost, optimal_controls_lanes
 
 __all__ = [
     "SolveReport",
@@ -73,20 +68,16 @@ __all__ = [
     "control_gradient",
 ]
 
-# Shooting: Newton iteration cap, the seed sweep's tolerance and largest
-# grid (the same seed starts the forward-backward sweep on finer grids),
-# and the most steps whose matrices the Jacobian holds at once: on 2000
-# steps one Jacobian allocates at most 2.7 MiB with all of them at once
-# and 0.7 MiB in blocks of 500, at the same speed.  The sweep's psi(0)
-# is second-order in h: on the baseline at 500 steps it lies 6.9e-6
-# (new) and 8.1e-6 (legacy) from the 4000-step shooting root, against
-# 9.4e-4 and 2.6e-3 when each control was held constant over a step, so
-# Newton converges from it on the problem's own grid in 2-3 steps
-# across the declared box.
+# Shooting: Newton iteration cap, and the seed sweep's tolerance and
+# largest grid (the same seed starts the forward-backward sweep on finer
+# grids).  The sweep's psi(0) is second-order in h: on the baseline at
+# 500 steps it lies 6.9e-6 (new) and 8.1e-6 (legacy) from the 4000-step
+# shooting root, against 9.4e-4 and 2.6e-3 when each control was held
+# constant over a step, so Newton converges from it on the problem's own
+# grid in 2-3 steps across the declared box.
 _MAX_NEWTON_ITERS = 50
 _SEED_TOL = 1e-6
 _SEED_STEPS = 500
-_JACOBIAN_BLOCK = 500
 
 # Forward-backward sweep: sweep cap, tolerance on the control fixed point,
 # and Anderson(1)'s mixing (the step's fraction of the residual).
@@ -104,13 +95,13 @@ class SolveReport:
     and the problem grid's for the forward-backward sweep (a seed that
     diverges counts none).  The seed's count is the same whether this
     solve ran the seed sweep or found it cached by the solve before it
-    on the same problem, so the report does not depend on call history.  newton_iters counts the shooting solve's
-    Newton steps, a rejected last step included; each is one coupled
-    pass beyond the one from the start, and it stays 0 for the
-    forward-backward sweep.  residual_norm is max(|psi1(T)|, |psi2(T)|),
-    which the sweep's backward pass makes exactly 0; the sweep's
-    converged flag says that its control fixed point was reached within
-    500 sweeps.
+    on the same problem, so the report does not depend on call history.
+    newton_iters counts the shooting solve's Newton steps, a rejected
+    last step included; each is one coupled pass beyond the one from the
+    start, and it stays 0 for the forward-backward sweep.  residual_norm
+    is max(|psi1(T)|, |psi2(T)|), which the sweep's backward pass makes
+    exactly 0; the sweep's converged flag says that its control fixed
+    point was reached within 500 sweeps.
     """
 
     trajectory: Trajectory
@@ -148,9 +139,10 @@ def solve_shooting(
     sweep reads its controls piecewise linearly, so its psi(0) is
     second-order in h and lies within ~1e-5 of the root.  Newton then
     takes full steps on the problem's own grid, one coupled pass each,
-    with the exact Jacobian of the pass it starts from (_jacobian), until
-    max(|psi1(T)|, |psi2(T)|) <= residual_tol.  Raises ValueError, before
-    any integration, unless 0 < residual_tol < inf.
+    with the exact Jacobian of the pass it starts from
+    (integrate.coupled_jacobian), until max(|psi1(T)|, |psi2(T)|) <=
+    residual_tol.  Raises ValueError, before any integration, unless
+    0 < residual_tol < inf.
 
     The report counts the seed's sweeps and the Newton steps; the solve
     makes 1 + newton_iters coupled passes.  It fails fast and says so
@@ -172,7 +164,7 @@ def solve_shooting(
     iters = 0
 
     while norm > residual_tol and iters < _MAX_NEWTON_ITERS:
-        a, b, c, d = _jacobian(traj, cost, p)
+        a, b, c, d = coupled_jacobian(traj, cost, p)
         det = a * d - b * c
         if not (det != 0.0 and math.isfinite(det)):
             break
@@ -197,61 +189,6 @@ def solve_shooting(
         solver="shooting",
         sweeps=sweeps,
     )
-
-
-def _jacobian(traj: Trajectory, cost: RunningCost, p: ModelParams) -> tuple[float, float, float, float]:
-    """Exact derivative (a, b, c, d) = d(psi1(T), psi2(T)) / d(psi1(0), psi2(0))
-    of the coupled RK4 pass that produced traj.
-
-    Each step's RK4 stage points are rebuilt from the stored nodes on
-    numpy lanes with the kernels the pass called, and the chain rule runs
-    through the four stages: with A_j the model's linearization at stage
-    j, K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2),
-    K4 = A4 (I + h K3), and the step's matrix is
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).  The product of the step
-    matrices, taken in a balanced tree per block of at most 500 steps,
-    maps (S, I, psi1, psi2) at t = 0 to t = T; the start's state is
-    fixed, so the answer is its costate block.  Overflow gives a
-    non-finite entry, quietly, which the caller treats as a failed step.
-    """
-    n = p.n_steps
-    h = p.horizon / n
-    beta, alpha = p.beta, p.alpha
-    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
-    u1m, u2m = p.u1_max, p.u2_max
-    eye = np.eye(4)
-
-    def slopes(s, i, psi1, psi2, u1, u2):
-        ds, di, _, _, _, _ = state_rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
-        dp1, dp2 = adjoint_rhs(s, i, psi1, psi2, u1, u2, beta, alpha, a_i)
-        lin = coupled_linearization(s, i, psi1, psi2, u1, u2, beta, alpha, w1, w2, u1m, u2m)
-        return (ds, di, dp1, dp2), lin
-
-    def stage(x, k, f):
-        xs, xi, x1, x2 = (xv + f * kv for xv, kv in zip(x, k))
-        return slopes(xs, xi, x1, x2, *optimal_controls_lanes(xs, xi, x1, x2, w1, w2, u1m, u2m))
-
-    total = eye
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _JACOBIAN_BLOCK):
-            nodes = slice(lo, min(lo + _JACOBIAN_BLOCK, n))
-            x = (traj.s[nodes], traj.i[nodes], traj.psi1[nodes], traj.psi2[nodes])
-            # Stage 1's controls are the ones the pass stored at the node.
-            f1, k1 = slopes(*x, traj.u1[nodes], traj.u2[nodes])
-            f2, a2 = stage(x, f1, h / 2.0)
-            f3, a3 = stage(x, f2, h / 2.0)
-            _, a4 = stage(x, f3, h)
-            k2 = a2 @ (eye + h / 2.0 * k1)
-            k3 = a3 @ (eye + h / 2.0 * k2)
-            k4 = a4 @ (eye + h * k3)
-            steps = eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            while len(steps) > 1:
-                # Later steps multiply from the left.
-                half = len(steps) // 2
-                paired = steps[1:2 * half:2] @ steps[0:2 * half:2]
-                steps = np.concatenate((paired, steps[2 * half:]))
-            total = steps[0] @ total
-    return float(total[2, 2]), float(total[2, 3]), float(total[3, 2]), float(total[3, 3])
 
 
 def _seed_grid(p: ModelParams) -> ModelParams:

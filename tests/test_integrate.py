@@ -246,6 +246,40 @@ class TestAdjointBackward:
                 replace(traj, **missing)
 
 
+class TestRk4StepMaps:
+    """integrate._rk4_step_maps chains a linear field's four RK4 stages
+    into each step's matrix; the costate pass and coupled_jacobian both
+    build on it."""
+
+    # For a constant field the RK4 step is the degree-4 Taylor polynomial
+    # of exp(hA).  Measured within 2 ulps of each lane's largest entry
+    # over 50 draws like these; the bound is 4 ulps.
+    @pytest.mark.parametrize("h", [0.25, -0.25], ids=["forward", "backward"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_a_constant_field_steps_by_its_taylor_polynomial(self, d, h):
+        from sircontrol.integrate import _rk4_step_maps
+
+        a = np.random.default_rng(d).uniform(-1.0, 1.0, (d, d, 500))
+        got = _rk4_step_maps(a, a, a, a, h)
+        ha = np.moveaxis(h * a, 2, 0)
+        ha2 = ha @ ha
+        ha3 = ha2 @ ha
+        ref = np.moveaxis(np.eye(d) + ha + ha2 / 2.0 + ha3 / 6.0 + ha3 @ ha / 24.0, 0, 2)
+        err = np.max(np.abs(got - ref), axis=(0, 1)) / np.max(np.abs(ref), axis=(0, 1))
+        assert np.max(err) <= 4.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("h", [0.25, -0.25], ids=["forward", "backward"])
+    def test_an_affine_field_keeps_its_homogeneous_row(self, h):
+        from sircontrol.integrate import _rk4_step_maps
+
+        rng = np.random.default_rng(3)
+        fields = [rng.uniform(-1.0, 1.0, (3, 3, 500)) for _ in range(4)]
+        for a in fields:
+            a[2] = 0.0
+        got = _rk4_step_maps(*fields, h)
+        assert np.array_equal(got[2], np.broadcast_to(np.array([[0.0], [0.0], [1.0]]), (3, 500)))
+
+
 class TestAffineStepMaps:
     """integrate_adjoint_backward builds its RK4 steps as affine maps on
     numpy lanes; conftest's adjoint_backward_reference is the scalar loop

@@ -141,12 +141,12 @@ class TestSolveShooting:
         # pass (seed pass, trial) instead of trying another step.
         import sircontrol.solvers
 
-        exact = sircontrol.solvers._jacobian
+        exact = sircontrol.solvers.coupled_jacobian
 
         def negated(traj, cost, p):
             return tuple(-x for x in exact(traj, cost, p))
 
-        monkeypatch.setattr(sircontrol.solvers, "_jacobian", negated)
+        monkeypatch.setattr(sircontrol.solvers, "coupled_jacobian", negated)
         passes = _coupled_passes_by_grid(monkeypatch)
         p = make_baseline_params(n_steps=200)
         report = solve_shooting(running_cost(p), p)
@@ -383,7 +383,7 @@ class TestChordNewton:
         ids=["baseline", "legacy-T18", "n200", "stiff"],
     )
     def test_the_jacobian_is_the_derivative_of_the_pass(self, overrides):
-        import sircontrol.solvers
+        import sircontrol.integrate
 
         p = make_baseline_params(**overrides)
         cost = running_cost(p)
@@ -394,7 +394,7 @@ class TestChordNewton:
             ref1, ref2 = dual_terminal_costates(psi0, cost, p)
             assert (ref1.x, ref2.x) == (traj.psi1[-1], traj.psi2[-1])
             ref = np.array([ref1.d1, ref1.d2, ref2.d1, ref2.d2])
-            jac = np.array(sircontrol.solvers._jacobian(traj, cost, p))
+            jac = np.array(sircontrol.integrate.coupled_jacobian(traj, cost, p))
             assert np.max(np.abs(jac - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     # Far outside the declared box the pass from the seed stays finite
