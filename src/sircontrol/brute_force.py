@@ -54,13 +54,14 @@ the condition, for example at 2 steps over a horizon of 10, RK4 drives I
 negative, objectives fall to -2e5, and the walk runs unpruned.  A hint
 that is not finite, or whose schedule diverges, also leaves it unpruned.
 
-The lanes call the same ``model.state_rhs`` kernel as the scalar
-integrator and every lane does the arithmetic of one full-length scalar
-pass, so each objective equals integrate_state_forward on that schedule
-bit for bit.  Results are deterministic: a schedule's index reads its
-levels as base-L digits (u1 on intervals 0..m-1, then u2), an exact tie
-goes to the smaller index whatever the walk order, and a diverged
-(non-finite) schedule never wins.
+The lanes call the same ``model`` kernels as the scalar integrator, and
+take each interval's control_effort once: its controls are constant.
+Every lane does the arithmetic of one full-length scalar pass, so each
+objective equals integrate_state_forward on that schedule bit for bit.
+Results are deterministic: a schedule's index reads its levels as base-L
+digits (u1 on intervals 0..m-1, then u2), an exact tie goes to the
+smaller index whatever the walk order, and a diverged (non-finite)
+schedule never wins.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import numpy as np
 
 from .errors import NonFiniteError, TooLargeError
 from .integrate import expand_piecewise_schedule, integrate_state_forward, interval_boundaries
-from .model import ModelParams, RunningCost, state_rhs
+from .model import ModelParams, RunningCost, control_effort, cost_rate, dynamics_rhs
 
 __all__ = ["BruteForceResult", "control_levels", "brute_force_best"]
 
@@ -123,14 +124,20 @@ def _advance_lanes(s, i, z, u1, u2, first: int, last: int, cost: RunningCost, p:
     h = p.horizon / p.n_steps
     h2 = h / 2.0
     h6 = h / 6.0
-    beta, alpha = p.beta, p.alpha
-    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
-    rhs = state_rhs
+    beta, alpha, a_i = p.beta, p.alpha, cost.a_i
+    effort = control_effort(u1, u2, cost.w1, cost.w2)
     for _k in range(first, last):
-        k1s, k1i, _, _, k1z, _ = rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
-        k2s, k2i, _, _, k2z, _ = rhs(s + h2 * k1s, i + h2 * k1i, u1, u2, beta, alpha, a_i, w1, w2)
-        k3s, k3i, _, _, k3z, _ = rhs(s + h2 * k2s, i + h2 * k2i, u1, u2, beta, alpha, a_i, w1, w2)
-        k4s, k4i, _, _, k4z, _ = rhs(s + h * k3s, i + h * k3i, u1, u2, beta, alpha, a_i, w1, w2)
+        k1s, k1i = dynamics_rhs(s, i, u1, u2, beta, alpha)
+        k1z = cost_rate(effort, i, a_i)
+        xs, xi = s + h2 * k1s, i + h2 * k1i
+        k2s, k2i = dynamics_rhs(xs, xi, u1, u2, beta, alpha)
+        k2z = cost_rate(effort, xi, a_i)
+        xs, xi = s + h2 * k2s, i + h2 * k2i
+        k3s, k3i = dynamics_rhs(xs, xi, u1, u2, beta, alpha)
+        k3z = cost_rate(effort, xi, a_i)
+        xs, xi = s + h * k3s, i + h * k3i
+        k4s, k4i = dynamics_rhs(xs, xi, u1, u2, beta, alpha)
+        k4z = cost_rate(effort, xi, a_i)
         s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)

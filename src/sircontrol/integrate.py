@@ -27,9 +27,12 @@ are second-order (Hager, Numer. Math. 87, 2000).  Each pass builds
 per-step (start, middle, end) controls once with numpy, so one code path
 serves both readings.
 
-The running cost is integrated as augmented ODEs alongside the state
-(total ``z`` and its control-effort part ``z_control``), so objective
-values carry the integrator's order rather than a quadrature rule's.
+R, D and the running cost (total ``z`` and its control-effort part
+``z_control``) never feed back, so the forward loops step only S, I and
+the costates and record each step's RK4 stage points; _quadratures then
+integrates the rest with the same RK4 weights, bit for bit as stepping
+it in the loop would.  So objective values carry the integrator's order
+rather than a quadrature rule's.
 
 The backward pass needs state values at RK4 half-steps; those come from
 cubic Hermite interpolation of the stored node samples with endpoint
@@ -38,18 +41,18 @@ derivatives from the state equations, which preserves 4th-order accuracy.
 No model equation is written here: every stage, Hermite endpoint
 derivative and linearization calls the kernels of ``model.py``, the
 clamp law's included.  The forward passes' inner loops run on
-plain Python floats: the systems are tiny (at most 8 scalar equations)
+plain Python floats: the systems are tiny (at most 4 stepped equations)
 and per-step numpy dispatch would dominate the cost.
 
 The two forward passes, and the enumeration lanes of ``brute_force.py``,
-keep their own RK4 loops because they carry different data: 8 unknowns
-with the clamp law at every stage, 6 under fixed controls, and numpy
+keep their own RK4 loops because they carry different data: 4 unknowns
+with the clamp law at every stage, 2 under fixed controls, and numpy
 lanes over schedules.  One shared RK4 loop would have to branch on its
 caller, and its callbacks cost time: a generic driver with one callback
 per stage and tuple arithmetic gave bit-identical coupled passes but
 took 1.8-2.1x as long (2000 steps, medians of 15 alternating runs, 2
 cores, Python 3.11).  Each loop binds the kernels to locals, unpacks
-their tuples straight into locals and records one tuple per node, which
+their tuples straight into locals and records one tuple per step, which
 keeps it as fast as the hand-inlined arithmetic it replaced.
 
 The costate pass has no RK4 loop over stages.  Along a stored state the
@@ -78,8 +81,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteError
-from .model import (ModelParams, RunningCost, adjoint_rhs, coupled_linearization, optimal_controls,
-                    optimal_controls_lanes, state_rhs)
+from .model import (ModelParams, RunningCost, adjoint_rhs, control_effort, cost_rate, coupled_linearization,
+                    dynamics_rhs, optimal_controls, optimal_controls_lanes, removed_rhs)
 
 __all__ = [
     "Trajectory",
@@ -94,6 +97,28 @@ __all__ = [
 def _columns(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
     """The columns of a pass's rows, each a tuple of width floats."""
     return np.fromiter(chain.from_iterable(rows), float, width * len(rows)).reshape(len(rows), width).T
+
+
+def _quadratures(s, i, u1, u2, cost: RunningCost, p: ModelParams, stopped: bool):
+    """R, D, z and z_control at a forward pass's nodes, from its (4, steps) stage points.
+
+    Each step adds its four stage rates with the RK4 weights, and
+    np.add.accumulate adds the steps in sequence.  Raises NonFiniteError
+    at the first node whose z is not finite, or at the last if stopped.
+    """
+    h = p.horizon / p.n_steps
+    h6 = h / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        dr, dd = removed_rhs(s, i, u1, u2, p.alpha)
+        dzc = control_effort(u1, u2, cost.w1, cost.w2)
+        dz = cost_rate(dzc, i, cost.a_i)
+        r, d, z, zc = [np.add.accumulate(np.concatenate(([x0], h6 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]))))
+                       for x0, k in ((p.r0, dr), (0.0, dd), (0.0, dz), (0.0, dzc))]
+    finite = np.isfinite(z)
+    finite[-1] &= not stopped
+    if not finite.all():
+        raise NonFiniteError(int(finite.argmin()) * h)
+    return r, d, z, zc
 
 
 @dataclass(frozen=True)
@@ -188,50 +213,38 @@ def integrate_coupled(
     beta, alpha = p.beta, p.alpha
     a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
     u1m, u2m = p.u1_max, p.u2_max
-    law, rhs, adjoint, isfinite = optimal_controls, state_rhs, adjoint_rhs, math.isfinite
+    law, dynamics, adjoint, isfinite = optimal_controls, dynamics_rhs, adjoint_rhs, math.isfinite
 
-    s, i, r, d = p.s0, p.i0, p.r0, 0.0
+    s, i = p.s0, p.i0
     p1, p2 = float(psi0[0]), float(psi0[1])
     c1 = c2 = 0.0  # each costate sum's last rounding error, taken off the next step (Kahan)
-    z = 0.0
-    zc = 0.0
     rows = []
-    for k in range(n + 1):
+    for _ in range(n):
         u1, u2 = law(s, i, p1, p2, w1, w2, u1m, u2m)
-        rows.append((s, i, r, d, p1, p2, u1, u2, z, zc))
-        if k == n:
-            break
-        k1s, k1i, k1r, k1d, k1z, k1c = rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
+        k1s, k1i = dynamics(s, i, u1, u2, beta, alpha)
         k1p1, k1p2 = adjoint(s, i, p1, p2, u1, u2, beta, alpha, a_i)
 
-        xs = s + h2 * k1s
-        xi = i + h2 * k1i
-        x1 = p1 + h2 * k1p1
-        x2 = p2 + h2 * k1p2
-        u1, u2 = law(xs, xi, x1, x2, w1, w2, u1m, u2m)
-        k2s, k2i, k2r, k2d, k2z, k2c = rhs(xs, xi, u1, u2, beta, alpha, a_i, w1, w2)
-        k2p1, k2p2 = adjoint(xs, xi, x1, x2, u1, u2, beta, alpha, a_i)
+        s2, i2 = s + h2 * k1s, i + h2 * k1i
+        x1, x2 = p1 + h2 * k1p1, p2 + h2 * k1p2
+        u1b, u2b = law(s2, i2, x1, x2, w1, w2, u1m, u2m)
+        k2s, k2i = dynamics(s2, i2, u1b, u2b, beta, alpha)
+        k2p1, k2p2 = adjoint(s2, i2, x1, x2, u1b, u2b, beta, alpha, a_i)
 
-        xs = s + h2 * k2s
-        xi = i + h2 * k2i
-        x1 = p1 + h2 * k2p1
-        x2 = p2 + h2 * k2p2
-        u1, u2 = law(xs, xi, x1, x2, w1, w2, u1m, u2m)
-        k3s, k3i, k3r, k3d, k3z, k3c = rhs(xs, xi, u1, u2, beta, alpha, a_i, w1, w2)
-        k3p1, k3p2 = adjoint(xs, xi, x1, x2, u1, u2, beta, alpha, a_i)
+        s3, i3 = s + h2 * k2s, i + h2 * k2i
+        x1, x2 = p1 + h2 * k2p1, p2 + h2 * k2p2
+        u1c, u2c = law(s3, i3, x1, x2, w1, w2, u1m, u2m)
+        k3s, k3i = dynamics(s3, i3, u1c, u2c, beta, alpha)
+        k3p1, k3p2 = adjoint(s3, i3, x1, x2, u1c, u2c, beta, alpha, a_i)
 
-        xs = s + h * k3s
-        xi = i + h * k3i
-        x1 = p1 + h * k3p1
-        x2 = p2 + h * k3p2
-        u1, u2 = law(xs, xi, x1, x2, w1, w2, u1m, u2m)
-        k4s, k4i, k4r, k4d, k4z, k4c = rhs(xs, xi, u1, u2, beta, alpha, a_i, w1, w2)
-        k4p1, k4p2 = adjoint(xs, xi, x1, x2, u1, u2, beta, alpha, a_i)
+        s4, i4 = s + h * k3s, i + h * k3i
+        x1, x2 = p1 + h * k3p1, p2 + h * k3p2
+        u1d, u2d = law(s4, i4, x1, x2, w1, w2, u1m, u2m)
+        k4s, k4i = dynamics(s4, i4, u1d, u2d, beta, alpha)
+        k4p1, k4p2 = adjoint(s4, i4, x1, x2, u1d, u2d, beta, alpha, a_i)
 
+        rows.append((s, s2, s3, s4, i, i2, i3, i4, u1, u1b, u1c, u1d, u2, u2b, u2c, u2d, p1, p2))
         s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        r = r + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        d = d + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         y1 = h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1) - c1
         t1 = p1 + y1
         c1 = (t1 - p1) - y1
@@ -240,17 +253,17 @@ def integrate_coupled(
         t2 = p2 + y2
         c2 = (t2 - p2) - y2
         p2 = t2
-        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        zc = zc + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        if not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2) and isfinite(z)):
-            raise NonFiniteError((k + 1) * h)
+        if not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2)):
+            break
 
-    ss, ii, rr, dd, pp1, pp2, uu1, uu2, zz, zzc = _columns(rows, 10)
-    return Trajectory(
-        t=np.arange(n + 1) * h,
-        s=ss, i=ii, r=rr, d=dd, z=zz, z_control=zzc,
-        u1=uu1, u2=uu2, psi1=pp1, psi2=pp2,
-    )
+    stages = _columns(rows, 18)
+    stopped = not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2))
+    r, d, z, zc = _quadratures(stages[0:4], stages[4:8], stages[8:12], stages[12:16], cost, p, stopped)
+    # np.append copies, so no array keeps the stage block alive.
+    ends = (s, i, *law(s, i, p1, p2, w1, w2, u1m, u2m), p1, p2)
+    ss, ii, uu1, uu2, pp1, pp2 = (np.append(stages[j], x) for j, x in zip((0, 4, 8, 12, 16, 17), ends))
+    return Trajectory(t=np.arange(n + 1) * h, s=ss, i=ii, r=r, d=d, z=z, z_control=zc,
+                      u1=uu1, u2=uu2, psi1=pp1, psi2=pp2)
 
 
 def _rk4_step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, a4: np.ndarray, h: float) -> np.ndarray:
@@ -296,7 +309,7 @@ def coupled_jacobian(traj: Trajectory, cost: RunningCost, p: ModelParams) -> tup
     u1m, u2m = p.u1_max, p.u2_max
 
     def slopes(s, i, psi1, psi2, u1, u2):
-        ds, di, _, _, _, _ = state_rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
+        ds, di = dynamics_rhs(s, i, u1, u2, beta, alpha)
         dp1, dp2 = adjoint_rhs(s, i, psi1, psi2, u1, u2, beta, alpha, a_i)
         lin = coupled_linearization(s, i, psi1, psi2, u1, u2, beta, alpha, w1, w2, u1m, u2m)
         return (ds, di, dp1, dp2), lin
@@ -365,35 +378,32 @@ def integrate_state_forward(
     h2 = h / 2.0
     h6 = h / 6.0
     beta, alpha = p.beta, p.alpha
-    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
-    rhs, isfinite = state_rhs, math.isfinite
+    dynamics, isfinite = dynamics_rhs, math.isfinite
     controls = _step_controls(u1_arr, linear) + _step_controls(u2_arr, linear)
     steps = zip(*[c.tolist() for c in controls])
 
-    s, i, r, d = p.s0, p.i0, p.r0, 0.0
-    z = 0.0
-    zc = 0.0
-    rows = [(s, i, r, d, z, zc)]
+    s, i = p.s0, p.i0
+    rows = []
     for a1, m1, b1, a2, m2, b2 in steps:
-        k1s, k1i, k1r, k1d, k1z, k1c = rhs(s, i, a1, a2, beta, alpha, a_i, w1, w2)
-        k2s, k2i, k2r, k2d, k2z, k2c = rhs(s + h2 * k1s, i + h2 * k1i, m1, m2, beta, alpha, a_i, w1, w2)
-        k3s, k3i, k3r, k3d, k3z, k3c = rhs(s + h2 * k2s, i + h2 * k2i, m1, m2, beta, alpha, a_i, w1, w2)
-        k4s, k4i, k4r, k4d, k4z, k4c = rhs(s + h * k3s, i + h * k3i, b1, b2, beta, alpha, a_i, w1, w2)
+        k1s, k1i = dynamics(s, i, a1, a2, beta, alpha)
+        s2, i2 = s + h2 * k1s, i + h2 * k1i
+        k2s, k2i = dynamics(s2, i2, m1, m2, beta, alpha)
+        s3, i3 = s + h2 * k2s, i + h2 * k2i
+        k3s, k3i = dynamics(s3, i3, m1, m2, beta, alpha)
+        s4, i4 = s + h * k3s, i + h * k3i
+        k4s, k4i = dynamics(s4, i4, b1, b2, beta, alpha)
+        rows.append((s, s2, s3, s4, i, i2, i3, i4))
         s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        r = r + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        d = d + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        zc = zc + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        if not (isfinite(s) and isfinite(i) and isfinite(z)):
-            raise NonFiniteError(len(rows) * h)
-        rows.append((s, i, r, d, z, zc))
+        if not (isfinite(s) and isfinite(i)):
+            break
 
-    ss, ii, rr, dd, zz, zzc = _columns(rows, 6)
-    return Trajectory(
-        t=np.arange(n + 1) * h, s=ss, i=ii, r=rr, d=dd, z=zz, z_control=zzc,
-        u1=u1_arr.copy(), u2=u2_arr.copy(),
-    )
+    stages = _columns(rows, 8)
+    a1, m1, b1, a2, m2, b2 = (c[:len(rows)] for c in controls)
+    r, d, z, zc = _quadratures(stages[:4], stages[4:], np.array((a1, m1, m1, b1)), np.array((a2, m2, m2, b2)),
+                               cost, p, not (isfinite(s) and isfinite(i)))
+    return Trajectory(t=np.arange(n + 1) * h, s=np.append(stages[0], s), i=np.append(stages[4], i),
+                      r=r, d=d, z=z, z_control=zc, u1=u1_arr.copy(), u2=u2_arr.copy())
 
 
 def integrate_adjoint_backward(
@@ -426,8 +436,7 @@ def integrate_adjoint_backward(
 
     h = p.horizon / n
     h8 = h / 8.0
-    beta, alpha = p.beta, p.alpha
-    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
+    beta, alpha, a_i = p.beta, p.alpha, cost.a_i
 
     def field(s, i, u1, u2):
         # dpsi/dt = A psi + c as the 3x3 matrix [[A, c], [0, 0]] acting on
@@ -449,8 +458,8 @@ def integrate_adjoint_backward(
         # Hermite midpoints.  Under piecewise-constant controls both
         # endpoint derivatives use the interval's control (the state's
         # right-limit derivative at t_{k+1} belongs to the next interval).
-        fs_l, fi_l, _, _, _, _ = state_rhs(s[:-1], i[:-1], a1, a2, beta, alpha, a_i, w1, w2)
-        fs_r, fi_r, _, _, _, _ = state_rhs(s[1:], i[1:], b1, b2, beta, alpha, a_i, w1, w2)
+        fs_l, fi_l = dynamics_rhs(s[:-1], i[:-1], a1, a2, beta, alpha)
+        fs_r, fi_r = dynamics_rhs(s[1:], i[1:], b1, b2, beta, alpha)
         mid = field(
             0.5 * (s[:-1] + s[1:]) + h8 * (fs_l - fs_r), 0.5 * (i[:-1] + i[1:]) + h8 * (fi_l - fi_r), m1, m2
         )
@@ -468,4 +477,4 @@ def integrate_adjoint_backward(
         rows.append((p1, p2))
 
     psi1, psi2 = _columns(rows[::-1], 2)
-    return psi1, psi2
+    return psi1.copy(), psi2.copy()  # each holding only its own nodes

@@ -31,13 +31,17 @@ maximizer of the Hamiltonian over the control box is the clamped law
 
 This module is the only place where these equations are written.  Every
 integrator, the enumeration lanes, the forward-backward update and the
-diagnostics call the kernels below (state_rhs, adjoint_rhs, hamiltonian,
-and the clamp law as optimal_controls on floats or optimal_controls_lanes
-on arrays), so the cross-checks integrate exactly the same system.  The
-kernels take flat arguments and return plain tuples: the RK4 loops call
-them several times per step on Python floats, where building value
-objects would cost more than the arithmetic, and the same code runs
-unchanged on numpy lanes or whole trajectory arrays.  One more kernel,
+diagnostics call the kernels below, so the cross-checks integrate exactly
+the same system.  The state equations split by what feeds back:
+dynamics_rhs gives (dS, dI), which drive everything else; removed_rhs
+gives (dR, dD), and control_effort and cost_rate the running cost, which
+the passes integrate as quadratures along the stored RK4 stage points.
+Then come adjoint_rhs, hamiltonian, and the clamp law as optimal_controls
+on floats or optimal_controls_lanes on arrays.  The kernels take flat
+arguments and return plain tuples: the RK4 loops call them several times
+per step on Python floats, where building value objects would cost more
+than the arithmetic, and the same code runs unchanged on numpy lanes or
+whole trajectory arrays.  One more kernel,
 coupled_linearization, differentiates the coupled state-costate system
 under the clamp law for shooting's exact Jacobian; it runs on numpy
 lanes only and returns one 4x4 matrix per lane, lanes last.
@@ -54,7 +58,8 @@ import numpy as np
 
 __all__ = [
     "FUNCTIONAL_NEW", "FUNCTIONAL_LEGACY", "ModelParams", "RunningCost", "running_cost",
-    "state_rhs", "adjoint_rhs", "hamiltonian", "optimal_controls", "optimal_controls_lanes",
+    "dynamics_rhs", "removed_rhs", "control_effort", "cost_rate", "adjoint_rhs", "hamiltonian",
+    "optimal_controls", "optimal_controls_lanes",
 ]
 
 FUNCTIONAL_NEW = "new"
@@ -165,28 +170,30 @@ def running_cost(p: ModelParams) -> RunningCost:
     return RunningCost(a_i=p.c1, w1=p.c3, w2=p.c2)
 
 
-def state_rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2):
-    """Time derivatives (dS, dI, dR, dD, dz, dz_control) under controls (u1, u2).
-
-    The four flows (infection, vaccination, treatment, death) each appear
-    once with either sign, so dS + dI + dR + dD is zero in exact
-    arithmetic: the system is closed.  dz is the running cost
-    a_i*I + w1*u1^2 + w2*u2^2 and dz_control its control-effort part.
-    Works on floats and on numpy lanes alike.
-    """
+def dynamics_rhs(s, i, u1, u2, beta, alpha):
+    """Time derivatives (dS, dI) under controls (u1, u2): the part that feeds back."""
     infection = beta * s * i
-    vaccination = u1 * s
-    treatment = u2 * i
-    deaths = alpha * i
-    dzc = w1 * u1 * u1 + w2 * u2 * u2
-    return (
-        -infection - vaccination,
-        infection - treatment - deaths,
-        vaccination + treatment,
-        deaths,
-        dzc + a_i * i,
-        dzc,
-    )
+    return -infection - u1 * s, infection - u2 * i - alpha * i
+
+
+def removed_rhs(s, i, u1, u2, alpha):
+    """Time derivatives (dR, dD) under controls (u1, u2).
+
+    Vaccination u1*S and treatment u2*I flow into R, deaths alpha*I into
+    D; with dynamics_rhs every flow appears once with either sign, so
+    dS + dI + dR + dD is zero in exact arithmetic: the system is closed.
+    """
+    return u1 * s + u2 * i, alpha * i
+
+
+def control_effort(u1, u2, w1, w2):
+    """The running cost's control part w1*u1^2 + w2*u2^2, dz_control/dt."""
+    return w1 * u1 * u1 + w2 * u2 * u2
+
+
+def cost_rate(effort, i, a_i):
+    """The running cost effort + a_i*I, dz/dt, from a control_effort value."""
+    return effort + a_i * i
 
 
 def adjoint_rhs(s, i, psi1, psi2, u1, u2, beta, alpha, a_i):
@@ -214,8 +221,8 @@ def hamiltonian(s, i, psi1, psi2, u1, u2, beta, alpha, a_i, w1, w2):
     spread along a converged trajectory a cheap global diagnostic.  Works
     on floats and on whole trajectory arrays alike.
     """
-    ds, di, _, _, dz, _ = state_rhs(s, i, u1, u2, beta, alpha, a_i, w1, w2)
-    return -dz + psi1 * ds + psi2 * di
+    ds, di = dynamics_rhs(s, i, u1, u2, beta, alpha)
+    return -cost_rate(control_effort(u1, u2, w1, w2), i, a_i) + psi1 * ds + psi2 * di
 
 
 def optimal_controls(s, i, psi1, psi2, w1, w2, u1_max, u2_max):

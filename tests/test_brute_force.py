@@ -1,5 +1,7 @@
 """Exhaustive schedule enumeration: guards, determinism, pruning, solver bounds."""
 
+import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from sircontrol import (
 )
 from sircontrol import brute_force
 
-from conftest import make_baseline_params
+from conftest import make_baseline_params, state_forward_reference
 
 
 class TestControlLevels:
@@ -74,9 +76,9 @@ class TestBruteForce:
     def test_lanes_equal_scalar_integrator_bit_for_bit(self, functional):
         # Every schedule of 3 intervals x 3 levels, on the uneven split
         # 33/33/34 with the interior level 0.45: the prefix walk shares
-        # state_rhs and the per-lane arithmetic with the scalar pass, so
-        # each objective is the scalar integrator's number exactly, and
-        # each schedule index comes out exactly once.
+        # the model kernels and the per-lane arithmetic with the scalar
+        # pass, so each objective is the scalar integrator's number
+        # exactly, and each schedule index comes out exactly once.
         p = make_baseline_params(functional=functional, n_steps=100)
         cost = running_cost(p)
         levels = control_levels(0.9, 3)
@@ -164,6 +166,27 @@ class TestBruteForce:
             with pytest.raises(NonFiniteError, match="every enumerated schedule diverged") as err:
                 brute_force_best(running_cost(p), p, n_intervals, levels, hint=hint)
             assert err.value.time == 1.0
+
+    def test_a_cost_that_overflows_before_the_state_names_the_loops_earliest_time(self):
+        # At beta 0.05, a_i = 3e306 overflows z by t = 0.2-0.25 on every
+        # schedule while S and I stay finite: the earliest time is the
+        # least over the schedules of the scalar loop's, which checked z
+        # after every step.
+        p = make_baseline_params(beta=0.05, n_steps=200)
+        cost = RunningCost(a_i=3e306, w1=1.0, w2=1.0)
+        levels = control_levels(0.9, 3)
+        bounds = interval_boundaries(p.n_steps, 2)
+        times = set()
+        for digits in itertools.product(range(3), repeat=4):
+            u1, u2 = (expand_piecewise_schedule(levels[list(d)], bounds, p.n_steps) for d in (digits[:2], digits[2:]))
+            with pytest.raises(NonFiniteError) as err:
+                state_forward_reference(u1, u2, cost, p)
+            times.add(err.value.time)
+        with warnings.catch_warnings(), pytest.raises(NonFiniteError, match="every enumerated schedule") as err:
+            warnings.simplefilter("error")
+            brute_force_best(cost, p, n_intervals=2, levels_per_control=3)
+        assert len(times) > 1
+        assert err.value.time == min(times)
 
     def test_deterministic_repeat(self, baseline_params, baseline_cost):
         a = brute_force_best(baseline_cost, baseline_params, n_intervals=2, levels_per_control=3)

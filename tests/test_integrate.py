@@ -1,6 +1,8 @@
 """RK4 integration paths: order, conservation, coupled and backward passes."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from sircontrol import (
     running_cost,
 )
 
-from conftest import adjoint_backward_reference, evaluate_objective_trapezoid, make_baseline_params
+from conftest import (
+    adjoint_backward_reference,
+    coupled_reference,
+    evaluate_objective_trapezoid,
+    make_baseline_params,
+    state_forward_reference,
+)
 
 
 def rk4_step(f, t, y, h):
@@ -343,6 +351,91 @@ class TestAffineStepMaps:
                 integrate(traj, cost, p)
             times.append(err.value.time)
         assert times[1] - 0.1 <= times[0] < times[1]
+
+
+TRAJECTORY_FIELDS = ("t", "s", "i", "r", "d", "z", "z_control", "u1", "u2", "psi1", "psi2")
+
+
+class TestStageQuadratures:
+    """The forward passes step only S and I, and the costates in the
+    coupled pass, and integrate R, D, z and z_control after the loop from
+    the stored stage points.  conftest's state_forward_reference and
+    coupled_reference are the loops that stepped all of them together and
+    checked z after every step."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        for name in TRAJECTORY_FIELDS:
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["held", "linear"])
+    @pytest.mark.parametrize("n_steps", [200, 500, 2000])
+    def test_the_state_pass_equals_the_loop_bit_for_bit(self, n_steps, linear):
+        rng = np.random.default_rng(n_steps + 1)
+        for functional in ("new", "legacy"):
+            p = make_baseline_params(n_steps=n_steps, functional=functional)
+            cost = running_cost(p)
+            u1, u2 = rng.uniform(0.0, p.u1_max, n_steps + 1), rng.uniform(0.0, p.u2_max, n_steps + 1)
+            self.assert_same(integrate_state_forward(u1, u2, cost, p, linear=linear),
+                             state_forward_reference(u1, u2, cost, p, linear=linear))
+
+    @pytest.mark.parametrize("n_steps", [200, 500, 2000])
+    def test_the_coupled_pass_equals_the_loop_bit_for_bit(self, n_steps):
+        # Random starts around the baseline optimum (-0.07, -1.9) clamp
+        # both controls at either bound somewhere and leave them inside
+        # elsewhere.
+        rng = np.random.default_rng(n_steps + 2)
+        for functional in ("new", "legacy"):
+            p = make_baseline_params(n_steps=n_steps, functional=functional)
+            cost = running_cost(p)
+            for psi0 in zip(rng.uniform(-0.2, 0.05, 3), rng.uniform(-5.0, 0.5, 3)):
+                self.assert_same(integrate_coupled(psi0, cost, p), coupled_reference(psi0, cost, p))
+
+    # At beta 0.05 I grows to about 10 by t = 0.2-0.25, where a step's
+    # stage sum of a_i*I = 3e306 * I overflows z while S, I and the
+    # costates stay finite.  Vaccination at -30 grows S until it overflows
+    # at 0.3, after z has at 0.1: the pass stops there and finds z's node
+    # on the prefix.  At beta 0, vaccination at -100 overflows S alone, at
+    # 8.4, while I and z stay finite.
+    @pytest.mark.parametrize("passes, start, beta, huge_a_i, time", [
+        ("state", 0.45, 0.05, True, 0.25),
+        ("state", -30.0, 0.05, True, 0.1),
+        ("state", -30.0, 0.05, False, 0.3),
+        ("state", -100.0, 0.0, False, 8.4),
+        ("coupled", (0.0, 0.0), 0.05, True, 0.2),
+        ("coupled", (-1e308, -1e308), 0.05, False, 0.05),
+    ], ids=["z-state", "z-before-S", "S", "S-alone", "z-coupled", "psi"])
+    def test_raise_times_are_the_loops(self, passes, start, beta, huge_a_i, time):
+        p = make_baseline_params(beta=beta, n_steps=200)
+        cost = RunningCost(a_i=3e306, w1=1.0, w2=1.0) if huge_a_i else running_cost(p)
+        if passes == "state":
+            args = (np.full(201, start), np.full(201, 0.9))
+            pair = (integrate_state_forward, state_forward_reference)
+        else:
+            args = (start,)
+            pair = (integrate_coupled, coupled_reference)
+        times = []
+        for integrate in pair:
+            with warnings.catch_warnings(), pytest.raises(NonFiniteError) as err:
+                warnings.simplefilter("error")
+                integrate(*args, cost, p)
+            times.append(err.value.time)
+        assert times[0] == times[1] == pytest.approx(time)
+
+    def test_trajectory_arrays_hold_only_their_own_nodes(self, baseline_params, baseline_cost):
+        # A view into a pass's row or stage-point block would keep the
+        # whole block alive for as long as the trajectory.
+        n = baseline_params.n_steps
+        rng = np.random.default_rng(5)
+        u1, u2 = rng.uniform(0.0, 0.9, (2, n + 1))
+        state = integrate_state_forward(u1, u2, baseline_cost, baseline_params, linear=True)
+        psi1, psi2 = integrate_adjoint_backward(state, baseline_cost, baseline_params, linear=True)
+        coupled = integrate_coupled((-0.07, -1.9), baseline_cost, baseline_params)
+        for traj in (state, replace(state, psi1=psi1, psi2=psi2), coupled):
+            for name in TRAJECTORY_FIELDS:
+                a = getattr(traj, name)
+                assert a is None or a.base is None or a.base.size == n + 1, name
 
 
 class TestPiecewiseLinearControls:

@@ -9,11 +9,14 @@ from sircontrol import (
     ModelParams,
     RunningCost,
     adjoint_rhs,
+    control_effort,
+    cost_rate,
+    dynamics_rhs,
     hamiltonian,
     optimal_controls,
     optimal_controls_lanes,
+    removed_rhs,
     running_cost,
-    state_rhs,
 )
 
 from conftest import make_baseline_params
@@ -32,7 +35,10 @@ SOURCE = RunningCost(a_i=0.4, w1=1.0, w2=1.0)
 
 
 def flows(s, i, u1, u2, p, cost=SOURCE):
-    return state_rhs(s, i, u1, u2, p.beta, p.alpha, cost.a_i, cost.w1, cost.w2)
+    """(dS, dI, dR, dD, dz, dz_control) from the four state kernels."""
+    effort = control_effort(u1, u2, cost.w1, cost.w2)
+    return (*dynamics_rhs(s, i, u1, u2, p.beta, p.alpha), *removed_rhs(s, i, u1, u2, p.alpha),
+            cost_rate(effort, i, cost.a_i), effort)
 
 
 def costate_rates(s, i, psi1, psi2, u1, u2, cost, p):
@@ -81,6 +87,16 @@ class TestStateRhs:
             dx = flows(s, i, u1, u2, p)[:4]
             scale = sum(abs(v) for v in dx) + 1.0
             assert abs(sum(dx)) <= 1e-13 * scale
+
+    def test_components_sum_to_exactly_zero_where_nothing_rounds(self):
+        # dynamics_rhs and removed_rhs write each flow once, with either
+        # sign: on eighths, where no product or sum rounds, they cancel to 0.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            s, i = rng.integers(0, 800, 2) / 8.0
+            u1, u2, beta, alpha = rng.integers(0, 8, 4) / 8.0
+            (ds, di), (dr, dd) = dynamics_rhs(s, i, u1, u2, beta, alpha), removed_rhs(s, i, u1, u2, alpha)
+            assert ds + di + dr + dd == 0.0
 
 
 class TestAdjointRhs:

@@ -16,11 +16,11 @@ PUBLIC_NAMES = {
     "BruteForceResult", "CheckResult", "ConfigError", "FUNCTIONAL_LEGACY", "FUNCTIONAL_NEW",
     "ModelParams", "NonFiniteError", "ResolvedConfig", "RunningCost", "SirControlError",
     "SolveReport", "SweepRow", "TooLargeError", "Trajectory", "__version__", "adjoint_rhs",
-    "brute_force_best", "control_gradient", "control_levels", "expand_piecewise_schedule",
-    "hamiltonian", "integrate_adjoint_backward", "integrate_coupled", "integrate_state_forward",
-    "interval_boundaries", "optimal_controls", "optimal_controls_lanes", "parse_config",
-    "run_self_check", "running_cost", "shooting_residual", "solve_forward_backward",
-    "solve_shooting", "state_rhs", "sweep_alpha",
+    "brute_force_best", "control_effort", "control_gradient", "control_levels", "cost_rate",
+    "dynamics_rhs", "expand_piecewise_schedule", "hamiltonian", "integrate_adjoint_backward",
+    "integrate_coupled", "integrate_state_forward", "interval_boundaries", "optimal_controls",
+    "optimal_controls_lanes", "parse_config", "removed_rhs", "run_self_check", "running_cost",
+    "shooting_residual", "solve_forward_backward", "solve_shooting", "sweep_alpha",
 }
 REEXPORTED = ("alpha_sweep", "brute_force", "config", "errors", "integrate", "model", "selfcheck", "solvers")
 
