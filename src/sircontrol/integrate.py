@@ -29,10 +29,12 @@ serves both readings.
 
 R, D and the running cost (total ``z`` and its control-effort part
 ``z_control``) never feed back, so the forward loops step only S, I and
-the costates and record each step's RK4 stage points; _quadratures then
-integrates the rest with the same RK4 weights, bit for bit as stepping
-it in the loop would.  So objective values carry the integrator's order
-rather than a quadrature rule's.
+the costates; _quadratures integrates the rest along each step's RK4
+stage points with the RK4 weights, bit for bit as the loop would, so
+objective values carry the integrator's order.  The coupled loop keeps
+only its nodes: _coupled_stages rebuilds its stage points on numpy
+lanes, for coupled_jacobian too.  The state loop records its own, as a
+rebuild would only repeat its arithmetic.
 
 The backward pass needs state values at RK4 half-steps; those come from
 cubic Hermite interpolation of the stored node samples with endpoint
@@ -100,7 +102,7 @@ def _columns(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
 
 
 def _quadratures(s, i, u1, u2, cost: RunningCost, p: ModelParams, stopped: bool):
-    """R, D, z and z_control at a forward pass's nodes, from its (4, steps) stage points.
+    """R, D, z and z_control at a forward pass's nodes, from its (4, steps) stage S, I, u1 and u2.
 
     Each step adds its four stage rates with the RK4 weights, and
     np.add.accumulate adds the steps in sequence.  Raises NonFiniteError
@@ -119,6 +121,22 @@ def _quadratures(s, i, u1, u2, cost: RunningCost, p: ModelParams, stopped: bool)
     if not finite.all():
         raise NonFiniteError(int(finite.argmin()) * h)
     return r, d, z, zc
+
+
+def _coupled_stages(s, i, psi1, psi2, cost: RunningCost, p: ModelParams):
+    """(S, I, psi1, psi2, u1, u2), each (4, steps), at the RK4 stages of the coupled steps from
+    the given nodes, bit for bit as integrate_coupled's loop takes them.  Callers silence overflow."""
+    h = p.horizon / p.n_steps
+    beta, alpha, a_i = p.beta, p.alpha, cost.a_i
+    law_params = (cost.w1, cost.w2, p.u1_max, p.u2_max)
+    x = (s, i, psi1, psi2)
+    points = [x + optimal_controls_lanes(*x, *law_params)]
+    for f in (h / 2.0, h / 2.0, h):
+        xs, xi, x1, x2, u1, u2 = points[-1]
+        k = dynamics_rhs(xs, xi, u1, u2, beta, alpha) + adjoint_rhs(xs, xi, x1, x2, u1, u2, beta, alpha, a_i)
+        y = tuple(xv + f * kv for xv, kv in zip(x, k))
+        points.append(y + optimal_controls_lanes(*y, *law_params))
+    return tuple(np.array(c) for c in zip(*points))
 
 
 @dataclass(frozen=True)
@@ -208,17 +226,15 @@ def integrate_coupled(
     """
     n = p.n_steps
     h = p.horizon / n
-    h2 = h / 2.0
-    h6 = h / 6.0
-    beta, alpha = p.beta, p.alpha
-    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
-    u1m, u2m = p.u1_max, p.u2_max
+    h2, h6 = h / 2.0, h / 6.0
+    beta, alpha, a_i = p.beta, p.alpha, cost.a_i
+    w1, w2, u1m, u2m = cost.w1, cost.w2, p.u1_max, p.u2_max
     law, dynamics, adjoint, isfinite = optimal_controls, dynamics_rhs, adjoint_rhs, math.isfinite
 
     s, i = p.s0, p.i0
     p1, p2 = float(psi0[0]), float(psi0[1])
     c1 = c2 = 0.0  # each costate sum's last rounding error, taken off the next step (Kahan)
-    rows = []
+    rows = [(s, i, p1, p2)]
     for _ in range(n):
         u1, u2 = law(s, i, p1, p2, w1, w2, u1m, u2m)
         k1s, k1i = dynamics(s, i, u1, u2, beta, alpha)
@@ -242,7 +258,6 @@ def integrate_coupled(
         k4s, k4i = dynamics(s4, i4, u1d, u2d, beta, alpha)
         k4p1, k4p2 = adjoint(s4, i4, x1, x2, u1d, u2d, beta, alpha, a_i)
 
-        rows.append((s, s2, s3, s4, i, i2, i3, i4, u1, u1b, u1c, u1d, u2, u2b, u2c, u2d, p1, p2))
         s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         y1 = h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1) - c1
@@ -253,15 +268,15 @@ def integrate_coupled(
         t2 = p2 + y2
         c2 = (t2 - p2) - y2
         p2 = t2
+        rows.append((s, i, p1, p2))
         if not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2)):
             break
 
-    stages = _columns(rows, 18)
-    stopped = not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2))
-    r, d, z, zc = _quadratures(stages[0:4], stages[4:8], stages[8:12], stages[12:16], cost, p, stopped)
-    # np.append copies, so no array keeps the stage block alive.
-    ends = (s, i, *law(s, i, p1, p2, w1, w2, u1m, u2m), p1, p2)
-    ss, ii, uu1, uu2, pp1, pp2 = (np.append(stages[j], x) for j, x in zip((0, 4, 8, 12, 16, 17), ends))
+    ss, ii, pp1, pp2 = (c.copy() for c in _columns(rows, 4))  # each holding only its own nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, xi, _, _, xu1, xu2 = _coupled_stages(ss[:-1], ii[:-1], pp1[:-1], pp2[:-1], cost, p)
+        r, d, z, zc = _quadratures(xs, xi, xu1, xu2, cost, p, not all(map(isfinite, rows[-1])))
+        uu1, uu2 = optimal_controls_lanes(ss, ii, pp1, pp2, w1, w2, u1m, u2m)
     return Trajectory(t=np.arange(n + 1) * h, s=ss, i=ii, r=r, d=d, z=z, z_control=zc,
                       u1=uu1, u2=uu2, psi1=pp1, psi2=pp2)
 
@@ -294,41 +309,23 @@ def coupled_jacobian(traj: Trajectory, cost: RunningCost, p: ModelParams) -> tup
     """Exact derivative (a, b, c, d) = d(psi1(T), psi2(T)) / d(psi1(0), psi2(0))
     of the coupled RK4 pass that produced traj.
 
-    Each step's RK4 stage points are rebuilt from the stored nodes on
-    numpy lanes with the kernels the pass called, and _rk4_step_maps
-    chains the model's linearization at the four stages into each step's
-    matrix.  Their product, in a balanced tree per block of at most 500
-    steps, maps (S, I, psi1, psi2) at t = 0 to t = T; the start's state
-    is fixed, so the answer is its costate block.  Overflow gives a
+    _coupled_stages rebuilds each step's four RK4 stage points and their
+    controls from the stored nodes, as for the pass's own quadratures,
+    and _rk4_step_maps chains the model's linearization at them into each
+    step's matrix.  Their product, in a balanced tree per block of at most
+    500 steps, maps (S, I, psi1, psi2) at t = 0 to t = T; the start's
+    state is fixed, so the answer is its costate block.  Overflow gives a
     non-finite entry, quietly, which the caller treats as a failed step.
     """
     n = p.n_steps
     h = p.horizon / n
-    beta, alpha = p.beta, p.alpha
-    a_i, w1, w2 = cost.a_i, cost.w1, cost.w2
-    u1m, u2m = p.u1_max, p.u2_max
-
-    def slopes(s, i, psi1, psi2, u1, u2):
-        ds, di = dynamics_rhs(s, i, u1, u2, beta, alpha)
-        dp1, dp2 = adjoint_rhs(s, i, psi1, psi2, u1, u2, beta, alpha, a_i)
-        lin = coupled_linearization(s, i, psi1, psi2, u1, u2, beta, alpha, w1, w2, u1m, u2m)
-        return (ds, di, dp1, dp2), lin
-
-    def stage(x, k, f):
-        xs, xi, x1, x2 = (xv + f * kv for xv, kv in zip(x, k))
-        return slopes(xs, xi, x1, x2, *optimal_controls_lanes(xs, xi, x1, x2, w1, w2, u1m, u2m))
-
+    params = (p.beta, p.alpha, cost.w1, cost.w2, p.u1_max, p.u2_max)
     total = np.eye(4)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, _JACOBIAN_BLOCK):
-            nodes = slice(lo, min(lo + _JACOBIAN_BLOCK, n))
-            x = (traj.s[nodes], traj.i[nodes], traj.psi1[nodes], traj.psi2[nodes])
-            # Stage 1's controls are the ones the pass stored at the node.
-            f1, a1 = slopes(*x, traj.u1[nodes], traj.u2[nodes])
-            f2, a2 = stage(x, f1, h / 2.0)
-            f3, a3 = stage(x, f2, h / 2.0)
-            _, a4 = stage(x, f3, h)
-            steps = _rk4_step_maps(a1, a2, a3, a4, h).transpose(2, 0, 1)
+            k = slice(lo, min(lo + _JACOBIAN_BLOCK, n))
+            stages = zip(*_coupled_stages(traj.s[k], traj.i[k], traj.psi1[k], traj.psi2[k], cost, p))
+            steps = _rk4_step_maps(*(coupled_linearization(*x, *params) for x in stages), h).transpose(2, 0, 1)
             while len(steps) > 1:
                 # Later steps multiply from the left.
                 half = len(steps) // 2

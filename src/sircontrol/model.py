@@ -35,7 +35,7 @@ diagnostics call the kernels below, so the cross-checks integrate exactly
 the same system.  The state equations split by what feeds back:
 dynamics_rhs gives (dS, dI), which drive everything else; removed_rhs
 gives (dR, dD), and control_effort and cost_rate the running cost, which
-the passes integrate as quadratures along the stored RK4 stage points.
+the passes integrate as quadratures along their RK4 stage points.
 Then come adjoint_rhs, hamiltonian, and the clamp law as optimal_controls
 on floats or optimal_controls_lanes on arrays.  The kernels take flat
 arguments and return plain tuples: the RK4 loops call them several times

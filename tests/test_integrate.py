@@ -1,6 +1,7 @@
 """RK4 integration paths: order, conservation, coupled and backward passes."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -359,9 +360,10 @@ TRAJECTORY_FIELDS = ("t", "s", "i", "r", "d", "z", "z_control", "u1", "u2", "psi
 class TestStageQuadratures:
     """The forward passes step only S and I, and the costates in the
     coupled pass, and integrate R, D, z and z_control after the loop from
-    the stored stage points.  conftest's state_forward_reference and
-    coupled_reference are the loops that stepped all of them together and
-    checked z after every step."""
+    each step's RK4 stage points: the state pass records them, the coupled
+    pass rebuilds them from its nodes.  conftest's state_forward_reference
+    and coupled_reference are the loops that stepped all of them together
+    and checked z after every step."""
 
     @staticmethod
     def assert_same(got, ref):
@@ -424,8 +426,9 @@ class TestStageQuadratures:
         assert times[0] == times[1] == pytest.approx(time)
 
     def test_trajectory_arrays_hold_only_their_own_nodes(self, baseline_params, baseline_cost):
-        # A view into a pass's row or stage-point block would keep the
-        # whole block alive for as long as the trajectory.
+        # A view into a pass's row block (the state pass's stage points,
+        # the coupled pass's nodes) would keep the whole block alive for
+        # as long as the trajectory.
         n = baseline_params.n_steps
         rng = np.random.default_rng(5)
         u1, u2 = rng.uniform(0.0, 0.9, (2, n + 1))
@@ -436,6 +439,20 @@ class TestStageQuadratures:
             for name in TRAJECTORY_FIELDS:
                 a = getattr(traj, name)
                 assert a is None or a.base is None or a.base.size == n + 1, name
+
+    def test_a_coupled_pass_peaks_under_1200_kib(self, baseline_params, baseline_cost):
+        # One 2000-step pass from near the baseline optimum, after a warm-up
+        # pass.  Recording each step's 18 stage floats in the loop peaked at
+        # 1417 KiB; keeping only the nodes and rebuilding the stage points on
+        # numpy lanes peaks at 1020 KiB.  1200 KiB lies between the two.
+        integrate_coupled((-0.07, -1.9), baseline_cost, baseline_params)
+        tracemalloc.start()
+        try:
+            integrate_coupled((-0.07, -1.9), baseline_cost, baseline_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1200 * 1024
 
 
 class TestPiecewiseLinearControls:
