@@ -36,6 +36,13 @@ only its nodes: _coupled_stages rebuilds its stage points on numpy
 lanes, for coupled_jacobian too.  The state loop records its own, as a
 rebuild would only repeat its arithmetic.
 
+Each pass runs to its last node with no test in its loop, then raises
+NonFiniteError at the first node it stepped to (backward, for the
+costates) where z or a stepped value is not finite.  No step reads a
+later one and Python floats raise nothing on inf or NaN, so that is where
+a per-step test stopped.  Later nodes stay non-finite: sums and products
+keep inf and NaN, the clamp law passes NaN and Kahan turns inf into NaN.
+
 The backward pass needs state values at RK4 half-steps; those come from
 cubic Hermite interpolation of the stored node samples with endpoint
 derivatives from the state equations, which preserves 4th-order accuracy.
@@ -75,7 +82,6 @@ stages into each step's matrix, in one layout, (d, d, lanes), lanes last.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -101,12 +107,12 @@ def _columns(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), float, width * len(rows)).reshape(len(rows), width).T
 
 
-def _quadratures(s, i, u1, u2, cost: RunningCost, p: ModelParams, stopped: bool):
+def _quadratures(s, i, u1, u2, cost: RunningCost, p: ModelParams, nodes: tuple[np.ndarray, ...]):
     """R, D, z and z_control at a forward pass's nodes, from its (4, steps) stage S, I, u1 and u2.
 
     Each step adds its four stage rates with the RK4 weights, and
     np.add.accumulate adds the steps in sequence.  Raises NonFiniteError
-    at the first node whose z is not finite, or at the last if stopped.
+    at the first node where z or one of nodes, the pass's stepped arrays, is not finite.
     """
     h = p.horizon / p.n_steps
     h6 = h / 6.0
@@ -116,8 +122,7 @@ def _quadratures(s, i, u1, u2, cost: RunningCost, p: ModelParams, stopped: bool)
         dz = cost_rate(dzc, i, cost.a_i)
         r, d, z, zc = [np.add.accumulate(np.concatenate(([x0], h6 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]))))
                        for x0, k in ((p.r0, dr), (0.0, dd), (0.0, dz), (0.0, dzc))]
-    finite = np.isfinite(z)
-    finite[-1] &= not stopped
+    finite = np.isfinite((z, *nodes)).all(axis=0)
     if not finite.all():
         raise NonFiniteError(int(finite.argmin()) * h)
     return r, d, z, zc
@@ -229,7 +234,7 @@ def integrate_coupled(
     h2, h6 = h / 2.0, h / 6.0
     beta, alpha, a_i = p.beta, p.alpha, cost.a_i
     w1, w2, u1m, u2m = cost.w1, cost.w2, p.u1_max, p.u2_max
-    law, dynamics, adjoint, isfinite = optimal_controls, dynamics_rhs, adjoint_rhs, math.isfinite
+    law, dynamics, adjoint = optimal_controls, dynamics_rhs, adjoint_rhs
 
     s, i = p.s0, p.i0
     p1, p2 = float(psi0[0]), float(psi0[1])
@@ -269,13 +274,12 @@ def integrate_coupled(
         c2 = (t2 - p2) - y2
         p2 = t2
         rows.append((s, i, p1, p2))
-        if not (isfinite(s) and isfinite(i) and isfinite(p1) and isfinite(p2)):
-            break
 
-    ss, ii, pp1, pp2 = (c.copy() for c in _columns(rows, 4))  # each holding only its own nodes
+    nodes = ss, ii, pp1, pp2 = tuple(c.copy() for c in _columns(rows, 4))  # each holding only its own nodes
+    del rows
     with np.errstate(over="ignore", invalid="ignore"):
         xs, xi, _, _, xu1, xu2 = _coupled_stages(ss[:-1], ii[:-1], pp1[:-1], pp2[:-1], cost, p)
-        r, d, z, zc = _quadratures(xs, xi, xu1, xu2, cost, p, not all(map(isfinite, rows[-1])))
+        r, d, z, zc = _quadratures(xs, xi, xu1, xu2, cost, p, nodes)
         uu1, uu2 = optimal_controls_lanes(ss, ii, pp1, pp2, w1, w2, u1m, u2m)
     return Trajectory(t=np.arange(n + 1) * h, s=ss, i=ii, r=r, d=d, z=z, z_control=zc,
                       u1=uu1, u2=uu2, psi1=pp1, psi2=pp2)
@@ -372,10 +376,8 @@ def integrate_state_forward(
         raise ValueError(f"schedule must have n_steps + 1 = {n + 1} samples per control")
 
     h = p.horizon / n
-    h2 = h / 2.0
-    h6 = h / 6.0
-    beta, alpha = p.beta, p.alpha
-    dynamics, isfinite = dynamics_rhs, math.isfinite
+    h2, h6 = h / 2.0, h / 6.0
+    beta, alpha, dynamics = p.beta, p.alpha, dynamics_rhs
     controls = _step_controls(u1_arr, linear) + _step_controls(u2_arr, linear)
     steps = zip(*[c.tolist() for c in controls])
 
@@ -392,15 +394,15 @@ def integrate_state_forward(
         rows.append((s, s2, s3, s4, i, i2, i3, i4))
         s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        if not (isfinite(s) and isfinite(i)):
-            break
 
     stages = _columns(rows, 8)
-    a1, m1, b1, a2, m2, b2 = (c[:len(rows)] for c in controls)
+    del rows
+    nodes = ss, ii = np.append(stages[0], s), np.append(stages[4], i)
+    a1, m1, b1, a2, m2, b2 = controls
     r, d, z, zc = _quadratures(stages[:4], stages[4:], np.array((a1, m1, m1, b1)), np.array((a2, m2, m2, b2)),
-                               cost, p, not (isfinite(s) and isfinite(i)))
-    return Trajectory(t=np.arange(n + 1) * h, s=np.append(stages[0], s), i=np.append(stages[4], i),
-                      r=r, d=d, z=z, z_control=zc, u1=u1_arr.copy(), u2=u2_arr.copy())
+                               cost, p, nodes)
+    return Trajectory(t=np.arange(n + 1) * h, s=ss, i=ii, r=r, d=d, z=z, z_control=zc,
+                      u1=u1_arr.copy(), u2=u2_arr.copy())
 
 
 def integrate_adjoint_backward(
@@ -424,15 +426,14 @@ def integrate_adjoint_backward(
     built at once on numpy lanes over the steps, and one scalar
     recurrence from psi(T) = 0 applies them.
 
-    Returns (psi1, psi2) node arrays.  Raises NonFiniteError at the time
-    of the first node whose costates are not finite.
+    Returns (psi1, psi2) node arrays.  Raises NonFiniteError at the first
+    node, going backward, whose costates are not finite.
     """
     n = state_traj.n_steps
     if n != p.n_steps:
         raise ValueError(f"trajectory has {n} steps, params expect {p.n_steps}")
 
     h = p.horizon / n
-    h8 = h / 8.0
     beta, alpha, a_i = p.beta, p.alpha, cost.a_i
 
     def field(s, i, u1, u2):
@@ -450,28 +451,27 @@ def integrate_adjoint_backward(
     a1, m1, b1 = _step_controls(state_traj.u1, linear)
     a2, m2, b2 = _step_controls(state_traj.u2, linear)
     # A state that overflows the field gives non-finite steps, quietly;
-    # the recurrence raises at the first node they reach.
+    # the pass raises at the first node the recurrence reaches with them.
     with np.errstate(over="ignore", invalid="ignore"):
         # Hermite midpoints.  Under piecewise-constant controls both
         # endpoint derivatives use the interval's control (the state's
         # right-limit derivative at t_{k+1} belongs to the next interval).
         fs_l, fi_l = dynamics_rhs(s[:-1], i[:-1], a1, a2, beta, alpha)
         fs_r, fi_r = dynamics_rhs(s[1:], i[1:], b1, b2, beta, alpha)
-        mid = field(
-            0.5 * (s[:-1] + s[1:]) + h8 * (fs_l - fs_r), 0.5 * (i[:-1] + i[1:]) + h8 * (fi_l - fi_r), m1, m2
-        )
+        mid_s = 0.5 * (s[:-1] + s[1:]) + h / 8.0 * (fs_l - fs_r)
+        mid_i = 0.5 * (i[:-1] + i[1:]) + h / 8.0 * (fi_l - fi_r)
+        mid = field(mid_s, mid_i, m1, m2)
         step = _rk4_step_maps(field(s[1:], i[1:], b1, b2), mid, mid, field(s[:-1], i[:-1], a1, a2), -h)
 
     m11, m12, q1, m21, m22, q2 = step[:2].reshape(6, n).tolist()
-    isfinite = math.isfinite
-    p1 = 0.0
-    p2 = 0.0
+    p1 = p2 = 0.0
     rows = [(p1, p2)]
     for k in range(n - 1, -1, -1):
         p1, p2 = m11[k] * p1 + m12[k] * p2 + q1[k], m21[k] * p1 + m22[k] * p2 + q2[k]
-        if not (isfinite(p1) and isfinite(p2)):
-            raise NonFiniteError(k * h)
         rows.append((p1, p2))
 
     psi1, psi2 = _columns(rows[::-1], 2)
+    diverged = np.flatnonzero(~np.isfinite((psi1, psi2)).all(axis=0))
+    if len(diverged):
+        raise NonFiniteError(int(diverged[-1]) * h)
     return psi1.copy(), psi2.copy()  # each holding only its own nodes

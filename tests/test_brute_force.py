@@ -351,6 +351,26 @@ class TestBranchAndBound:
         assert_same_result(hinted, unpruned)
         assert hinted.lane_steps == unpruned.lane_steps
 
+    def test_a_hint_whose_schedule_overflows_walks_unpruned(self):
+        # At 200 steps h * L = 0.145 <= 1/4, so a hint may prune.  With
+        # a_i = 1e306 the zero hint's grid schedule costs more than a float
+        # holds (its pass raises at t = 2.45), so it bounds nothing; the
+        # all-max hint's costs 8.5e306 and prunes.
+        p = make_baseline_params(n_steps=200)
+        cost = RunningCost(a_i=1e306, w1=1.0, w2=1.0)
+        zeros, full = np.zeros(201), np.full(201, 0.9)
+        with pytest.raises(NonFiniteError) as err:
+            integrate_state_forward(zeros, zeros, cost, p)
+        assert err.value.time == pytest.approx(2.45)
+        unpruned = brute_force_best(cost, p, 2, 3)
+        assert unpruned.objective == 8.497883510061123e306
+        assert unpruned.u1_levels.tolist() == unpruned.u2_levels.tolist() == [0.9, 0.9]
+        zero_hint = brute_force_best(cost, p, 2, 3, hint=(zeros, zeros))
+        full_hint = brute_force_best(cost, p, 2, 3, hint=(full, full))
+        for hinted in (zero_hint, full_hint):
+            assert_same_result(hinted, unpruned)
+        assert (unpruned.lane_steps, zero_hint.lane_steps, full_hint.lane_steps) == (9000, 9000, 1800)
+
     def test_hint_needs_one_value_per_node(self, baseline_params, baseline_cost):
         short = np.zeros(baseline_params.n_steps)
         with pytest.raises(ValueError, match="n_steps \\+ 1"):

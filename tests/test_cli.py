@@ -175,6 +175,15 @@ class TestCheckCommand:
             f"non-finite value encountered at t = {diverged_at} (shooting start diverged)"
         )
 
+    def test_an_unconverged_check_solve_fails_its_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(sircontrol.solvers, "_MAX_NEWTON_ITERS", 0)
+        assert main(["check"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS rk4-order", "PASS conservation", "FAIL hamiltonian-constancy",
+        ]
+        assert lines[2] == "FAIL hamiltonian-constancy: shooting solve did not converge"
+
     def test_an_empty_population_passes_every_check(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text(BASELINE_CFG.replace("s0 = 95", "s0 = 0").replace("i0 = 5", "i0 = 0"))

@@ -12,9 +12,11 @@ from sircontrol import (
     NonFiniteError,
     RunningCost,
     Trajectory,
+    expand_piecewise_schedule,
     integrate_adjoint_backward,
     integrate_coupled,
     integrate_state_forward,
+    interval_boundaries,
     running_cost,
 )
 
@@ -254,6 +256,30 @@ class TestAdjointBackward:
             with pytest.raises(ValueError, match="control samples"):
                 replace(traj, **missing)
 
+    def test_every_field_needs_one_sample_per_node(self, baseline_params, baseline_cost):
+        traj = integrate_state_forward(
+            zeros_schedule(baseline_params), zeros_schedule(baseline_params), baseline_cost, baseline_params
+        )
+        with pytest.raises(ValueError, match="field i has 2000 samples, expected 2001"):
+            replace(traj, i=traj.i[:-1])
+
+    def test_requires_a_trajectory_on_its_grid(self, baseline_params, baseline_cost):
+        coarse = make_baseline_params(n_steps=200)
+        traj = integrate_state_forward(zeros_schedule(coarse), zeros_schedule(coarse), baseline_cost, coarse)
+        with pytest.raises(ValueError, match="trajectory has 200 steps, params expect 2000"):
+            integrate_adjoint_backward(traj, baseline_cost, baseline_params)
+
+
+class TestPiecewiseSchedules:
+    @pytest.mark.parametrize("n_intervals", [0, 201])
+    def test_interval_counts_lie_between_one_and_the_steps(self, n_intervals):
+        with pytest.raises(ValueError, match="1 <= n_intervals <= n_steps"):
+            interval_boundaries(200, n_intervals)
+
+    def test_a_schedule_takes_one_level_per_interval(self):
+        with pytest.raises(ValueError, match="one level per interval"):
+            expand_piecewise_schedule([0.1, 0.2, 0.3], interval_boundaries(200, 2), 200)
+
 
 class TestRk4StepMaps:
     """integrate._rk4_step_maps chains a linear field's four RK4 stages
@@ -397,8 +423,8 @@ class TestStageQuadratures:
     # At beta 0.05 I grows to about 10 by t = 0.2-0.25, where a step's
     # stage sum of a_i*I = 3e306 * I overflows z while S, I and the
     # costates stay finite.  Vaccination at -30 grows S until it overflows
-    # at 0.3, after z has at 0.1: the pass stops there and finds z's node
-    # on the prefix.  At beta 0, vaccination at -100 overflows S alone, at
+    # at 0.3, after z has at 0.1: the first non-finite node of the finished
+    # arrays is z's.  At beta 0, vaccination at -100 overflows S alone, at
     # 8.4, while I and z stay finite.
     @pytest.mark.parametrize("passes, start, beta, huge_a_i, time", [
         ("state", 0.45, 0.05, True, 0.25),
@@ -440,19 +466,26 @@ class TestStageQuadratures:
                 a = getattr(traj, name)
                 assert a is None or a.base is None or a.base.size == n + 1, name
 
-    def test_a_coupled_pass_peaks_under_1200_kib(self, baseline_params, baseline_cost):
-        # One 2000-step pass from near the baseline optimum, after a warm-up
-        # pass.  Recording each step's 18 stage floats in the loop peaked at
-        # 1417 KiB; keeping only the nodes and rebuilding the stage points on
-        # numpy lanes peaks at 1020 KiB.  1200 KiB lies between the two.
-        integrate_coupled((-0.07, -1.9), baseline_cost, baseline_params)
+    # One 2000-step pass after a warm-up pass: the coupled pass from near
+    # the baseline optimum, the state pass under u = 0.5 read linearly.
+    # Keeping each pass's row list alive after its columns were copied
+    # peaked at 1020 and 1366 KiB; dropping it peaks at 821 and 1007 KiB.
+    # Each bound lies between the two.
+    @pytest.mark.parametrize("passes, bound_kib", [("coupled", 920), ("state", 1180)], ids=["coupled", "state"])
+    def test_a_forward_pass_peaks_under_920_or_1180_kib(self, baseline_params, baseline_cost, passes, bound_kib):
+        u = np.full(baseline_params.n_steps + 1, 0.5)
+        run = {
+            "coupled": lambda: integrate_coupled((-0.07, -1.9), baseline_cost, baseline_params),
+            "state": lambda: integrate_state_forward(u, u, baseline_cost, baseline_params, linear=True),
+        }[passes]
+        run()
         tracemalloc.start()
         try:
-            integrate_coupled((-0.07, -1.9), baseline_cost, baseline_params)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1200 * 1024
+        assert peak <= bound_kib * 1024
 
 
 class TestPiecewiseLinearControls:

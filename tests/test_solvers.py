@@ -421,6 +421,37 @@ class TestChordNewton:
         assert not report.converged
         assert report.newton_iters == newton_iters
 
+    # At beta 3 the legacy pass from the seed stays finite, but a Newton
+    # step's trial pass overflows: at t = 3.475 on the second step with
+    # both controls up to 0.9, at t = 4.2333 on the first with both up to
+    # 5.  The solve ends unconverged on its last finite pass, quietly.
+    @pytest.mark.parametrize("u_max, newton_iters, sweeps, diverged_at", [(0.9, 2, 11, 3.475), (5.0, 1, 17, 4.2333)])
+    def test_a_step_whose_trial_pass_diverges_ends_the_solve(self, monkeypatch, u_max, newton_iters, sweeps,
+                                                              diverged_at):
+        import warnings
+
+        import sircontrol.solvers
+
+        exact = sircontrol.solvers.integrate_coupled
+        raised = []
+
+        def recording(*args):
+            try:
+                return exact(*args)
+            except NonFiniteError as err:
+                raised.append(err.time)
+                raise
+
+        monkeypatch.setattr(sircontrol.solvers, "integrate_coupled", recording)
+        p = make_baseline_params(beta=3.0, horizon=5.0, functional="legacy", n_steps=600, u1_max=u_max,
+                                 u2_max=u_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_shooting(running_cost(p), p)
+        assert not report.converged
+        assert (report.newton_iters, report.sweeps) == (newton_iters, sweeps)
+        assert raised == [pytest.approx(diverged_at, abs=1e-4)]
+
     @pytest.mark.parametrize("functional", ["new", "legacy"])
     def test_a_seed_that_diverges_on_500_steps_ends_the_solve(self, monkeypatch, functional):
         # At beta 5 the seed sweep's first state pass, the uncontrolled
