@@ -1,8 +1,9 @@
 """Fixed-step classical RK4 integration of the model systems.
 
 This module owns the three passes, the RK4 step maps of their linear
-fields and the derivative of the coupled pass (coupled_jacobian, for
-shooting).  The passes share one scheme (uniform grid, classical RK4):
+fields and two passes' derivatives (coupled_jacobian for shooting,
+control_gradient for a schedule).  They share one scheme (uniform grid,
+classical RK4):
 
   * integrate_coupled        forward pass of the coupled state+costate
                              system with the clamp law substituted at every
@@ -13,28 +14,28 @@ shooting).  The passes share one scheme (uniform grid, classical RK4):
                              backward pass of the costates along a stored
                              state trajectory, terminal data psi(T) = 0.
 
-The last two read the schedule between nodes in one of two ways.  By
+The state pass reads the schedule between nodes in one of two ways.  By
 default it is piecewise constant: every stage of the step from t_k uses
 node k's control.  That is the meaning of a schedule for the
-enumeration oracle, the adjoint gradient and the self-checks, whose
+enumeration oracle, control_gradient and the self-checks, whose
 schedules are piecewise constant by construction.  With linear=True it
 is piecewise linear: stage 1 uses node k's control, stages 2 and 3 the
-mean of nodes k and k+1, stage 4 node k+1.  The forward-backward sweep
-uses this, since its schedule samples a continuous optimal control: held
-constant over a step, that control is only first-order accurate in h,
-and so are the sweep's state and costates; interpolated linearly, they
-are second-order (Hager, Numer. Math. 87, 2000).  Each pass builds
-per-step (start, middle, end) controls once with numpy, so one code path
-serves both readings.
+mean of nodes k and k+1, stage 4 node k+1.  The costate pass always
+reads so, and the forward-backward sweep uses it, since its schedule
+samples a continuous optimal control: held constant over a step, that
+control is only first-order accurate in h, and so are the sweep's state
+and costates; interpolated linearly, they are second-order (Hager,
+Numer. Math. 87, 2000).  _stage_controls builds each step's stage
+controls once with numpy, so one code path serves both readings.
 
 R, D and the running cost (total ``z`` and its control-effort part
 ``z_control``) never feed back, so the forward loops step only S, I and
 the costates; _quadratures integrates the rest along each step's RK4
 stage points with the RK4 weights, bit for bit as the loop would, so
-objective values carry the integrator's order.  The coupled loop keeps
-only its nodes: _coupled_stages rebuilds its stage points on numpy
-lanes, for coupled_jacobian too.  The state loop records its own, as a
-rebuild would only repeat its arithmetic.
+objective values carry the integrator's order.  Both forward loops keep
+only their nodes: _coupled_stages and _state_stages rebuild each step's
+stage points on numpy lanes, for the quadratures and for the pass's
+derivative, coupled_jacobian or control_gradient.
 
 Each pass runs to its last node with no test in its loop, then raises
 NonFiniteError at the first node it stepped to (backward, for the
@@ -76,8 +77,8 @@ Python 3.11, numpy 2.4), and it agrees with that loop, kept in the
 tests as the reference, to within a few units of rounding.
 
 Where a field is linear (the costate field along a stored state, the
-coupled linearization along a pass), _rk4_step_maps chains its four
-stages into each step's matrix, in one layout, (d, d, lanes), lanes last.
+linearized coupled or state field along a pass), _rk4_step_maps chains
+its four stages into each step's matrix, in one layout, (d, d, lanes).
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ __all__ = [
     "integrate_coupled",
     "integrate_state_forward",
     "integrate_adjoint_backward",
+    "control_gradient",
     "interval_boundaries",
     "expand_piecewise_schedule",
 ]
@@ -142,6 +144,19 @@ def _coupled_stages(s, i, psi1, psi2, cost: RunningCost, p: ModelParams):
         y = tuple(xv + f * kv for xv, kv in zip(x, k))
         points.append(y + optimal_controls_lanes(*y, *law_params))
     return tuple(np.array(c) for c in zip(*points))
+
+
+def _state_stages(s, i, u1, u2, p: ModelParams):
+    """(S, I), each (4, steps), at the RK4 stages of the state steps from the given nodes under
+    the (4, steps) stage controls u1 and u2, bit for bit as integrate_state_forward's loop takes
+    them.  Callers silence overflow."""
+    h = p.horizon / p.n_steps
+    xs, xi = [s], [i]
+    for f, a1, a2 in zip((h / 2.0, h / 2.0, h), u1, u2):
+        ks, ki = dynamics_rhs(xs[-1], xi[-1], a1, a2, p.beta, p.alpha)
+        xs.append(s + f * ks)
+        xi.append(i + f * ki)
+    return np.array(xs), np.array(xi)
 
 
 @dataclass(frozen=True)
@@ -339,17 +354,18 @@ def coupled_jacobian(traj: Trajectory, cost: RunningCost, p: ModelParams) -> tup
     return float(total[2, 2]), float(total[2, 3]), float(total[3, 2]), float(total[3, 3])
 
 
-def _step_controls(u: np.ndarray, linear: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step (start, middle, end) controls of a node schedule.
+def _stage_controls(u: np.ndarray, linear: bool) -> np.ndarray:
+    """Controls (4, steps) at each step's RK4 stages, read from a node schedule.
 
-    Piecewise constant: all three are node k's value for step k.
-    Linear: node k, the mean of nodes k and k+1, and node k+1.
+    Piecewise constant: node k's value at all four stages of step k.
+    Linear: node k, the mean of nodes k and k+1 twice, and node k+1.
     """
     start = u[:-1]
     if not linear:
-        return start, start, start
+        return np.array((start,) * 4)
     end = u[1:]
-    return start, 0.5 * (start + end), end
+    middle = 0.5 * (start + end)
+    return np.array((start, middle, middle, end))
 
 
 def integrate_state_forward(
@@ -378,43 +394,58 @@ def integrate_state_forward(
     h = p.horizon / n
     h2, h6 = h / 2.0, h / 6.0
     beta, alpha, dynamics = p.beta, p.alpha, dynamics_rhs
-    controls = _step_controls(u1_arr, linear) + _step_controls(u2_arr, linear)
-    steps = zip(*[c.tolist() for c in controls])
+    u1, u2 = _stage_controls(u1_arr, linear), _stage_controls(u2_arr, linear)
+    steps = zip(*u1[[0, 1, 3]].tolist(), *u2[[0, 1, 3]].tolist())
 
     s, i = p.s0, p.i0
-    rows = []
+    rows = [(s, i)]
     for a1, m1, b1, a2, m2, b2 in steps:
         k1s, k1i = dynamics(s, i, a1, a2, beta, alpha)
-        s2, i2 = s + h2 * k1s, i + h2 * k1i
-        k2s, k2i = dynamics(s2, i2, m1, m2, beta, alpha)
-        s3, i3 = s + h2 * k2s, i + h2 * k2i
-        k3s, k3i = dynamics(s3, i3, m1, m2, beta, alpha)
-        s4, i4 = s + h * k3s, i + h * k3i
-        k4s, k4i = dynamics(s4, i4, b1, b2, beta, alpha)
-        rows.append((s, s2, s3, s4, i, i2, i3, i4))
+        k2s, k2i = dynamics(s + h2 * k1s, i + h2 * k1i, m1, m2, beta, alpha)
+        k3s, k3i = dynamics(s + h2 * k2s, i + h2 * k2i, m1, m2, beta, alpha)
+        k4s, k4i = dynamics(s + h * k3s, i + h * k3i, b1, b2, beta, alpha)
         s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        rows.append((s, i))
 
-    stages = _columns(rows, 8)
+    nodes = ss, ii = tuple(c.copy() for c in _columns(rows, 2))  # each holding only its own nodes
     del rows
-    nodes = ss, ii = np.append(stages[0], s), np.append(stages[4], i)
-    a1, m1, b1, a2, m2, b2 = controls
-    r, d, z, zc = _quadratures(stages[:4], stages[4:], np.array((a1, m1, m1, b1)), np.array((a2, m2, m2, b2)),
-                               cost, p, nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, xi = _state_stages(ss[:-1], ii[:-1], u1, u2, p)
+        r, d, z, zc = _quadratures(xs, xi, u1, u2, cost, p, nodes)
     return Trajectory(t=np.arange(n + 1) * h, s=ss, i=ii, r=r, d=d, z=z, z_control=zc,
                       u1=u1_arr.copy(), u2=u2_arr.copy())
 
 
+def _back_substitute(step: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node arrays (x1, x2) of x_k = M_k x_{k+1} + q_k from x_N = 0, the steps (3, 3, steps) in
+    the layout [[M, q], [0, 1]], by one scalar recurrence.  Raises NonFiniteError at the first
+    node, going backward, where x is not finite."""
+    n = step.shape[-1]
+    m11, m12, q1, m21, m22, q2 = step[:2].reshape(6, n).tolist()
+    x1 = x2 = 0.0
+    rows = [(x1, x2)]
+    for k in range(n - 1, -1, -1):
+        x1, x2 = m11[k] * x1 + m12[k] * x2 + q1[k], m21[k] * x1 + m22[k] * x2 + q2[k]
+        rows.append((x1, x2))
+
+    x1, x2 = _columns(rows[::-1], 2)
+    diverged = np.flatnonzero(~np.isfinite((x1, x2)).all(axis=0))
+    if len(diverged):
+        raise NonFiniteError(int(diverged[-1]) * h)
+    return x1.copy(), x2.copy()  # each holding only its own nodes
+
+
 def integrate_adjoint_backward(
-    state_traj: Trajectory, cost: RunningCost, p: ModelParams, linear: bool = False
+    state_traj: Trajectory, cost: RunningCost, p: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward RK4 of the costates from psi(T) = (0, 0) along a stored state.
 
-    Each backward step over [t_k, t_{k+1}] reads the stored controls as
-    integrate_state_forward does with the same linear flag: the stage at
-    t_{k+1} uses the step's end control, the two at the midpoint its
-    middle control and the one at t_k its start control.  The half-step
-    state comes from the cubic Hermite midpoint
+    Each backward step over [t_k, t_{k+1}] reads the stored controls
+    piecewise linearly, as integrate_state_forward does with
+    linear=True: the stage at t_{k+1} uses node k+1's control, the two at
+    the midpoint the mean of both nodes' and the one at t_k node k's.
+    The half-step state comes from the cubic Hermite midpoint
 
         x_mid = (x_l + x_r)/2 + (h/8) (f_l - f_r)
 
@@ -423,8 +454,8 @@ def integrate_adjoint_backward(
 
     Along a given state the costate field is affine in psi, so each RK4
     step is an affine map psi_k = M_k psi_{k+1} + q_k.  All of them are
-    built at once on numpy lanes over the steps, and one scalar
-    recurrence from psi(T) = 0 applies them.
+    built at once on numpy lanes over the steps, and _back_substitute
+    applies them from psi(T) = 0.
 
     Returns (psi1, psi2) node arrays.  Raises NonFiniteError at the first
     node, going backward, whose costates are not finite.
@@ -448,30 +479,65 @@ def integrate_adjoint_backward(
         return np.array([[col1[0], col2[0], source[0]], [col1[1], col2[1], source[1]], [zero, zero, zero]])
 
     s, i = state_traj.s, state_traj.i
-    a1, m1, b1 = _step_controls(state_traj.u1, linear)
-    a2, m2, b2 = _step_controls(state_traj.u2, linear)
+    (a1, m1, _, b1), (a2, m2, _, b2) = _stage_controls(state_traj.u1, True), _stage_controls(state_traj.u2, True)
     # A state that overflows the field gives non-finite steps, quietly;
     # the pass raises at the first node the recurrence reaches with them.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Hermite midpoints.  Under piecewise-constant controls both
-        # endpoint derivatives use the interval's control (the state's
-        # right-limit derivative at t_{k+1} belongs to the next interval).
         fs_l, fi_l = dynamics_rhs(s[:-1], i[:-1], a1, a2, beta, alpha)
         fs_r, fi_r = dynamics_rhs(s[1:], i[1:], b1, b2, beta, alpha)
         mid_s = 0.5 * (s[:-1] + s[1:]) + h / 8.0 * (fs_l - fs_r)
         mid_i = 0.5 * (i[:-1] + i[1:]) + h / 8.0 * (fi_l - fi_r)
         mid = field(mid_s, mid_i, m1, m2)
         step = _rk4_step_maps(field(s[1:], i[1:], b1, b2), mid, mid, field(s[:-1], i[:-1], a1, a2), -h)
+    return _back_substitute(step, h)
 
-    m11, m12, q1, m21, m22, q2 = step[:2].reshape(6, n).tolist()
-    p1 = p2 = 0.0
-    rows = [(p1, p2)]
-    for k in range(n - 1, -1, -1):
-        p1, p2 = m11[k] * p1 + m12[k] * p2 + q1[k], m21[k] * p1 + m22[k] * p2 + q2[k]
-        rows.append((p1, p2))
 
-    psi1, psi2 = _columns(rows[::-1], 2)
-    diverged = np.flatnonzero(~np.isfinite((psi1, psi2)).all(axis=0))
-    if len(diverged):
-        raise NonFiniteError(int(diverged[-1]) * h)
-    return psi1.copy(), psi2.copy()  # each holding only its own nodes
+def control_gradient(u1_levels, u2_levels, cost: RunningCost, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Exact derivative of the state pass's z[-1] in the levels of a piecewise-constant schedule.
+
+    The schedule holds one (u1, u2) pair per interval of the even
+    partition of the grid into len(u1_levels) pieces.  Held as constant
+    states, the controls join (S, I, z) in a field of five variables,
+    whose derivative _rk4_step_maps chains at each step's stage points
+    into its matrix M_k.  lambda_k = lambda_{k+1} M_k[:3, :3] runs back
+    from lambda_N = e_z, and step k's slope lambda_{k+1} M_k[:3, 3:] is
+    summed per interval: the discrete adjoint of the RK4 pass (Hager
+    2000).  Raises NonFiniteError where the pass or its adjoint diverges.
+    """
+    u1_levels = np.asarray(u1_levels, dtype=float)
+    u2_levels = np.asarray(u2_levels, dtype=float)
+    if u1_levels.shape != u2_levels.shape or u1_levels.ndim != 1:
+        raise ValueError("u1_levels and u2_levels must be 1-d and the same length")
+    n = p.n_steps
+    h = p.horizon / n
+    beta, alpha, a_i = p.beta, p.alpha, cost.a_i
+    bounds = interval_boundaries(n, len(u1_levels))
+    traj = integrate_state_forward(expand_piecewise_schedule(u1_levels, bounds, n),
+                                   expand_piecewise_schedule(u2_levels, bounds, n), cost, p)
+    u1, u2 = traj.u1[:-1], traj.u2[:-1]
+    zero = np.zeros(n)
+
+    def field(s, i):
+        # Rows dS, dI, dz and the held controls' zero rows; columns S, I,
+        # z, u1 and u2.  The state columns negate the costate field at
+        # unit costates, its source gives dz's, the dynamics at unit
+        # controls give the control columns, and 2*w*u is the slope of
+        # the control effort.
+        col1 = adjoint_rhs(s, i, 1.0, 0.0, u1, u2, beta, alpha, 0.0)
+        col2 = adjoint_rhs(s, i, 0.0, 1.0, u1, u2, beta, alpha, 0.0)
+        source = adjoint_rhs(s, i, 0.0, 0.0, u1, u2, beta, alpha, a_i)
+        v1 = dynamics_rhs(s, i, 1.0, 0.0, 0.0, 0.0)
+        v2 = dynamics_rhs(s, i, 0.0, 1.0, 0.0, 0.0)
+        return np.array([[-col1[0], -col1[1], zero, v1[0], v2[0]],
+                         [-col2[0], -col2[1], zero, v1[1], v2[1]],
+                         [source[0], source[1], zero, 2.0 * cost.w1 * u1, 2.0 * cost.w2 * u2],
+                         [zero] * 5, [zero] * 5])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        stages = zip(*_state_stages(traj.s[:-1], traj.i[:-1], (u1,) * 4, (u2,) * 4, p))
+        step = _rk4_step_maps(*(field(s, i) for s, i in stages), h)
+        # [[A, 0], [c, 1]] transposed is in the costate pass's layout.
+        lam1, lam2 = _back_substitute(step[:3, :3].transpose(1, 0, 2), h)
+        slopes = lam1[1:] * step[0, 3:] + lam2[1:] * step[1, 3:] + step[2, 3:]
+    g1, g2 = np.add.reduceat(slopes, bounds[:-1], axis=1)
+    return g1, g2

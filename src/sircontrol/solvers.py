@@ -29,12 +29,10 @@ still the root of its own residual, the terminal costates of the coupled
 RK4 pass, at residual_tol, while the sweep's is the fixed point of
 separate state and costate passes.  They are two discretizations of the
 same conditions, so their agreement on the objective is a meaningful
-cross-check.  control_gradient supplies the adjoint-based derivative of
-the objective with respect to a piecewise-constant schedule, used for
-finite-difference verification.
+cross-check.
 
 Every pass, and the coupled pass's derivative, comes from integrate.py;
-this module holds only Newton, the sweep and the gradient.  Only
+this module holds only Newton and the sweep.  Only
 residual_tol is an argument; the Newton cap, the seed's tolerance and
 grid and every setting of the sweep are the module constants below,
 since no caller needs another value.
@@ -49,15 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteError
-from .integrate import (
-    Trajectory,
-    coupled_jacobian,
-    expand_piecewise_schedule,
-    integrate_adjoint_backward,
-    integrate_coupled,
-    integrate_state_forward,
-    interval_boundaries,
-)
+from .integrate import (Trajectory, coupled_jacobian, integrate_adjoint_backward, integrate_coupled,
+                        integrate_state_forward)
 from .model import ModelParams, RunningCost, optimal_controls_lanes
 
 __all__ = [
@@ -65,7 +56,6 @@ __all__ = [
     "shooting_residual",
     "solve_shooting",
     "solve_forward_backward",
-    "control_gradient",
 ]
 
 # Shooting: Newton iteration cap, and the seed sweep's tolerance and
@@ -232,7 +222,7 @@ def _sweep(
 
     for iters in range(1, _FBS_MAX_SWEEPS + 1):
         traj = integrate_state_forward(u[:n + 1], u[n + 1:], cost, p, linear=True)
-        psi1, psi2 = integrate_adjoint_backward(traj, cost, p, linear=True)
+        psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
         law = np.concatenate(optimal_controls_lanes(
             traj.s, traj.i, psi1, psi2, cost.w1, cost.w2, p.u1_max, p.u2_max
         ))
@@ -306,50 +296,3 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
         solver="forward-backward",
         sweeps=seed_sweeps + iters,
     )
-
-
-def control_gradient(
-    u1_levels,
-    u2_levels,
-    cost: RunningCost,
-    p: ModelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint gradient of the objective for a piecewise-constant schedule.
-
-    The schedule holds one (u1, u2) pair per interval of the even
-    partition of the grid into len(u1_levels) pieces.  Over interval j,
-
-        dJ/du1_j = integral of (2*w1*u1_j + psi1*S) dt
-        dJ/du2_j = integral of (2*w2*u2_j + psi2*I) dt
-
-    with the costates from a backward pass along the schedule's state
-    trajectory; the constant part integrates exactly, the rest by
-    trapezoid on the fine grid.
-    """
-    u1_levels = np.asarray(u1_levels, dtype=float)
-    u2_levels = np.asarray(u2_levels, dtype=float)
-    if u1_levels.shape != u2_levels.shape or u1_levels.ndim != 1:
-        raise ValueError("u1_levels and u2_levels must be 1-d and the same length")
-    m = len(u1_levels)
-    bounds = interval_boundaries(p.n_steps, m)
-    u1_nodes = expand_piecewise_schedule(u1_levels, bounds, p.n_steps)
-    u2_nodes = expand_piecewise_schedule(u2_levels, bounds, p.n_steps)
-
-    traj = integrate_state_forward(u1_nodes, u2_nodes, cost, p)
-    psi1, psi2 = integrate_adjoint_backward(traj, cost, p)
-
-    h = p.horizon / p.n_steps
-    g1_fine = psi1 * traj.s
-    g2_fine = psi2 * traj.i
-    grad1 = np.empty(m)
-    grad2 = np.empty(m)
-    for j in range(m):
-        lo, hi = bounds[j], bounds[j + 1]
-        length = (hi - lo) * h
-        seg1 = g1_fine[lo:hi + 1]
-        seg2 = g2_fine[lo:hi + 1]
-        trap1 = h * (np.sum(seg1) - 0.5 * (seg1[0] + seg1[-1]))
-        trap2 = h * (np.sum(seg2) - 0.5 * (seg2[0] + seg2[-1]))
-        grad1[j] = 2.0 * cost.w1 * u1_levels[j] * length + trap1
-        grad2[j] = 2.0 * cost.w2 * u2_levels[j] * length + trap2
-    return grad1, grad2

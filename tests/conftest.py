@@ -118,18 +118,18 @@ def schedule_reading(u, linear: bool):
     return start, [0.5 * (a + b) for a, b in zip(start, end)], end
 
 
-def adjoint_backward_reference(state_traj: Trajectory, cost: RunningCost, p: ModelParams, linear: bool = False):
+def adjoint_backward_reference(state_traj: Trajectory, cost: RunningCost, p: ModelParams):
     """integrate_adjoint_backward as a scalar RK4 loop, four adjoint_rhs
-    calls per step, with the same Hermite midpoints and control reading:
-    the reference for the pass's affine step maps."""
+    calls per step, with the same Hermite midpoints and linear control
+    reading: the reference for the pass's affine step maps."""
     n = p.n_steps
     h = p.horizon / n
     h2, h6, h8 = h / 2.0, h / 6.0, h / 8.0
     beta, alpha, a_i = p.beta, p.alpha, cost.a_i
     s, i = state_traj.s.tolist(), state_traj.i.tolist()
 
-    a1, m1, b1 = schedule_reading(state_traj.u1, linear)
-    a2, m2, b2 = schedule_reading(state_traj.u2, linear)
+    a1, m1, b1 = schedule_reading(state_traj.u1, True)
+    a2, m2, b2 = schedule_reading(state_traj.u2, True)
 
     def midpoint(k):
         fs_l, fi_l = dynamics_rhs(s[k], i[k], a1[k], a2[k], beta, alpha)

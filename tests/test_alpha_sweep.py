@@ -3,10 +3,12 @@
 import math
 import multiprocessing
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sircontrol import ConfigError, NonFiniteError, running_cost, solve_shooting, sweep_alpha
+from sircontrol import ConfigError, NonFiniteError, parse_config, running_cost, solve_shooting, sweep_alpha
 
 from conftest import make_baseline_params
 
@@ -67,6 +69,18 @@ class TestSweepAlpha:
         new = [row.objective_new for row in rows]
         assert legacy[0] > legacy[1] > legacy[2]
         assert new[0] <= new[1] <= new[2]
+
+    # The paper's fix has a boundary: with deaths priced low, a deadlier
+    # virus lowers the new functional's optimum too, since it removes
+    # infected nodes faster and so cuts transmission and treatment.  On
+    # the baseline, alpha 0.3-1.0 measured 1.638 -> 1.192 at c3 = 0.1 and
+    # 10.45 -> 14.41 at c3 = 3, each in about 0.5 s.
+    @pytest.mark.parametrize("c3, sign", [(0.1, -1.0), (3.0, 1.0)], ids=["falls-at-c3-0.1", "rises-at-c3-3"])
+    def test_the_defect_returns_where_deaths_are_cheap(self, c3, sign):
+        base = parse_config((Path(__file__).resolve().parents[1] / "demos" / "baseline.cfg").read_text()).params
+        rows = sweep_alpha(replace(base, c3=c3), np.linspace(0.3, 1.0, 8))
+        assert all(row.converged_new and row.converged_legacy for row in rows)
+        assert np.all(sign * np.diff([row.objective_new for row in rows]) > 0.0)
 
     def test_a_diverging_start_is_a_failed_point(self):
         # On 100 steps alpha = 40 sends the seed sweep's state pass to

@@ -1,6 +1,7 @@
 """Shooting and forward-backward solvers, adjoint gradient, cross-checks."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -683,6 +684,54 @@ class TestControlGradient:
                 minus[pick][j] -= step
                 fd = (objective(*plus) - objective(*minus)) / (2.0 * step)
                 assert abs(grad[j] - fd) / max(abs(fd), 1e-12) <= 1e-3
+
+    # control_gradient is the exact derivative of the state pass's z[-1],
+    # so it meets fourth-order central differences (h = 1e-5) at their
+    # own rounding, about eps*J/h relative.  Worst relative errors
+    # measured (new, legacy), each bound with its margin over the larger:
+    # m = 6 at 2000 steps 5.6e-9 and 8.8e-9, bound 1e-7 (11x); every step
+    # its own interval, 20 of 20 steps, 4.2e-8 and 1.5e-7, bound 1e-6
+    # (7x); one interval, at 20 and 2000 steps, at most 9.4e-10, bound
+    # 1e-8 (10x).  A trapezoid of psi*S and psi*I along a costate pass,
+    # the continuous formula discretized, misses by 4.7e-6 at m = 6, by
+    # 2.3 at m = 20 on 20 steps and by 8.1e-6 at m = 1.
+    @pytest.mark.parametrize("functional", ["new", "legacy"])
+    @pytest.mark.parametrize("n_steps, m, bound", [(2000, 6, 1e-7), (20, 20, 1e-6), (20, 1, 1e-8), (2000, 1, 1e-8)],
+                             ids=["6-of-2000", "20-of-20", "1-of-20", "1-of-2000"])
+    def test_is_the_derivative_of_the_state_pass(self, functional, n_steps, m, bound):
+        p = make_baseline_params(n_steps=n_steps, functional=functional)
+        cost = running_cost(p)
+        rng = np.random.default_rng(42)
+        levels = np.array([rng.uniform(0.05, 0.85, m), rng.uniform(0.05, 0.85, m)])
+        grads = control_gradient(*levels, cost, p)
+        bounds = interval_boundaries(n_steps, m)
+
+        def objective(shift):
+            u1, u2 = (expand_piecewise_schedule(v, bounds, n_steps) for v in levels + shift)
+            return float(integrate_state_forward(u1, u2, cost, p).z[-1])
+
+        step = 1e-5
+        for pick, grad in enumerate(grads):
+            for j in range(m):
+                e = np.zeros_like(levels)
+                e[pick, j] = step
+                fd = (8.0 * (objective(e) - objective(-e)) - objective(2.0 * e) + objective(-2.0 * e)) / (12.0 * step)
+                assert abs(grad[j] - fd) <= bound * abs(fd)
+
+    def test_a_diverging_state_pass_raises_at_its_time(self):
+        # At beta 5 on 20 steps the uncontrolled state overflows by t = 1;
+        # the gradient raises there, as the pass does, and warns nothing.
+        p = make_baseline_params(beta=5.0, n_steps=20)
+        cost = running_cost(p)
+        times = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: control_gradient(np.zeros(2), np.zeros(2), cost, p),
+                        lambda: integrate_state_forward(np.zeros(21), np.zeros(21), cost, p)):
+                with pytest.raises(NonFiniteError) as err:
+                    run()
+                times.append(err.value.time)
+        assert times == [1.0, 1.0]
 
     def test_near_zero_on_interior_intervals_of_the_optimum(self, baseline_params, baseline_cost):
         report = solve_shooting(baseline_cost, baseline_params)
