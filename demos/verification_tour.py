@@ -15,7 +15,6 @@ from sircontrol import (
     control_gradient,
     expand_piecewise_schedule,
     integrate_state_forward,
-    interval_boundaries,
     running_cost,
     solve_forward_backward,
     solve_shooting,
@@ -59,13 +58,12 @@ m = 6
 u1 = rng.uniform(0.05, 0.85, m)
 u2 = rng.uniform(0.05, 0.85, m)
 g1, g2 = control_gradient(u1, u2, cost, params)
-bounds = interval_boundaries(params.n_steps, m)
 
 
 def objective(u1v, u2v):
     traj = integrate_state_forward(
-        expand_piecewise_schedule(u1v, bounds, params.n_steps),
-        expand_piecewise_schedule(u2v, bounds, params.n_steps),
+        expand_piecewise_schedule(u1v, params.n_steps),
+        expand_piecewise_schedule(u2v, params.n_steps),
         cost, params,
     )
     return float(traj.z[-1])

@@ -168,7 +168,7 @@ def _incumbent(cost: RunningCost, p: ModelParams, n_intervals: int, levels_per_c
         levels = control_levels(u_max, levels_per_control)
         # argmin takes the first of equally near levels: the lower one.
         nearest = levels[np.abs(means[:, None] - levels).argmin(axis=1)]
-        schedule.append(expand_piecewise_schedule(nearest, bounds, p.n_steps))
+        schedule.append(expand_piecewise_schedule(nearest, p.n_steps))
     try:
         return float(integrate_state_forward(*schedule, cost, p).z[-1])
     except NonFiniteError:

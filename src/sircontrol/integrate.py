@@ -70,11 +70,9 @@ costate field is affine in psi, so each RK4 step is an affine map; all of
 them are built at once on numpy lanes over the time steps of one
 problem, and a two-line scalar recurrence applies them.  (The lanes run
 over steps, not over problems: a driver stepping many solves in
-lockstep on lanes was measured to pay only from 20-30 of them.)  At
-2000 steps that took 1.8-2.6 ms against 6-7 ms for the loop of four
-adjoint_rhs calls per step it replaced (minimum of 30 runs, 2 cores,
-Python 3.11, numpy 2.4), and it agrees with that loop, kept in the
-tests as the reference, to within a few units of rounding.
+lockstep on lanes was measured to pay only from 20-30 of them.)  A loop
+of four adjoint_rhs calls per step, kept in the tests as the reference,
+takes several times as long and agrees to within a few units of rounding.
 
 Where a field is linear (the costate field along a stored state, the
 linearized coupled or state field along a pass), _rk4_step_maps chains
@@ -215,20 +213,19 @@ def interval_boundaries(n_steps: int, n_intervals: int) -> np.ndarray:
     return (np.arange(n_intervals + 1) * n_steps) // n_intervals
 
 
-def expand_piecewise_schedule(levels: Sequence[float], boundaries: np.ndarray, n_steps: int) -> np.ndarray:
-    """Per-node schedule (n_steps + 1 values) from per-interval constants.
+def expand_piecewise_schedule(levels: Sequence[float], n_steps: int) -> np.ndarray:
+    """Per-node schedule (n_steps + 1 values) from one level per interval of
+    interval_boundaries(n_steps, len(levels)).
 
     Node k takes the owning interval's level; the final node repeats the
     last interval's value.
     """
     levels_arr = np.asarray(levels, dtype=float)
-    if len(levels_arr) != len(boundaries) - 1:
-        raise ValueError("one level per interval required")
-    out = np.empty(n_steps + 1)
-    for j in range(len(levels_arr)):
-        out[boundaries[j]:boundaries[j + 1]] = levels_arr[j]
-    out[n_steps] = levels_arr[-1]
-    return out
+    if levels_arr.ndim != 1:
+        raise ValueError("levels must be 1-d")
+    widths = np.diff(interval_boundaries(n_steps, len(levels_arr)))
+    widths[-1] += 1
+    return np.repeat(levels_arr, widths)
 
 
 def integrate_coupled(
@@ -453,9 +450,11 @@ def integrate_adjoint_backward(
     end's control, so the pass keeps the state pass's order.
 
     Along a given state the costate field is affine in psi, so each RK4
-    step is an affine map psi_k = M_k psi_{k+1} + q_k.  All of them are
-    built at once on numpy lanes over the steps, and _back_substitute
-    applies them from psi(T) = 0.
+    step is an affine map psi_k = M_k psi_{k+1} + q_k, all of them built
+    at once on numpy lanes.  The slopes f and the field are built once
+    over the nodes, node k being the left end of step k and the right end
+    of step k - 1, and the field once over the midpoints; _back_substitute
+    applies the steps from psi(T) = 0.
 
     Returns (psi1, psi2) node arrays.  Raises NonFiniteError at the first
     node, going backward, whose costates are not finite.
@@ -475,20 +474,19 @@ def integrate_adjoint_backward(
         col1 = adjoint_rhs(s, i, 1.0, 0.0, u1, u2, beta, alpha, 0.0)
         col2 = adjoint_rhs(s, i, 0.0, 1.0, u1, u2, beta, alpha, 0.0)
         source = adjoint_rhs(s, i, 0.0, 0.0, u1, u2, beta, alpha, a_i)
-        zero = np.zeros(n)
+        zero = np.zeros(len(s))
         return np.array([[col1[0], col2[0], source[0]], [col1[1], col2[1], source[1]], [zero, zero, zero]])
 
-    s, i = state_traj.s, state_traj.i
-    (a1, m1, _, b1), (a2, m2, _, b2) = _stage_controls(state_traj.u1, True), _stage_controls(state_traj.u2, True)
+    s, i, u1, u2 = state_traj.s, state_traj.i, state_traj.u1, state_traj.u2
     # A state that overflows the field gives non-finite steps, quietly;
     # the pass raises at the first node the recurrence reaches with them.
     with np.errstate(over="ignore", invalid="ignore"):
-        fs_l, fi_l = dynamics_rhs(s[:-1], i[:-1], a1, a2, beta, alpha)
-        fs_r, fi_r = dynamics_rhs(s[1:], i[1:], b1, b2, beta, alpha)
-        mid_s = 0.5 * (s[:-1] + s[1:]) + h / 8.0 * (fs_l - fs_r)
-        mid_i = 0.5 * (i[:-1] + i[1:]) + h / 8.0 * (fi_l - fi_r)
-        mid = field(mid_s, mid_i, m1, m2)
-        step = _rk4_step_maps(field(s[1:], i[1:], b1, b2), mid, mid, field(s[:-1], i[:-1], a1, a2), -h)
+        fs, fi = dynamics_rhs(s, i, u1, u2, beta, alpha)
+        mid_s = 0.5 * (s[:-1] + s[1:]) + h / 8.0 * (fs[:-1] - fs[1:])
+        mid_i = 0.5 * (i[:-1] + i[1:]) + h / 8.0 * (fi[:-1] - fi[1:])
+        mid = field(mid_s, mid_i, 0.5 * (u1[:-1] + u1[1:]), 0.5 * (u2[:-1] + u2[1:]))
+        node = field(s, i, u1, u2)
+        step = _rk4_step_maps(node[..., 1:], mid, mid, node[..., :-1], -h)
     return _back_substitute(step, h)
 
 
@@ -511,9 +509,8 @@ def control_gradient(u1_levels, u2_levels, cost: RunningCost, p: ModelParams) ->
     n = p.n_steps
     h = p.horizon / n
     beta, alpha, a_i = p.beta, p.alpha, cost.a_i
-    bounds = interval_boundaries(n, len(u1_levels))
-    traj = integrate_state_forward(expand_piecewise_schedule(u1_levels, bounds, n),
-                                   expand_piecewise_schedule(u2_levels, bounds, n), cost, p)
+    traj = integrate_state_forward(expand_piecewise_schedule(u1_levels, n),
+                                   expand_piecewise_schedule(u2_levels, n), cost, p)
     u1, u2 = traj.u1[:-1], traj.u2[:-1]
     zero = np.zeros(n)
 
@@ -539,5 +536,5 @@ def control_gradient(u1_levels, u2_levels, cost: RunningCost, p: ModelParams) ->
         # [[A, 0], [c, 1]] transposed is in the costate pass's layout.
         lam1, lam2 = _back_substitute(step[:3, :3].transpose(1, 0, 2), h)
         slopes = lam1[1:] * step[0, 3:] + lam2[1:] * step[1, 3:] + step[2, 3:]
-    g1, g2 = np.add.reduceat(slopes, bounds[:-1], axis=1)
+    g1, g2 = np.add.reduceat(slopes, interval_boundaries(n, len(u1_levels))[:-1], axis=1)
     return g1, g2

@@ -17,7 +17,6 @@ from sircontrol import (
     expand_piecewise_schedule,
     hamiltonian,
     integrate_state_forward,
-    interval_boundaries,
     running_cost,
     solve_forward_backward,
     solve_shooting,
@@ -144,12 +143,11 @@ def test_criterion_06_gradient_check():
     u1 = rng.uniform(0.05, 0.85, m)
     u2 = rng.uniform(0.05, 0.85, m)
     g1, g2 = control_gradient(u1, u2, cost, p)
-    bounds = interval_boundaries(p.n_steps, m)
 
     def objective(u1v, u2v):
         traj = integrate_state_forward(
-            expand_piecewise_schedule(u1v, bounds, p.n_steps),
-            expand_piecewise_schedule(u2v, bounds, p.n_steps),
+            expand_piecewise_schedule(u1v, p.n_steps),
+            expand_piecewise_schedule(u2v, p.n_steps),
             cost, p,
         )
         return float(traj.z[-1])

@@ -64,10 +64,9 @@ class TestBruteForce:
         # The reported best objective must be the same number the scalar
         # forward integrator assigns to the winning schedule.
         result = brute_force_best(baseline_cost, baseline_params, n_intervals=3, levels_per_control=2)
-        bounds = interval_boundaries(baseline_params.n_steps, 3)
         traj = integrate_state_forward(
-            expand_piecewise_schedule(result.u1_levels, bounds, baseline_params.n_steps),
-            expand_piecewise_schedule(result.u2_levels, bounds, baseline_params.n_steps),
+            expand_piecewise_schedule(result.u1_levels, baseline_params.n_steps),
+            expand_piecewise_schedule(result.u2_levels, baseline_params.n_steps),
             baseline_cost, baseline_params,
         )
         assert result.objective == float(traj.z[-1])
@@ -90,8 +89,8 @@ class TestBruteForce:
             for index, obj in zip(idx.tolist(), objs.tolist()):
                 digits = [index // 3**k % 3 for k in reversed(range(6))]
                 traj = integrate_state_forward(
-                    expand_piecewise_schedule(levels[digits[:3]], bounds, p.n_steps),
-                    expand_piecewise_schedule(levels[digits[3:]], bounds, p.n_steps),
+                    expand_piecewise_schedule(levels[digits[:3]], p.n_steps),
+                    expand_piecewise_schedule(levels[digits[3:]], p.n_steps),
                     cost, p,
                 )
                 assert obj == float(traj.z[-1])
@@ -175,10 +174,9 @@ class TestBruteForce:
         p = make_baseline_params(beta=0.05, n_steps=200)
         cost = RunningCost(a_i=3e306, w1=1.0, w2=1.0)
         levels = control_levels(0.9, 3)
-        bounds = interval_boundaries(p.n_steps, 2)
         times = set()
         for digits in itertools.product(range(3), repeat=4):
-            u1, u2 = (expand_piecewise_schedule(levels[list(d)], bounds, p.n_steps) for d in (digits[:2], digits[2:]))
+            u1, u2 = (expand_piecewise_schedule(levels[list(d)], p.n_steps) for d in (digits[:2], digits[2:]))
             with pytest.raises(NonFiniteError) as err:
                 state_forward_reference(u1, u2, cost, p)
             times.add(err.value.time)
@@ -238,10 +236,9 @@ def shooting_hints():
 def grid_hints(p, n_intervals, seed):
     """All-zero, all-max and a random piecewise-constant schedule, per node."""
     n = p.n_steps + 1
-    bounds = interval_boundaries(p.n_steps, n_intervals)
     rng = np.random.default_rng(seed)
     random = tuple(
-        expand_piecewise_schedule(rng.uniform(0.0, u_max, n_intervals), bounds, p.n_steps)
+        expand_piecewise_schedule(rng.uniform(0.0, u_max, n_intervals), p.n_steps)
         for u_max in (p.u1_max, p.u2_max)
     )
     return {

@@ -1,0 +1,45 @@
+"""Every module reads every name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(path for folder in ("src/sircontrol", "demos", "tests") for path in (ROOT / folder).rglob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with its line; star imports bind none and
+    __future__ imports are directives, not names."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update((alias.asname or alias.name, alias.lineno) for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name.split(".")[0], alias.lineno) for alias in node.names)
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module loads, and the strings in its __all__."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = read_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in read]
+    assert not unused, f"{path.relative_to(ROOT)} imports names it never reads: {', '.join(unused)}"
+
+
+def test_an_unread_import_is_found():
+    tree = ast.parse("import os\nfrom numpy import array, zeros as z\n__all__ = ['array']\n")
+    assert set(imported_names(tree)) - read_names(tree) == {"os", "z"}

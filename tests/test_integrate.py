@@ -276,9 +276,25 @@ class TestPiecewiseSchedules:
         with pytest.raises(ValueError, match="1 <= n_intervals <= n_steps"):
             interval_boundaries(200, n_intervals)
 
-    def test_a_schedule_takes_one_level_per_interval(self):
-        with pytest.raises(ValueError, match="one level per interval"):
-            expand_piecewise_schedule([0.1, 0.2, 0.3], interval_boundaries(200, 2), 200)
+    @pytest.mark.parametrize("m", [1, 3, 7, 200])
+    def test_node_k_takes_the_level_of_the_interval_owning_step_k(self, m):
+        levels = np.random.default_rng(m).uniform(0.0, 0.9, m)
+        schedule = expand_piecewise_schedule(levels, 200)
+        bounds = interval_boundaries(200, m)
+        assert schedule.shape == (201,)
+        for j in range(m):
+            assert np.all(schedule[bounds[j]:bounds[j + 1]] == levels[j])
+        assert schedule[200] == levels[-1]
+
+    @pytest.mark.parametrize("n_levels", [0, 201])
+    def test_a_schedule_takes_one_to_n_steps_levels(self, n_levels):
+        with pytest.raises(ValueError, match="1 <= n_intervals <= n_steps"):
+            expand_piecewise_schedule(np.full(n_levels, 0.5), 200)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3)])
+    def test_levels_are_one_dimensional(self, shape):
+        with pytest.raises(ValueError):
+            expand_piecewise_schedule(np.full(shape, 0.5), 200)
 
 
 class TestRk4StepMaps:
@@ -467,18 +483,21 @@ class TestStageQuadratures:
                 assert a is None or a.base is None or a.base.size == n + 1, name
 
     # One 2000-step pass after a warm-up pass: the coupled pass from near
-    # the baseline optimum, the state pass under u = 0.5 read linearly.
-    # Dropping each pass's row list after its columns were copied peaks
-    # at 821 and 964 KiB; keeping it alive peaks at 1020 and 1074 KiB.
-    # The coupled bound lies between the two.  The state bound lies above
-    # both, 216 KiB over the pass, so only the coupled case tells a kept
-    # row list apart.
-    @pytest.mark.parametrize("passes, bound_kib", [("coupled", 920), ("state", 1180)], ids=["coupled", "state"])
-    def test_a_forward_pass_peaks_under_920_or_1180_kib(self, baseline_params, baseline_cost, passes, bound_kib):
+    # the baseline optimum, the state pass under u = 0.5 read linearly and
+    # the costate pass along that state.  Dropping each forward pass's row
+    # list after its columns were copied peaks at 821 and 964 KiB; keeping
+    # it alive peaks at 1020 and 1074 KiB.  The costate pass, building its
+    # node fields once, peaks at 1190 KiB, and at 1488 KiB building them
+    # once per step end.  Each bound lies between the two.
+    @pytest.mark.parametrize("passes, bound_kib", [("coupled", 920), ("state", 1020), ("costate", 1340)],
+                             ids=["coupled", "state", "costate"])
+    def test_a_pass_peaks_under_its_bound(self, baseline_params, baseline_cost, passes, bound_kib):
         u = np.full(baseline_params.n_steps + 1, 0.5)
+        state = integrate_state_forward(u, u, baseline_cost, baseline_params, linear=True)
         run = {
             "coupled": lambda: integrate_coupled((-0.07, -1.9), baseline_cost, baseline_params),
             "state": lambda: integrate_state_forward(u, u, baseline_cost, baseline_params, linear=True),
+            "costate": lambda: integrate_adjoint_backward(state, baseline_cost, baseline_params),
         }[passes]
         run()
         tracemalloc.start()

@@ -121,20 +121,14 @@ class TestSolveShooting:
 
         p = make_baseline_params(n_steps=200)
         monkeypatch.setattr(sircontrol.solvers, "_MAX_NEWTON_ITERS", max_newton_iters)
-        calls = {"integrate_coupled": 0, "integrate_state_forward": 0}
-        for name in calls:
-            original = getattr(sircontrol.solvers, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(sircontrol.solvers, name, counting)
+        coupled_passes = _coupled_passes_by_grid(monkeypatch)
+        state_passes = _state_passes_by_grid(monkeypatch)
         report = solve_shooting(running_cost(p), p)
         assert report.converged == (max_newton_iters == 50)
         assert report.newton_iters == newton_iters
-        assert calls["integrate_coupled"] == coupled
-        assert report.sweeps == calls["integrate_state_forward"] == 14
+        assert coupled_passes == {200: coupled}
+        assert state_passes == {200: 14}
+        assert report.sweeps == 14
 
     def test_a_step_that_does_not_lower_the_residual_ends_the_solve(self, monkeypatch):
         # A Jacobian of the wrong sign sends the first step uphill, so it
@@ -665,12 +659,11 @@ class TestControlGradient:
         u1 = rng.uniform(0.05, 0.85, m)
         u2 = rng.uniform(0.05, 0.85, m)
         g1, g2 = control_gradient(u1, u2, baseline_cost, baseline_params)
-        bounds = interval_boundaries(baseline_params.n_steps, m)
 
         def objective(u1v, u2v):
             traj = integrate_state_forward(
-                expand_piecewise_schedule(u1v, bounds, baseline_params.n_steps),
-                expand_piecewise_schedule(u2v, bounds, baseline_params.n_steps),
+                expand_piecewise_schedule(u1v, baseline_params.n_steps),
+                expand_piecewise_schedule(u2v, baseline_params.n_steps),
                 baseline_cost, baseline_params,
             )
             return float(traj.z[-1])
@@ -704,10 +697,9 @@ class TestControlGradient:
         rng = np.random.default_rng(42)
         levels = np.array([rng.uniform(0.05, 0.85, m), rng.uniform(0.05, 0.85, m)])
         grads = control_gradient(*levels, cost, p)
-        bounds = interval_boundaries(n_steps, m)
 
         def objective(shift):
-            u1, u2 = (expand_piecewise_schedule(v, bounds, n_steps) for v in levels + shift)
+            u1, u2 = (expand_piecewise_schedule(v, n_steps) for v in levels + shift)
             return float(integrate_state_forward(u1, u2, cost, p).z[-1])
 
         step = 1e-5
@@ -767,8 +759,8 @@ class TestControlGradient:
 
         def objective(u1v, u2v):
             t = integrate_state_forward(
-                expand_piecewise_schedule(u1v, bounds, baseline_params.n_steps),
-                expand_piecewise_schedule(u2v, bounds, baseline_params.n_steps),
+                expand_piecewise_schedule(u1v, baseline_params.n_steps),
+                expand_piecewise_schedule(u2v, baseline_params.n_steps),
                 baseline_cost, baseline_params,
             )
             return float(t.z[-1])
