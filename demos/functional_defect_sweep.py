@@ -5,7 +5,10 @@ Its defect: a deadlier virus empties the infected compartment faster, so
 the optimal cost DROPS as the death rate alpha rises, rewarding exactly
 the outcome one wants to avoid.  The corrected objective prices the
 destroyed nodes themselves, c1*u1^2 + c2*u2^2 + c3*alpha*I, and rises
-with alpha instead.
+with alpha instead at the price used below, c3 = 10 per destroyed node.
+That holds only while deaths are priced high enough: at c3 = 0.1 the
+corrected optimum also falls, from 1.638 to 1.192 over alpha 0.3-1.0,
+and at alpha 0.5 the sign changes at c3 = 0.4875.
 
 Both problems are solved at every alpha below; watch the two columns
 move in opposite directions.

@@ -3,7 +3,8 @@
 For each alpha the problem is solved twice, once per objective
 convention, so the comparison that motivates the corrected functional is
 a single artifact: the legacy form rewards a rising death rate (its
-optimal value falls as alpha grows), the new form does not.
+optimal value falls as alpha grows).  The new form does not at c3 = 10
+but does where deaths are cheap: at alpha 0.5, for c3 below 0.4875.
 
 Every solve stands alone, so a row equals the direct solves at its
 alpha, and the 2 * len(alphas) solves run in min(2 * len(alphas),

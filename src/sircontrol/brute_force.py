@@ -25,17 +25,17 @@ value non-finite, so the other lanes never were).
 Branch and bound (Land & Doig 1960) makes that sum an upper bound.  A
 caller may pass a hint, per-node controls such as a solver's optimum.
 The hint is averaged over each interval, each mean is rounded to the
-nearest level of the grid (a tie goes to the lower level), and that grid
-schedule, integrated by integrate_state_forward, gives the incumbent:
-the objective of a schedule in the search set.  After each interval the
-walk drops every lane whose cost so far z exceeds the incumbent
-strictly; ties and NaN lanes survive, so no depth is ever empty.  Only
-a schedule is taken from the caller, never an objective, so a bad hint
-costs work but cannot change the answer.
+nearest level of the grid (a tie goes to the lower level), and the
+walk's own lanes score that grid schedule as one lane of Python floats:
+the incumbent, inf if the hint or its lane is not finite.  After each
+interval the walk drops every lane whose cost so far z exceeds the
+incumbent strictly; ties and NaN lanes survive, so no depth is ever
+empty.  Only a schedule is taken from the caller, never an objective,
+so a bad hint costs work but cannot change the answer.
 
 Dropping is exact when z never decreases along a lane, since then every
-completion of a dropped prefix ends above the incumbent, which the
-search set contains.  The running cost a_i*I + w1*u1^2 + w2*u2^2 has
+completion of a dropped prefix ends above the incumbent, the walk's own
+value of a schedule.  The running cost a_i*I + w1*u1^2 + w2*u2^2 has
 a_i, w1, w2 >= 0, so z never decreases once every RK4 stage has I >= 0.
 That holds whenever h * L <= 1/4, with L = beta*N + u1_max + u2_max +
 alpha and N = s0 + i0.  Proof: let a step start at S, I >= 0 with
@@ -51,8 +51,7 @@ too has S, I >= 0 and S + I <= N, and the induction carries on.  The
 margins (a quarter of S, half of I) dwarf rounding, a relative 1e-16 per
 operation; and in floating point z + dz >= z whenever dz >= 0.  Outside
 the condition, for example at 2 steps over a horizon of 10, RK4 drives I
-negative, objectives fall to -2e5, and the walk runs unpruned.  A hint
-that is not finite, or whose schedule diverges, also leaves it unpruned.
+negative, objectives fall to -2e5, and the walk runs unpruned.
 
 The lanes call the same ``model`` kernels as the scalar integrator, and
 take each interval's control_effort once: its controls are constant.
@@ -66,13 +65,14 @@ schedule never wins.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, TooLargeError
-from .integrate import expand_piecewise_schedule, integrate_state_forward, interval_boundaries
+from .integrate import interval_boundaries
 from .model import ModelParams, RunningCost, control_effort, cost_rate, dynamics_rhs
 
 __all__ = ["BruteForceResult", "control_levels", "brute_force_best"]
@@ -161,18 +161,19 @@ def _incumbent(cost: RunningCost, p: ModelParams, n_intervals: int, levels_per_c
     if (h * (p.beta * (p.s0 + p.i0) + p.u1_max + p.u2_max + p.alpha) > 0.25
             or not all(np.isfinite(u).all() for u in hint)):
         return np.inf
-    bounds = interval_boundaries(p.n_steps, n_intervals)
+    bounds = interval_boundaries(p.n_steps, n_intervals).tolist()
     schedule = []
     for u, u_max in zip(hint, (p.u1_max, p.u2_max)):
         means = np.array([u[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])])
         levels = control_levels(u_max, levels_per_control)
         # argmin takes the first of equally near levels: the lower one.
-        nearest = levels[np.abs(means[:, None] - levels).argmin(axis=1)]
-        schedule.append(expand_piecewise_schedule(nearest, p.n_steps))
-    try:
-        return float(integrate_state_forward(*schedule, cost, p).z[-1])
-    except NonFiniteError:
-        return np.inf
+        schedule.append(levels[np.abs(means[:, None] - levels).argmin(axis=1)].tolist())
+    # The walk's own lanes, one lane on Python floats: the bound is the
+    # number the walk gives this schedule.  Non-finite values stay so.
+    s, i, z = p.s0, p.i0, 0.0
+    for u1, u2, first, last in zip(*schedule, bounds[:-1], bounds[1:]):
+        s, i, z = _advance_lanes(s, i, z, u1, u2, first, last, cost, p)
+    return z if math.isfinite(s) and math.isfinite(i) and math.isfinite(z) else np.inf
 
 
 def _walk_schedules(

@@ -16,8 +16,8 @@ classical RK4):
 
 The state pass reads the schedule between nodes in one of two ways.  By
 default it is piecewise constant: every stage of the step from t_k uses
-node k's control.  That is the meaning of a schedule for the
-enumeration oracle, control_gradient and the self-checks, whose
+node k's control, as the enumeration oracle's lanes do.  That is the
+meaning of a schedule for control_gradient and the self-checks, whose
 schedules are piecewise constant by construction.  With linear=True it
 is piecewise linear: stage 1 uses node k's control, stages 2 and 3 the
 mean of nodes k and k+1, stage 4 node k+1.  The costate pass always

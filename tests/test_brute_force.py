@@ -292,6 +292,45 @@ class TestBranchAndBound:
         result = brute_force_best(running_cost(p), p, n_intervals, levels, hint=hint)
         assert result.lane_steps == lane_steps
 
+    @pytest.mark.parametrize(
+        "functional, n_steps, a_i, hint_name, n_intervals, n_levels, finite",
+        # The baseline's shooting hints; three grid hints where h * L =
+        # 0.24 <= 1/4; and with a_i = 1e306 the zero hint, whose schedule
+        # overflows, and the all-max hint, whose does not.
+        [("new", 2000, None, "shooting", 3, 5, True), ("legacy", 2000, None, "shooting", 3, 5, True),
+         ("new", 2000, None, "shooting", 4, 4, True), ("legacy", 2000, None, "shooting", 4, 4, True),
+         ("new", 120, None, "zero", 3, 3, True), ("new", 120, None, "max", 3, 3, True),
+         ("new", 120, None, "random", 3, 3, True),
+         ("new", 200, 1e306, "zero", 2, 3, False), ("new", 200, 1e306, "max", 2, 3, True)],
+    )
+    def test_the_incumbent_is_the_walks_objective_for_its_schedule(
+            self, shooting_hints, functional, n_steps, a_i, hint_name, n_intervals, n_levels, finite):
+        # The bound prunes exactly only if it is, bit for bit, the number
+        # the unpruned walk gives the hint's grid schedule.
+        p = make_baseline_params(functional=functional, n_steps=n_steps)
+        cost = running_cost(p) if a_i is None else RunningCost(a_i=a_i, w1=1.0, w2=1.0)
+        if hint_name == "shooting":
+            hint = shooting_hints[functional, 0][0]
+        else:
+            hint = grid_hints(p, n_intervals, seed=0)[hint_name]
+        # Each interval's mean hint, rounded to the nearest level (the lower
+        # on a tie), gives one base-L digit of the schedule's walk index:
+        # u1 on intervals 0..m-1, then u2.
+        bounds = interval_boundaries(p.n_steps, n_intervals)
+        digits = [int(np.abs(u[lo:hi].mean() - control_levels(u_max, n_levels)).argmin())
+                  for u, u_max in zip(hint, (p.u1_max, p.u2_max))
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+        index = sum(d * n_levels**k for k, d in enumerate(reversed(digits)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            walk = brute_force._walk_schedules(cost, p, n_intervals, n_levels)
+            (objective,) = np.concatenate([objs[idx == index] for idx, objs, _, _ in walk]).tolist()
+        incumbent = brute_force._incumbent(cost, p, n_intervals, n_levels, hint)
+        assert np.isfinite(incumbent) == finite
+        if np.isfinite(objective):
+            assert incumbent == objective
+        else:
+            assert incumbent == objective == np.inf
+
     @pytest.mark.parametrize("batch", [7, 1])
     def test_chunk_edges_do_not_change_the_pruned_result(self, monkeypatch, batch):
         # 120 steps keep h * L = 0.24 under 1/4, so the all-max hint prunes.

@@ -1,4 +1,5 @@
-"""Every module reads every name it imports."""
+"""Every module reads every name it imports, and no package module imports
+another's private names."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(path for folder in ("src/sircontrol", "demos", "tests") for path in (ROOT / folder).rglob("*.py"))
+PACKAGE = [path for path in MODULES if path.is_relative_to(ROOT / "src/sircontrol")]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -19,6 +21,13 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
         elif isinstance(node, ast.Import):
             names.update((alias.asname or alias.name.split(".")[0], alias.lineno) for alias in node.names)
     return names
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Each underscore name an import takes from another module, with its
+    line; star imports name nothing and dunder names are not private."""
+    return [f"{alias.name} (line {alias.lineno})" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
 
 
 def read_names(tree: ast.Module) -> set[str]:
@@ -43,3 +52,16 @@ def test_every_imported_name_is_read(path):
 def test_an_unread_import_is_found():
     tree = ast.parse("import os\nfrom numpy import array, zeros as z\n__all__ = ['array']\n")
     assert set(imported_names(tree)) - read_names(tree) == {"os", "z"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_package_module_imports_a_private_name(path):
+    # A helper shared across modules is public there; tests may reach in.
+    private = private_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not private, f"{path.relative_to(ROOT)} imports private names: {', '.join(private)}"
+
+
+def test_a_private_import_is_found():
+    tree = ast.parse("from .integrate import _rk4_stages, interval_boundaries\n"
+                     "from .model import *\nfrom . import __version__\n")
+    assert private_imports(tree) == ["_rk4_stages (line 1)"]
