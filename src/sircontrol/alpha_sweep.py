@@ -87,8 +87,6 @@ def sweep_alpha(
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("alphas must be non-empty")
-    if any(a < 0.0 for a in alphas):
-        raise ValueError("alphas must be >= 0")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
     # Built here, so an invalid parameter set raises before any worker starts.

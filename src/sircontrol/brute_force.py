@@ -119,7 +119,7 @@ def exceeds_guard(n_intervals: int, levels_per_control: int) -> bool:
 def _advance_lanes(s, i, z, u1, u2, first: int, last: int, cost: RunningCost, p: ModelParams):
     """Classical RK4 from fine node first to node last, one numpy lane per schedule.
 
-    u1/u2 hold each lane's constant controls for the interval.
+    u1/u2 hold each lane's constant controls for the interval.  Callers silence overflow.
     """
     h = p.horizon / p.n_steps
     h2 = h / 2.0
@@ -149,7 +149,7 @@ def _incumbent(cost: RunningCost, p: ModelParams, n_intervals: int, levels_per_c
     """Objective of the hint's nearest grid schedule; inf when it may not prune.
 
     Raises ValueError unless the hint is two controls of n_steps + 1
-    samples each, whether or not it may prune.
+    samples each, whether or not it may prune.  Callers silence overflow.
     """
     if hint is None:
         return np.inf
@@ -164,7 +164,8 @@ def _incumbent(cost: RunningCost, p: ModelParams, n_intervals: int, levels_per_c
     bounds = interval_boundaries(p.n_steps, n_intervals).tolist()
     schedule = []
     for u, u_max in zip(hint, (p.u1_max, p.u2_max)):
-        means = np.array([u[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])])
+        # A mean outside the box, an overflowed one too, is nearest its bound.
+        means = np.clip([u[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])], 0.0, u_max)
         levels = control_levels(u_max, levels_per_control)
         # argmin takes the first of equally near levels: the lower one.
         schedule.append(levels[np.abs(means[:, None] - levels).argmin(axis=1)].tolist())
@@ -188,7 +189,7 @@ def _walk_schedules(
     Yields (schedule indices, objectives, lane-steps so far, earliest node
     at which a lane's s, i or z was non-finite, else n_steps) per chunk of
     complete schedules, in walk order; the last yield's counts are final.
-    Prefixes whose cost so far exceeds bound are not expanded.
+    Prefixes whose cost so far exceeds bound are not expanded.  Callers silence overflow.
     """
     n_levels = levels_per_control
     n_pairs = n_levels * n_levels
@@ -254,12 +255,12 @@ def brute_force_best(
             f"exceeds the enumeration guard ({ENUMERATION_GUARD})"
         )
 
-    bound = _incumbent(cost, p, n_intervals, levels_per_control, hint)
     best_obj = np.inf
     best_idx = -1
     # Diverged lanes are expected on stiff instances; they rank as +inf so
     # that a NaN cannot hide a chunk's minimum.
     with np.errstate(over="ignore", invalid="ignore"):
+        bound = _incumbent(cost, p, n_intervals, levels_per_control, hint)
         walk = _walk_schedules(cost, p, n_intervals, levels_per_control, bound)
         for idx, objs, lane_steps, diverged_at in walk:
             objs = np.where(np.isfinite(objs), objs, np.inf)

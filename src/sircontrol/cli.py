@@ -29,7 +29,7 @@ from .reports import (
     trajectory_csv,
     write_text,
 )
-from .selfcheck import DEFAULT_CHECK_PARAMS, run_self_check
+from .selfcheck import run_self_check
 from .solvers import solve_shooting
 
 EXIT_OK = 0
@@ -120,8 +120,7 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    params = DEFAULT_CHECK_PARAMS if args.config is None else _load_config(args.config).params
-    results = run_self_check(params)
+    results = run_self_check(None if args.config is None else _load_config(args.config).params)
     lines = [
         f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}" for res in results
     ]

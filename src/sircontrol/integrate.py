@@ -35,7 +35,12 @@ stage points with the RK4 weights, bit for bit as the loop would, so
 objective values carry the integrator's order.  Both forward loops keep
 only their nodes: _coupled_stages and _state_stages rebuild each step's
 stage points on numpy lanes, for the quadratures and for the pass's
-derivative, coupled_jacobian or control_gradient.
+derivative, coupled_jacobian or control_gradient.  Both take the RK4
+stage scheme from one builder, _stage_points.
+
+Only the entry points silence overflow: the three passes,
+coupled_jacobian, control_gradient and brute_force.brute_force_best open
+np.errstate, and every helper computes under theirs.
 
 Each pass runs to its last node with no test in its loop, then raises
 NonFiniteError at the first node it stepped to (backward, for the
@@ -57,13 +62,15 @@ and per-step numpy dispatch would dominate the cost.
 The two forward passes, and the enumeration lanes of ``brute_force.py``,
 keep their own RK4 loops because they carry different data: 4 unknowns
 with the clamp law at every stage, 2 under fixed controls, and numpy
-lanes over schedules.  One shared RK4 loop would have to branch on its
-caller, and its callbacks cost time: a generic driver with one callback
-per stage and tuple arithmetic gave bit-identical coupled passes but
-took 1.8-2.1x as long (2000 steps, medians of 15 alternating runs, 2
-cores, Python 3.11).  Each loop binds the kernels to locals, unpacks
-their tuples straight into locals and records one tuple per step, which
-keeps it as fast as the hand-inlined arithmetic it replaced.
+lanes over schedules, whose stages stay inline too (through
+_stage_points they slowed the oracle by 13%).  One shared RK4 loop would
+have to branch on its caller, and its callbacks cost time: a generic
+driver with one callback per stage and tuple arithmetic gave
+bit-identical coupled passes but took 1.8-2.1x as long (2000 steps,
+medians of 15 alternating runs, 2 cores, Python 3.11).  Each loop binds
+the kernels to locals, unpacks their tuples straight into locals and
+records one tuple per step, which keeps it as fast as the hand-inlined
+arithmetic it replaced.
 
 The costate pass has no RK4 loop over stages.  Along a stored state the
 costate field is affine in psi, so each RK4 step is an affine map; all of
@@ -82,7 +89,7 @@ its four stages into each step's matrix, in one layout, (d, d, lanes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -102,59 +109,60 @@ __all__ = [
 ]
 
 
-def _columns(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
-    """The columns of a pass's rows, each a tuple of width floats."""
-    return np.fromiter(chain.from_iterable(rows), float, width * len(rows)).reshape(len(rows), width).T
+def _columns(rows: list[tuple[float, ...]]) -> tuple[np.ndarray, ...]:
+    """One array per column of a pass's rows, tuples of floats, each holding only its own nodes."""
+    return tuple(np.fromiter(map(itemgetter(k), rows), float, len(rows)) for k in range(len(rows[0])))
 
 
 def _quadratures(s, i, u1, u2, cost: RunningCost, p: ModelParams, nodes: tuple[np.ndarray, ...]):
     """R, D, z and z_control at a forward pass's nodes, from its (4, steps) stage S, I, u1 and u2.
 
-    Each step adds its four stage rates with the RK4 weights, and
-    np.add.accumulate adds the steps in sequence.  Raises NonFiniteError
-    at the first node where z or one of nodes, the pass's stepped arrays, is not finite.
+    Each step adds its four stage rates with the RK4 weights, and np.add.accumulate adds the
+    steps in sequence.  Raises NonFiniteError at the first node where z or one of nodes, the
+    pass's stepped arrays, is not finite.  Callers silence overflow.
     """
     h = p.horizon / p.n_steps
     h6 = h / 6.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        dr, dd = removed_rhs(s, i, u1, u2, p.alpha)
-        dzc = control_effort(u1, u2, cost.w1, cost.w2)
-        dz = cost_rate(dzc, i, cost.a_i)
-        r, d, z, zc = [np.add.accumulate(np.concatenate(([x0], h6 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]))))
-                       for x0, k in ((p.r0, dr), (0.0, dd), (0.0, dz), (0.0, dzc))]
+    dr, dd = removed_rhs(s, i, u1, u2, p.alpha)
+    dzc = control_effort(u1, u2, cost.w1, cost.w2)
+    dz = cost_rate(dzc, i, cost.a_i)
+    r, d, z, zc = [np.add.accumulate(np.concatenate(([x0], h6 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]))))
+                   for x0, k in ((p.r0, dr), (0.0, dd), (0.0, dz), (0.0, dzc))]
     finite = np.isfinite((z, *nodes)).all(axis=0)
     if not finite.all():
         raise NonFiniteError(int(finite.argmin()) * h)
     return r, d, z, zc
 
 
+def _stage_points(x: tuple[np.ndarray, ...], rates, h: float) -> tuple[np.ndarray, ...]:
+    """Each of x's lanes, (4, steps), at the RK4 stages of the steps from the nodes x: stage 1
+    is x and stage j + 1 is x + c_j h rates(j, stage j), with c = (1/2, 1/2, 1) and rates(j, y)
+    the lanes' slopes at stage j's points y.  Callers silence overflow."""
+    points = [x]
+    for j, c in enumerate((0.5, 0.5, 1.0)):
+        points.append(tuple(xv + c * h * kv for xv, kv in zip(x, rates(j, points[-1]))))
+    return tuple(np.array(stages) for stages in zip(*points))
+
+
 def _coupled_stages(s, i, psi1, psi2, cost: RunningCost, p: ModelParams):
     """(S, I, psi1, psi2, u1, u2), each (4, steps), at the RK4 stages of the coupled steps from
     the given nodes, bit for bit as integrate_coupled's loop takes them.  Callers silence overflow."""
-    h = p.horizon / p.n_steps
-    beta, alpha, a_i = p.beta, p.alpha, cost.a_i
     law_params = (cost.w1, cost.w2, p.u1_max, p.u2_max)
-    x = (s, i, psi1, psi2)
-    points = [x + optimal_controls_lanes(*x, *law_params)]
-    for f in (h / 2.0, h / 2.0, h):
-        xs, xi, x1, x2, u1, u2 = points[-1]
-        k = dynamics_rhs(xs, xi, u1, u2, beta, alpha) + adjoint_rhs(xs, xi, x1, x2, u1, u2, beta, alpha, a_i)
-        y = tuple(xv + f * kv for xv, kv in zip(x, k))
-        points.append(y + optimal_controls_lanes(*y, *law_params))
-    return tuple(np.array(c) for c in zip(*points))
+
+    def rates(_, y):
+        u = optimal_controls_lanes(*y, *law_params)
+        return dynamics_rhs(y[0], y[1], *u, p.beta, p.alpha) + adjoint_rhs(*y, *u, p.beta, p.alpha, cost.a_i)
+
+    points = _stage_points((s, i, psi1, psi2), rates, p.horizon / p.n_steps)
+    return points + optimal_controls_lanes(*points, *law_params)
 
 
 def _state_stages(s, i, u1, u2, p: ModelParams):
     """(S, I), each (4, steps), at the RK4 stages of the state steps from the given nodes under
-    the (4, steps) stage controls u1 and u2, bit for bit as integrate_state_forward's loop takes
+    the stage controls u1[j] and u2[j], bit for bit as integrate_state_forward's loop takes
     them.  Callers silence overflow."""
-    h = p.horizon / p.n_steps
-    xs, xi = [s], [i]
-    for f, a1, a2 in zip((h / 2.0, h / 2.0, h), u1, u2):
-        ks, ki = dynamics_rhs(xs[-1], xi[-1], a1, a2, p.beta, p.alpha)
-        xs.append(s + f * ks)
-        xi.append(i + f * ki)
-    return np.array(xs), np.array(xi)
+    return _stage_points((s, i), lambda j, y: dynamics_rhs(*y, u1[j], u2[j], p.beta, p.alpha),
+                         p.horizon / p.n_steps)
 
 
 @dataclass(frozen=True)
@@ -287,7 +295,7 @@ def integrate_coupled(
         p2 = t2
         rows.append((s, i, p1, p2))
 
-    nodes = ss, ii, pp1, pp2 = tuple(c.copy() for c in _columns(rows, 4))  # each holding only its own nodes
+    nodes = ss, ii, pp1, pp2 = _columns(rows)
     del rows
     with np.errstate(over="ignore", invalid="ignore"):
         xs, xi, _, _, xu1, xu2 = _coupled_stages(ss[:-1], ii[:-1], pp1[:-1], pp2[:-1], cost, p)
@@ -302,8 +310,8 @@ def _rk4_step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, a4: np.ndarra
 
     a1 .. a4 are the field's (d, d, lanes) matrices at the step's four
     stage points in the order the step takes them; a negative h steps
-    backward.  With K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2)
-    and K4 = A4 (I + h K3), each step is I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+    backward.  With K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2) and K4 = A4 (I + h K3),
+    each step is I + h/6 (K1 + 2 K2 + 2 K3 + K4).  Callers silence overflow.
     """
     # Lanes last, contracted by einsum: lanes first took 2-4x as long (3x3
     # on 2000 lanes, 4x4 on 500), and matmul there changed the costate
@@ -354,8 +362,8 @@ def coupled_jacobian(traj: Trajectory, cost: RunningCost, p: ModelParams) -> tup
 def _stage_controls(u: np.ndarray, linear: bool) -> np.ndarray:
     """Controls (4, steps) at each step's RK4 stages, read from a node schedule.
 
-    Piecewise constant: node k's value at all four stages of step k.
-    Linear: node k, the mean of nodes k and k+1 twice, and node k+1.
+    Piecewise constant: node k's value at all four stages of step k.  Linear: node k, the
+    mean of nodes k and k+1 twice, and node k+1.  Callers silence overflow.
     """
     start = u[:-1]
     if not linear:
@@ -391,7 +399,8 @@ def integrate_state_forward(
     h = p.horizon / n
     h2, h6 = h / 2.0, h / 6.0
     beta, alpha, dynamics = p.beta, p.alpha, dynamics_rhs
-    u1, u2 = _stage_controls(u1_arr, linear), _stage_controls(u2_arr, linear)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u1, u2 = _stage_controls(u1_arr, linear), _stage_controls(u2_arr, linear)
     steps = zip(*u1[[0, 1, 3]].tolist(), *u2[[0, 1, 3]].tolist())
 
     s, i = p.s0, p.i0
@@ -405,7 +414,7 @@ def integrate_state_forward(
         i = i + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         rows.append((s, i))
 
-    nodes = ss, ii = tuple(c.copy() for c in _columns(rows, 2))  # each holding only its own nodes
+    nodes = ss, ii = _columns(rows)
     del rows
     with np.errstate(over="ignore", invalid="ignore"):
         xs, xi = _state_stages(ss[:-1], ii[:-1], u1, u2, p)
@@ -426,11 +435,11 @@ def _back_substitute(step: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray
         x1, x2 = m11[k] * x1 + m12[k] * x2 + q1[k], m21[k] * x1 + m22[k] * x2 + q2[k]
         rows.append((x1, x2))
 
-    x1, x2 = _columns(rows[::-1], 2)
+    x1, x2 = _columns(rows[::-1])
     diverged = np.flatnonzero(~np.isfinite((x1, x2)).all(axis=0))
     if len(diverged):
         raise NonFiniteError(int(diverged[-1]) * h)
-    return x1.copy(), x2.copy()  # each holding only its own nodes
+    return x1, x2
 
 
 def integrate_adjoint_backward(

@@ -182,9 +182,8 @@ def solve_shooting(
 
 
 def _seed_grid(p: ModelParams) -> ModelParams:
-    """The seed sweep's problem: p itself up to 500 steps, so that
-    `grid is p` holds there, else p on 500 steps."""
-    return p if p.n_steps <= _SEED_STEPS else replace(p, n_steps=_SEED_STEPS)
+    """The seed sweep's problem, _seed's key: p on at most 500 steps, equal to p when p has no more."""
+    return replace(p, n_steps=min(p.n_steps, _SEED_STEPS))
 
 
 @functools.lru_cache(maxsize=1)
@@ -261,12 +260,12 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     On grids finer than 500 steps the sweep starts from a coarse
     answer (nested iteration): the seed sweep that solve_shooting runs,
     to 1e-6 on 500 steps and not run again when shooting has just seen
-    the same problem, its node schedule interpolated linearly to the
+    an equal problem, its node schedule interpolated linearly to the
     problem's grid.  When that seed diverges, the sweep starts from
-    zero controls, as it does on grids of at most 500 steps.  On the
-    baseline this takes 13-17 seed sweeps and 10-14 on 2000 steps
-    across alpha 0.05-0.5 under both functionals, and 12-20 plus 8-14
-    at horizons 5 to 18.
+    zero controls, as it always does on grids of at most 500 steps.
+    On the baseline this takes 13-17 seed sweeps and 10-14 on 2000
+    steps across alpha 0.05-0.5 under both functionals, and 12-20 plus
+    8-14 at horizons 5 to 18.
 
     Both passes read the schedule piecewise linearly between nodes
     (integrate.py), so the sweep's state, costates and objective are
@@ -275,16 +274,15 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     (new) and 3.8e-7 (legacy) with each control held constant over a
     step.
     """
-    seed_p = _seed_grid(p)
     start, seed_sweeps = None, 0
-    if seed_p is not p:
+    if p.n_steps > _SEED_STEPS:
         try:
-            seed, seed_sweeps, _ = _seed(cost, seed_p)
+            seed, seed_sweeps, _ = _seed(cost, _seed_grid(p))
         except NonFiniteError:
             pass  # the fine sweep may still converge from zero controls
         else:
-            nodes = np.linspace(0.0, seed_p.n_steps, p.n_steps + 1)
-            coarse = np.arange(seed_p.n_steps + 1)
+            nodes = np.linspace(0.0, _SEED_STEPS, p.n_steps + 1)
+            coarse = np.arange(_SEED_STEPS + 1)
             start = np.concatenate([np.interp(nodes, coarse, u) for u in (seed.u1, seed.u2)])
     full, iters, converged = _sweep(cost, p, _FBS_TOL, start)
     return SolveReport(

@@ -407,6 +407,27 @@ class TestBranchAndBound:
             assert_same_result(hinted, unpruned)
         assert (unpruned.lane_steps, zero_hint.lane_steps, full_hint.lane_steps) == (9000, 9000, 1800)
 
+    def test_a_hint_whose_means_overflow_rounds_to_the_top_level(self):
+        # Each interval's sum of 1e308s overflows, so its mean is inf: it
+        # lies above the box and must round to u_max, giving the all-top
+        # schedule (index 80 of 3^4), not level 0.
+        p = make_baseline_params(n_steps=200)
+        cost = running_cost(p)
+        hint = (np.full(201, 1e308),) * 2
+        unpruned = brute_force_best(cost, p, 2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hinted = brute_force_best(cost, p, 2, 3, hint=hint)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = brute_force._incumbent(cost, p, 2, 3, hint)
+                walk = brute_force._walk_schedules(cost, p, 2, 3)
+                (top,) = np.concatenate([objs[idx == 80] for idx, objs, _, _ in walk]).tolist()
+        assert bound == top == 24.697883510061114
+        assert_same_result(hinted, unpruned)
+        assert hinted.objective == 16.383265863110317
+        assert (hinted.u1_levels.tolist(), hinted.u2_levels.tolist()) == ([0.45, 0.0], [0.9, 0.0])
+        assert (unpruned.lane_steps, hinted.lane_steps) == (9000, 5400)
+
     def test_hint_needs_one_value_per_node(self, baseline_params, baseline_cost):
         short = np.zeros(baseline_params.n_steps)
         with pytest.raises(ValueError, match="n_steps \\+ 1"):

@@ -67,3 +67,14 @@ def test_the_state_pass_raises_where_its_loop_does(beta, a_i, lowest, seed, line
     u1, u2 = rng.uniform(lowest, 0.9, 201), rng.uniform(0.0, 0.9, 201)
     assert_same_outcome(outcome(integrate_state_forward, u1, u2, cost, p, linear=linear),
                         outcome(state_forward_reference, u1, u2, cost, p, linear=linear))
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_a_schedule_whose_node_means_overflow_raises_non_finite(linear):
+    # Nodes of 1e308 overflow the linear reading's means of two nodes; that
+    # reading must diverge quietly and raise where the held one does.
+    p = make_baseline_params(n_steps=200)
+    u = np.full(201, 1e308)
+    with pytest.raises(NonFiniteError) as err:
+        integrate_state_forward(u, u, RunningCost(a_i=1.0, w1=1.0, w2=1.0), p, linear=linear)
+    assert err.value.time == 0.05
