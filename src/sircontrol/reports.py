@@ -53,8 +53,9 @@ def trajectory_csv(report: SolveReport, config: ResolvedConfig) -> str:
     traj = report.trajectory
     lines = header_lines(config, "solve")
     lines.append(",".join(TRAJECTORY_COLUMNS))
-    columns = [getattr(traj, name.lower()).tolist() for name in TRAJECTORY_COLUMNS]
-    lines.extend(",".join(map(fmt, row)) for row in zip(*columns))
+    # Every column is float64, and on a Python float fmt is repr.
+    columns = [map(repr, getattr(traj, name.lower()).tolist()) for name in TRAJECTORY_COLUMNS]
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -22,8 +22,8 @@ costates must vanish at the final time.  Two solvers attack it:
                             from, interpolated.
 
 Shooting, and the forward-backward sweep on grids finer than 500 steps,
-start from one seed sweep on at most 500 steps; it runs once when both
-solve the same problem one after the other (_seed keeps the last one).
+start from one seed sweep on at most 500 steps.  Each solve runs its own,
+so shooting followed by the sweep on one problem runs the seed twice.
 The sweep only picks the shooting solve's start: shooting's answer is
 still the root of its own residual, the terminal costates of the coupled
 RK4 pass, at residual_tol, while the sweep's is the fixed point of
@@ -40,7 +40,6 @@ since no caller needs another value.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -83,15 +82,12 @@ class SolveReport:
     sweeps counts the forward-backward sweeps the answer rests on, one
     state and one costate pass each: the seed's for shooting, the seed's
     and the problem grid's for the forward-backward sweep (a seed that
-    diverges counts none).  The seed's count is the same whether this
-    solve ran the seed sweep or found it cached by the solve before it
-    on the same problem, so the report does not depend on call history.
-    newton_iters counts the shooting solve's Newton steps, a rejected
-    last step included; each is one coupled pass beyond the one from the
-    start, and it stays 0 for the forward-backward sweep.  residual_norm
-    is max(|psi1(T)|, |psi2(T)|), which the sweep's backward pass makes
-    exactly 0; the sweep's converged flag says that its control fixed
-    point was reached within 500 sweeps.
+    diverges counts none).  newton_iters counts the shooting solve's
+    Newton steps, a rejected last step included; each is one coupled pass
+    beyond the one from the start, and it stays 0 for the forward-backward
+    sweep.  residual_norm is max(|psi1(T)|, |psi2(T)|), which the sweep's
+    backward pass makes exactly 0; the sweep's converged flag says that
+    its control fixed point was reached within 500 sweeps.
     """
 
     trajectory: Trajectory
@@ -145,7 +141,7 @@ def solve_shooting(
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive")
     try:
-        seed, sweeps, _ = _seed(cost, _seed_grid(p))
+        seed, sweeps, _ = _sweep(cost, _seed_grid(p), _SEED_TOL)
         pa, pb = float(seed.psi1[0]), float(seed.psi2[0])
         traj = integrate_coupled((pa, pb), cost, p)
     except NonFiniteError as exc:
@@ -182,17 +178,8 @@ def solve_shooting(
 
 
 def _seed_grid(p: ModelParams) -> ModelParams:
-    """The seed sweep's problem, _seed's key: p on at most 500 steps, equal to p when p has no more."""
+    """The seed sweep's problem: p on at most 500 steps, equal to p when p has no more."""
     return replace(p, n_steps=min(p.n_steps, _SEED_STEPS))
-
-
-@functools.lru_cache(maxsize=1)
-def _seed(cost: RunningCost, seed_p: ModelParams) -> tuple[Trajectory, int, bool]:
-    """The seed sweep, to 1e-6 on seed_p, run once for the problem that
-    both solvers see in turn.  The entry is shared safely: the key is two
-    frozen dataclasses, equal by value, and the trajectory's arrays are
-    read-only.  A seed that raises is not cached."""
-    return _sweep(cost, seed_p, _SEED_TOL)
 
 
 def _sweep(
@@ -259,8 +246,7 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
 
     On grids finer than 500 steps the sweep starts from a coarse
     answer (nested iteration): the seed sweep that solve_shooting runs,
-    to 1e-6 on 500 steps and not run again when shooting has just seen
-    an equal problem, its node schedule interpolated linearly to the
+    to 1e-6 on 500 steps, its node schedule interpolated linearly to the
     problem's grid.  When that seed diverges, the sweep starts from
     zero controls, as it always does on grids of at most 500 steps.
     On the baseline this takes 13-17 seed sweeps and 10-14 on 2000
@@ -277,7 +263,7 @@ def solve_forward_backward(cost: RunningCost, p: ModelParams) -> SolveReport:
     start, seed_sweeps = None, 0
     if p.n_steps > _SEED_STEPS:
         try:
-            seed, seed_sweeps, _ = _seed(cost, _seed_grid(p))
+            seed, seed_sweeps, _ = _sweep(cost, _seed_grid(p), _SEED_TOL)
         except NonFiniteError:
             pass  # the fine sweep may still converge from zero controls
         else:

@@ -16,7 +16,6 @@ from sircontrol import (
     removed_rhs,
     running_cost,
 )
-from sircontrol.solvers import _seed
 
 
 def make_baseline_params(**overrides) -> ModelParams:
@@ -250,16 +249,6 @@ def coupled_reference(psi0, cost: RunningCost, p: ModelParams) -> Trajectory:
     ss, ii, rr, dd, pp1, pp2, uu1, uu2, zz, zzc = np.array(rows).T
     return Trajectory(t=np.arange(n + 1) * h, s=ss, i=ii, r=rr, d=dd, z=zz, z_control=zzc,
                       u1=uu1, u2=uu2, psi1=pp1, psi2=pp2)
-
-
-@pytest.fixture(autouse=True)
-def cold_seed_memo():
-    """Every test starts, and leaves the next one, with no seed sweep
-    cached: a seed cached under one test's patched integrators would
-    change another's counts and failures."""
-    _seed.cache_clear()
-    yield
-    _seed.cache_clear()
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import pytest
 import sircontrol
 from sircontrol import running_cost
 from sircontrol.cli import main
+from sircontrol.reports import TRAJECTORY_COLUMNS, fmt, header_lines, trajectory_csv
 
 BASELINE_CFG = """
 beta = 0.01
@@ -93,6 +94,35 @@ class TestSolveCommand:
         rows = [line.split(",") for line in data[1:]]
         assert all(row[7] == "0.0" and row[8] == "0.0" for row in rows)
         assert "objective:          0.0" in capsys.readouterr().out
+
+
+def per_value_trajectory_csv(report, config) -> str:
+    """The trajectory CSV rendered with fmt on every value: the reference
+    that trajectory_csv's column-wise repr must equal byte for byte."""
+    lines = header_lines(config, "solve")
+    lines.append(",".join(TRAJECTORY_COLUMNS))
+    columns = [getattr(report.trajectory, name.lower()).tolist() for name in TRAJECTORY_COLUMNS]
+    lines.extend(",".join(map(fmt, row)) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryCsv:
+    def test_the_baseline_solve_renders_as_fmt_per_value(self):
+        config = sircontrol.parse_config(BASELINE_CFG)
+        report = sircontrol.solve_shooting(running_cost(config.params), config.params)
+        assert trajectory_csv(report, config) == per_value_trajectory_csv(report, config)
+
+    def test_special_floats_render_as_fmt_per_value(self):
+        config = sircontrol.parse_config(FAST_CFG)
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1])
+        columns = {name.lower(): np.roll(values, k) for k, name in enumerate(TRAJECTORY_COLUMNS)}
+        traj = sircontrol.Trajectory(z_control=values, **columns)
+        report = sircontrol.SolveReport(traj, objective=0.0, residual_norm=0.0, newton_iters=0,
+                                        converged=True, solver="shooting", sweeps=0)
+        csv = trajectory_csv(report, config)
+        assert csv == per_value_trajectory_csv(report, config)
+        rows = csv.splitlines()[-len(values):]
+        assert [row.split(",")[0] for row in rows] == ["nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "0.1"]
 
 
 class TestSweepCommand:

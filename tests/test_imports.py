@@ -1,5 +1,5 @@
-"""Every module reads every name it imports, and no package module imports
-another's private names."""
+"""Every module reads every name it imports, no package module imports
+another's private names, and no package module keeps state across calls."""
 
 import ast
 from pathlib import Path
@@ -65,3 +65,37 @@ def test_a_private_import_is_found():
     tree = ast.parse("from .integrate import _rk4_stages, interval_boundaries\n"
                      "from .model import *\nfrom . import __version__\n")
     assert private_imports(tree) == ["_rk4_stages (line 1)"]
+
+
+def call_history_state(tree: ast.Module) -> list[str]:
+    """Each cache decorator (any whose name holds "cache", as functools'
+    three do) and each global statement, with its line: state that makes
+    a call's result or cost depend on the calls before it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"global {', '.join(node.names)} (line {node.lineno})")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if "cache" in name:
+                    found.append(f"{name} on {node.name} (line {decorator.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_package_module_keeps_state_across_calls(path):
+    # Every solve stands alone, so a report never depends on call history.
+    state = call_history_state(ast.parse(path.read_text(), filename=str(path)))
+    assert not state, f"{path.relative_to(ROOT)} keeps state across calls: {', '.join(state)}"
+
+
+def test_a_cache_or_a_global_is_found():
+    tree = ast.parse("import functools\nfrom functools import cache\n"
+                     "@functools.cache\ndef a(): ...\n@cache\ndef b(): ...\n"
+                     "class C:\n    @functools.cached_property\n    def c(self): ...\n"
+                     "def d():\n    global n, m\n    @functools.wraps(a)\n    def e(): ...\n"
+                     "@memo_cache(maxsize=1)\ndef f(): ...\n")
+    assert call_history_state(tree) == ["cache on a (line 3)", "cache on b (line 5)", "memo_cache on f (line 14)",
+                                        "cached_property on c (line 8)", "global n, m (line 11)"]

@@ -473,22 +473,25 @@ class TestChordNewton:
         assert passes == {n_steps: 1 + report.newton_iters}
 
 
-class TestSeedMemo:
-    """Shooting and the forward-backward sweep on one problem share one
-    seed sweep (solvers._seed); tests start with it empty (conftest)."""
+class TestEachSolveRunsItsSeed:
+    """Shooting and the forward-backward sweep each run their own seed
+    sweep, so a report does not depend on the solves before it."""
 
-    def test_shooting_then_the_sweep_run_the_seed_once(self, monkeypatch, baseline_params, baseline_cost):
+    def test_the_sweep_after_shooting_equals_the_sweep_alone(self, monkeypatch, baseline_params, baseline_cost):
+        alone = solve_forward_backward(baseline_cost, baseline_params)
         passes = _state_passes_by_grid(monkeypatch)
         shoot = solve_shooting(baseline_cost, baseline_params)
-        sweep = solve_forward_backward(running_cost(baseline_params), baseline_params)
-        # The seed's 15 sweeps on 500 steps run once; each report still
-        # counts them, as with nothing cached (TestChordNewton and
-        # test_the_sweep_starts_from_the_seed_grid pin 15 and 26).
-        assert passes == {500: 15, 2000: 11}
-        assert (shoot.sweeps, sweep.sweeps) == (15, 26)
+        after = solve_forward_backward(running_cost(baseline_params), baseline_params)
+        # Both solves run the seed's 15 sweeps on 500 steps.
+        assert passes == {500: 30, 2000: 11}
+        assert (shoot.sweeps, after.sweeps) == (15, 26)
+        assert (after.sweeps, after.objective, after.converged) == (
+            alone.sweeps, alone.objective, alone.converged)
+        for name, arr in vars(alone.trajectory).items():
+            assert np.array_equal(getattr(after.trajectory, name), arr), name
 
     @pytest.mark.parametrize("functional", ["new", "legacy"])
-    def test_a_diverging_seed_is_not_cached(self, monkeypatch, functional):
+    def test_a_diverging_seed_raises_on_every_solve(self, monkeypatch, functional):
         # At beta 5 the seed's first state pass diverges on 500 steps;
         # every solve runs it again and raises again.
         p = make_baseline_params(beta=5.0, functional=functional)
