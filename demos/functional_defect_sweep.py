@@ -16,16 +16,10 @@ move in opposite directions.
 
 import numpy as np
 
-from sircontrol import ModelParams, sweep_alpha
-
-params = ModelParams(
-    beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
-    u1_max=0.9, u2_max=0.9, horizon=10.0,
-    s0=95.0, i0=5.0, r0=0.0,
-)
+from sircontrol import BASELINE, sweep_alpha
 
 alphas = [float(a) for a in np.linspace(0.05, 0.5, 10)]
-rows = sweep_alpha(params, alphas)
+rows = sweep_alpha(BASELINE, alphas)
 
 print("alpha   corrected objective   legacy objective   destroyed nodes D(T)")
 for row in rows:

@@ -9,18 +9,10 @@ control effort against destroyed nodes, over a window of 10 time units.
 
 import numpy as np
 
-from sircontrol import (
-    ModelParams,
-    integrate_state_forward,
-    running_cost,
-    solve_shooting,
-)
+from sircontrol import BASELINE, integrate_state_forward, running_cost, solve_shooting
+from sircontrol.selfcheck import conservation_drift
 
-params = ModelParams(
-    beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
-    u1_max=0.9, u2_max=0.9, horizon=10.0,
-    s0=95.0, i0=5.0, r0=0.0,
-)
+params = BASELINE
 cost = running_cost(params)
 
 report = solve_shooting(cost, params)
@@ -53,6 +45,4 @@ for k in range(0, params.n_steps + 1, params.n_steps // 10):
     print(f"{traj.t[k]:5.1f} {traj.s[k]:6.2f} {traj.i[k]:6.2f} "
           f"{traj.r[k]:6.2f} {traj.d[k]:5.2f} {traj.u1[k]:6.3f} {traj.u2[k]:6.3f}")
 
-total = params.s0 + params.i0 + params.r0
-drift = np.max(np.abs(traj.s + traj.i + traj.r + traj.d - total)) / total
-print(f"\nnode-count conservation drift: {drift:.2e}")
+print(f"\nnode-count conservation drift: {conservation_drift(traj):.2e}")

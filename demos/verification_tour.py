@@ -10,7 +10,7 @@ differences.
 import numpy as np
 
 from sircontrol import (
-    ModelParams,
+    BASELINE,
     brute_force_best,
     control_gradient,
     expand_piecewise_schedule,
@@ -20,11 +20,7 @@ from sircontrol import (
     solve_shooting,
 )
 
-params = ModelParams(
-    beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
-    u1_max=0.9, u2_max=0.9, horizon=10.0,
-    s0=95.0, i0=5.0, r0=0.0,
-)
+params = BASELINE
 cost = running_cost(params)
 
 # 1. Two discretizations, one answer.  The sweep picks shooting's start,

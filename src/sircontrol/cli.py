@@ -21,7 +21,7 @@ from .alpha_sweep import sweep_alpha
 from .brute_force import brute_force_best
 from .config import ResolvedConfig, parse_config
 from .errors import ConfigError, SirControlError
-from .model import running_cost
+from .model import BASELINE, running_cost
 from .reports import (
     oracle_compare_csv,
     solve_summary,
@@ -120,7 +120,7 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = run_self_check(None if args.config is None else _load_config(args.config).params)
+    results = run_self_check(BASELINE if args.config is None else _load_config(args.config).params)
     lines = [
         f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}" for res in results
     ]

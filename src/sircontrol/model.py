@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "FUNCTIONAL_NEW", "FUNCTIONAL_LEGACY", "ModelParams", "RunningCost", "running_cost",
+    "FUNCTIONAL_NEW", "FUNCTIONAL_LEGACY", "ModelParams", "BASELINE", "RunningCost", "running_cost",
     "dynamics_rhs", "removed_rhs", "control_effort", "cost_rate", "adjoint_rhs", "hamiltonian",
     "optimal_controls", "optimal_controls_lanes",
 ]
@@ -134,6 +134,13 @@ class ModelParams:
         for f in fields(self):
             if f.type == "float":
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
+
+
+# The reference scenario every study, self-check, demo and frozen constant
+# is built on: a 100-node network with 5 infected, a mildly contagious
+# virus, both controls capped at 0.9 over a 10-unit window.
+BASELINE = ModelParams(beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0, u1_max=0.9, u2_max=0.9,
+                       horizon=10.0, s0=95.0, i0=5.0, r0=0.0)
 
 
 @dataclass(frozen=True)

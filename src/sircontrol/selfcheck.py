@@ -1,9 +1,10 @@
-"""Built-in invariant suite behind the ``check`` command.
+"""Built-in invariant suite behind the ``check`` command, on ``model.BASELINE`` by default.
 
 Three cheap global diagnostics that catch most integration mistakes:
 4th-order convergence on an analytically solvable decay case, node-count
 conservation under control, and Hamiltonian constancy along a converged
-extremal.
+extremal.  Its two measures, conservation_drift and hamiltonian_spread,
+are functions of a trajectory, written once here and imported by module path.
 """
 
 from __future__ import annotations
@@ -14,16 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteError
-from .model import ModelParams, hamiltonian, running_cost
-from .integrate import integrate_state_forward
+from .model import BASELINE, ModelParams, RunningCost, hamiltonian, running_cost
+from .integrate import Trajectory, integrate_state_forward
 from .solvers import solve_shooting
 
 __all__ = ["CheckResult", "run_self_check"]
-
-DEFAULT_CHECK_PARAMS = ModelParams(
-    beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
-    u1_max=0.9, u2_max=0.9, horizon=10.0, s0=95.0, i0=5.0, r0=0.0,
-)
 
 
 class CheckResult(NamedTuple):
@@ -40,6 +36,20 @@ def _decay_error(p: ModelParams) -> float:
     return float(np.max(np.abs(traj.i - exact)))
 
 
+def conservation_drift(traj: Trajectory) -> float:
+    """Largest |S+I+R+D - N0| over the nodes, relative to N0 = S+I+R+D at t = 0, absolute if N0 is 0."""
+    total0 = float(traj.s[0] + traj.i[0] + traj.r[0] + traj.d[0])
+    drift = float(np.max(np.abs(traj.s + traj.i + traj.r + traj.d - total0)))
+    return drift / total0 if total0 > 0.0 else drift
+
+
+def hamiltonian_spread(traj: Trajectory, cost: RunningCost, p: ModelParams) -> float:
+    """(max H - min H) / (1 + |mean H|) along a trajectory with costates."""
+    values = hamiltonian(traj.s, traj.i, traj.psi1, traj.psi2, traj.u1, traj.u2,
+                         p.beta, p.alpha, cost.a_i, cost.w1, cost.w2)
+    return float((values.max() - values.min()) / (1.0 + abs(values.mean())))
+
+
 def check_rk4_order(p: ModelParams) -> tuple[bool, str]:
     """Halving h must shrink the decay-case error nearly 16-fold."""
     base = replace(p, beta=0.0, alpha=0.2, i0=5.0, horizon=10.0)
@@ -53,12 +63,8 @@ def check_conservation(p: ModelParams) -> tuple[bool, str]:
     cost = running_cost(p)
     u1 = np.full(p.n_steps + 1, 0.5 * p.u1_max)
     u2 = np.full(p.n_steps + 1, 0.5 * p.u2_max)
-    traj = integrate_state_forward(u1, u2, cost, p)
-    total0 = p.s0 + p.i0 + p.r0
-    drift = float(np.max(np.abs(traj.s + traj.i + traj.r + traj.d - total0)))
-    kind = "absolute"
-    if total0 > 0.0:  # an empty population has no scale to divide by
-        drift, kind = drift / total0, "relative"
+    drift = conservation_drift(integrate_state_forward(u1, u2, cost, p))
+    kind = "relative" if p.s0 + p.i0 + p.r0 > 0.0 else "absolute"
     ok = drift <= 1e-9
     return ok, f"max {kind} drift {drift:.3e} (tolerance 1e-9)"
 
@@ -70,12 +76,7 @@ def check_hamiltonian_constancy(p: ModelParams) -> tuple[bool, str]:
     report = solve_shooting(cost, p4)
     if not report.converged:
         return False, "shooting solve did not converge"
-    traj = report.trajectory
-    values = hamiltonian(
-        traj.s, traj.i, traj.psi1, traj.psi2, traj.u1, traj.u2,
-        p4.beta, p4.alpha, cost.a_i, cost.w1, cost.w2,
-    )
-    spread = float((values.max() - values.min()) / (1.0 + abs(values.mean())))
+    spread = hamiltonian_spread(report.trajectory, cost, p4)
     ok = spread <= 1e-5
     return ok, f"normalized spread {spread:.3e} (tolerance 1e-5)"
 
@@ -87,9 +88,8 @@ _CHECKS = (
 )
 
 
-def run_self_check(p: ModelParams | None = None) -> list[CheckResult]:
+def run_self_check(p: ModelParams = BASELINE) -> list[CheckResult]:
     """Run every check; one whose integration diverges fails with that error."""
-    p = p or DEFAULT_CHECK_PARAMS
     results = []
     for name, check in _CHECKS:
         try:

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sircontrol import (
+    BASELINE,
     ModelParams,
     NonFiniteError,
     RunningCost,
@@ -19,14 +21,16 @@ from sircontrol import (
 
 
 def make_baseline_params(**overrides) -> ModelParams:
-    """The desk-scale scenario most tests and the acceptance gate share."""
-    base = dict(
-        beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
-        u1_max=0.9, u2_max=0.9, horizon=10.0, s0=95.0, i0=5.0, r0=0.0,
-        n_steps=2000, functional="new",
-    )
-    base.update(overrides)
-    return ModelParams(**base)
+    """The baseline scenario most tests and the acceptance gate share, with overrides."""
+    return replace(BASELINE, **overrides)
+
+
+def criterion_04_scenarios(functional):
+    """The baseline and the five draws of acceptance criterion 04."""
+    base = make_baseline_params(functional=functional)
+    draws = np.random.default_rng(20260808).uniform(0.8, 1.2, (5, 5))
+    return [base] + [replace(base, beta=base.beta * f[0], alpha=base.alpha * f[1], c1=base.c1 * f[2],
+                             c2=base.c2 * f[3], c3=base.c3 * f[4]) for f in draws]
 
 
 def evaluate_objective_trapezoid(traj: Trajectory, cost: RunningCost) -> float:

@@ -12,18 +12,12 @@ RK45 at tight tolerance sampled on one million nodes, then trapezoid.
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from sircontrol.model import ModelParams, running_cost
+from sircontrol.model import BASELINE, running_cost
 from sircontrol.solvers import shooting_residual, solve_forward_backward, solve_shooting
-
-SCENARIO = dict(
-    beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
-    u1_max=0.9, u2_max=0.9, horizon=10.0, s0=95.0, i0=5.0, r0=0.0,
-    n_steps=2000, functional="new",
-)
 
 
 def constant_control_objective_oracle(u1: float, u2: float) -> float:
-    p = ModelParams(**SCENARIO)
+    p = BASELINE
     cost = running_cost(p)
 
     def rhs(t, y):
@@ -40,7 +34,7 @@ def constant_control_objective_oracle(u1: float, u2: float) -> float:
 
 
 def main() -> None:
-    p = ModelParams(**SCENARIO)
+    p = BASELINE
     cost = running_cost(p)
 
     obj_const = constant_control_objective_oracle(0.1, 0.1)

@@ -6,12 +6,10 @@ details carry the measured values.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from sircontrol import (
-    ModelParams,
     brute_force_best,
     control_gradient,
     expand_piecewise_schedule,
@@ -24,15 +22,7 @@ from sircontrol import (
 )
 from sircontrol.cli import main
 
-
-def baseline(**overrides) -> ModelParams:
-    base = dict(
-        beta=0.01, alpha=0.1, c1=1.0, c2=1.0, c3=10.0,
-        u1_max=0.9, u2_max=0.9, horizon=10.0, s0=95.0, i0=5.0, r0=0.0,
-        n_steps=2000, functional="new",
-    )
-    base.update(overrides)
-    return ModelParams(**base)
+from conftest import criterion_04_scenarios, make_baseline_params
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -41,7 +31,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_rk4_order():
     def max_error(n_steps):
-        p = baseline(beta=0.0, alpha=0.2, n_steps=n_steps)
+        p = make_baseline_params(beta=0.0, alpha=0.2, n_steps=n_steps)
         zeros = np.zeros(n_steps + 1)
         traj = integrate_state_forward(zeros, zeros, running_cost(p), p)
         return float(np.max(np.abs(traj.i - p.i0 * np.exp(-p.alpha * traj.t))))
@@ -55,7 +45,7 @@ def test_criterion_01_rk4_order():
 
 
 def test_criterion_02_conservation():
-    p = baseline()
+    p = make_baseline_params()
     cost = running_cost(p)
     total0 = p.s0 + p.i0 + p.r0
     rng = np.random.default_rng(101)
@@ -75,7 +65,7 @@ def test_criterion_02_conservation():
 
 
 def test_criterion_03_shooting_convergence():
-    p = baseline()
+    p = make_baseline_params()
     cost = running_cost(p)
     start = time.perf_counter()
     rep = solve_shooting(cost, p)
@@ -89,22 +79,9 @@ def test_criterion_03_shooting_convergence():
 
 
 def test_criterion_04_solver_cross_agreement():
-    base = baseline()
-    rng = np.random.default_rng(20260808)
-    scenarios = [base]
-    for _ in range(5):
-        factors = rng.uniform(0.8, 1.2, 5)
-        scenarios.append(replace(
-            base,
-            beta=base.beta * factors[0],
-            alpha=base.alpha * factors[1],
-            c1=base.c1 * factors[2],
-            c2=base.c2 * factors[3],
-            c3=base.c3 * factors[4],
-        ))
     worst = 0.0
     all_converged = True
-    for p in scenarios:
+    for p in criterion_04_scenarios("new"):
         cost = running_cost(p)
         shoot = solve_shooting(cost, p)
         sweep = solve_forward_backward(cost, p)
@@ -117,7 +94,7 @@ def test_criterion_04_solver_cross_agreement():
 
 
 def test_criterion_05_oracle_bound():
-    p = baseline()
+    p = make_baseline_params()
     cost = running_cost(p)
     pmp = solve_shooting(cost, p)
     start = time.perf_counter()
@@ -136,7 +113,7 @@ def test_criterion_05_oracle_bound():
 
 
 def test_criterion_06_gradient_check():
-    p = baseline()
+    p = make_baseline_params()
     cost = running_cost(p)
     rng = np.random.default_rng(42)
     m = 6
@@ -168,7 +145,7 @@ def test_criterion_06_gradient_check():
 
 
 def test_criterion_07_hamiltonian_constancy():
-    p = baseline(n_steps=4000)
+    p = make_baseline_params(n_steps=4000)
     cost = running_cost(p)
     rep = solve_shooting(cost, p)
     traj = rep.trajectory
@@ -183,7 +160,7 @@ def test_criterion_07_hamiltonian_constancy():
 
 
 def test_criterion_08_alpha_sweep_defect_reproduction():
-    p = baseline()
+    p = make_baseline_params()
     alphas = [float(a) for a in np.linspace(0.05, 0.5, 10)]
     start = time.perf_counter()
     rows = sweep_alpha(p, alphas)
@@ -203,7 +180,7 @@ def test_criterion_08_alpha_sweep_defect_reproduction():
 
 
 def test_criterion_09_trivial_optimum_exactness():
-    p_zero_alpha = baseline(alpha=0.0)
+    p_zero_alpha = make_baseline_params(alpha=0.0)
     rep = solve_shooting(running_cost(p_zero_alpha), p_zero_alpha)
     zero_alpha_ok = (
         rep.converged
@@ -212,7 +189,7 @@ def test_criterion_09_trivial_optimum_exactness():
         and bool(np.all(rep.trajectory.u2 == 0.0))
     )
 
-    p_no_control = baseline(u1_max=0.0, u2_max=0.0)
+    p_no_control = make_baseline_params(u1_max=0.0, u2_max=0.0)
     cost = running_cost(p_no_control)
     rep2 = solve_shooting(cost, p_no_control)
     zeros = np.zeros(p_no_control.n_steps + 1)

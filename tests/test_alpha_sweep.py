@@ -3,12 +3,11 @@
 import math
 import multiprocessing
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sircontrol import ConfigError, NonFiniteError, parse_config, running_cost, solve_shooting, sweep_alpha
+from sircontrol import ConfigError, NonFiniteError, running_cost, solve_shooting, sweep_alpha
 
 from conftest import make_baseline_params
 
@@ -77,8 +76,7 @@ class TestSweepAlpha:
     # 10.45 -> 14.41 at c3 = 3, each in about 0.5 s.
     @pytest.mark.parametrize("c3, sign", [(0.1, -1.0), (3.0, 1.0)], ids=["falls-at-c3-0.1", "rises-at-c3-3"])
     def test_the_defect_returns_where_deaths_are_cheap(self, c3, sign):
-        base = parse_config((Path(__file__).resolve().parents[1] / "demos" / "baseline.cfg").read_text()).params
-        rows = sweep_alpha(replace(base, c3=c3), np.linspace(0.3, 1.0, 8))
+        rows = sweep_alpha(make_baseline_params(c3=c3), np.linspace(0.3, 1.0, 8))
         assert all(row.converged_new and row.converged_legacy for row in rows)
         assert np.all(sign * np.diff([row.objective_new for row in rows]) > 0.0)
 

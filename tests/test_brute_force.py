@@ -2,7 +2,6 @@
 
 import itertools
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from sircontrol import (
 )
 from sircontrol import brute_force
 
-from conftest import make_baseline_params, state_forward_reference
+from conftest import criterion_04_scenarios, make_baseline_params, state_forward_reference
 
 
 class TestControlLevels:
@@ -209,18 +208,6 @@ class TestBruteForce:
         assert report.objective <= result.objective + 1e-9 * abs(result.objective)
 
 
-def criterion_04_scenarios(functional):
-    """The baseline and the five draws of acceptance criterion 04."""
-    base = make_baseline_params(functional=functional)
-    rng = np.random.default_rng(20260808)
-    scenarios = [base]
-    for _ in range(5):
-        f = rng.uniform(0.8, 1.2, 5)
-        scenarios.append(replace(base, beta=base.beta * f[0], alpha=base.alpha * f[1],
-                                 c1=base.c1 * f[2], c2=base.c2 * f[3], c3=base.c3 * f[4]))
-    return scenarios
-
-
 @pytest.fixture(scope="module")
 def shooting_hints():
     """Controls of the converged shooting solve, keyed by (functional, scenario)."""
@@ -352,8 +339,7 @@ class TestBranchAndBound:
         # along a lane and objectives reach -2e5: a prefix above the
         # incumbent can still win.  The grid schedule of the hint is a
         # valid incumbent, yet the walk must not prune here.
-        p = make_baseline_params(n_steps=2, horizon=10.0, alpha=0.5, beta=0.001,
-                                 functional=functional)
+        p = make_baseline_params(n_steps=2, alpha=0.5, beta=0.001, functional=functional)
         cost = running_cost(p)
         hint = tuple(np.full(p.n_steps + 1, u) for u in hint_levels)
         incumbent = integrate_state_forward(*hint, cost, p)

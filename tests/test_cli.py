@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sircontrol
-from sircontrol import running_cost
+from sircontrol import BASELINE, parse_config, running_cost
 from sircontrol.cli import main
 from sircontrol.reports import TRAJECTORY_COLUMNS, fmt, header_lines, trajectory_csv
 
@@ -181,6 +181,14 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+    def test_the_config_copies_of_the_baseline_are_baseline(self, capsys):
+        demo_cfg = Path(__file__).resolve().parents[1] / "demos" / "baseline.cfg"
+        assert parse_config(demo_cfg.read_text()).params == parse_config(BASELINE_CFG).params == BASELINE
+        assert main(["check"]) == 0
+        default = capsys.readouterr().out
+        assert main(["check", "--config", str(demo_cfg)]) == 0
+        assert capsys.readouterr().out == default
 
     def test_check_writes_report_when_asked(self, tmp_path, capsys):
         out = tmp_path / "report.txt"

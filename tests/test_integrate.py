@@ -82,7 +82,7 @@ class TestRk4Step:
 
 
 def max_decay_error(n_steps: int) -> float:
-    p = make_baseline_params(beta=0.0, alpha=0.2, i0=5.0, horizon=10.0, n_steps=n_steps)
+    p = make_baseline_params(beta=0.0, alpha=0.2, n_steps=n_steps)
     traj = integrate_state_forward(zeros_schedule(p), zeros_schedule(p), running_cost(p), p)
     return float(np.max(np.abs(traj.i - p.i0 * np.exp(-p.alpha * traj.t))))
 

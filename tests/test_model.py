@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sircontrol import (
+    BASELINE,
     ModelParams,
     RunningCost,
     adjoint_rhs,
@@ -321,8 +322,9 @@ class TestPlainFloats:
 
         # Criterion 04 builds its draws from numpy products like these.
         factors = np.array([1.3, 0.7])
-        floats = make_baseline_params(n_steps=400, beta=float(0.01 * factors[0]), alpha=float(0.1 * factors[1]))
-        scalars = make_baseline_params(n_steps=400, beta=0.01 * factors[0], alpha=0.1 * factors[1])
+        beta, alpha = BASELINE.beta * factors[0], BASELINE.alpha * factors[1]
+        floats = make_baseline_params(n_steps=400, beta=float(beta), alpha=float(alpha))
+        scalars = make_baseline_params(n_steps=400, beta=beta, alpha=alpha)
         want = solve_shooting(running_cost(floats), floats)
         got = solve_shooting(running_cost(scalars), scalars)
         assert (got.objective, got.residual_norm, got.newton_iters) == (

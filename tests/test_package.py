@@ -13,7 +13,7 @@ import sircontrol
 
 # The package's public names; widening or narrowing the API fails here.
 PUBLIC_NAMES = {
-    "BruteForceResult", "CheckResult", "ConfigError", "FUNCTIONAL_LEGACY", "FUNCTIONAL_NEW",
+    "BASELINE", "BruteForceResult", "CheckResult", "ConfigError", "FUNCTIONAL_LEGACY", "FUNCTIONAL_NEW",
     "ModelParams", "NonFiniteError", "ResolvedConfig", "RunningCost", "SirControlError",
     "SolveReport", "SweepRow", "TooLargeError", "Trajectory", "__version__", "adjoint_rhs",
     "brute_force_best", "control_effort", "control_gradient", "control_levels", "cost_rate",

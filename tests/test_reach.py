@@ -10,7 +10,7 @@ USERS = PACKAGE + sorted((ROOT / "demos").rglob("*.py"))
 
 # Named by nothing in the package or the demos: the benchmark wraps it to
 # count shooting's probes until its counts come from the solve reports
-# (ROADMAP item 1), which deletes it.
+# (ROADMAP item 2), whose last step (PR C) deletes it.
 UNREACHED = {"shooting_residual"}
 
 
