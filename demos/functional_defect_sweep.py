@@ -18,8 +18,7 @@ import numpy as np
 
 from sircontrol import BASELINE, sweep_alpha
 
-alphas = [float(a) for a in np.linspace(0.05, 0.5, 10)]
-rows = sweep_alpha(BASELINE, alphas)
+rows = sweep_alpha(BASELINE, np.linspace(0.05, 0.5, 10))
 
 print("alpha   corrected objective   legacy objective   destroyed nodes D(T)")
 for row in rows:

@@ -81,8 +81,9 @@ def sweep_alpha(
 ) -> list[SweepRow]:
     """Solve both functionals at every alpha; one row per alpha, input order.
 
-    residual_tol is solve_shooting's, which rejects it before any
-    integration unless 0 < residual_tol < inf.
+    alphas may be any sequence of numbers, a numpy array too; the rows
+    carry them as Python floats.  residual_tol is solve_shooting's,
+    which rejects it before any integration unless 0 < residual_tol < inf.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:

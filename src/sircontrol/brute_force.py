@@ -100,9 +100,7 @@ def control_levels(u_max: float, n_levels: int) -> np.ndarray:
     """Uniform level grid {0, u_max/(L-1), ..., u_max}; just {0} for L = 1."""
     if n_levels < 1:
         raise ValueError("need at least one level")
-    if n_levels == 1:
-        return np.zeros(1)
-    return u_max * (np.arange(n_levels) / (n_levels - 1))
+    return u_max * (np.arange(n_levels) / max(n_levels - 1, 1))
 
 
 def exceeds_guard(n_intervals: int, levels_per_control: int) -> bool:

@@ -96,7 +96,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     if config.params.c3 == 0.0:
         raise ConfigError([("c3", "must be positive: sweep also solves the legacy functional")])
-    alphas = [float(a) for a in np.linspace(config.alpha_min, config.alpha_max, config.alpha_points)]
+    alphas = np.linspace(config.alpha_min, config.alpha_max, config.alpha_points)
     rows = sweep_alpha(config.params, alphas, config.residual_tol)
     write_text(args.out, sweep_csv(rows, config))
     n_failed = sum((not r.converged_new) + (not r.converged_legacy) for r in rows)

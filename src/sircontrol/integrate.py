@@ -88,7 +88,7 @@ its four stages into each step's matrix, in one layout, (d, d, lanes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Sequence
 
@@ -196,14 +196,12 @@ class Trajectory:
         if self.u1 is None or self.u2 is None:
             raise ValueError("a trajectory needs its control samples u1 and u2")
         n = len(self.t)
-        for name in ("s", "i", "r", "d", "z", "z_control", "u1", "u2", "psi1", "psi2"):
-            arr = getattr(self, name)
-            if arr is not None and len(arr) != n:
+        arrays = [(f.name, arr) for f in fields(self) if (arr := getattr(self, f.name)) is not None]
+        for name, arr in arrays:
+            if len(arr) != n:
                 raise ValueError(f"field {name} has {len(arr)} samples, expected {n}")
-        for name in ("t", "s", "i", "r", "d", "z", "z_control", "u1", "u2", "psi1", "psi2"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr.setflags(write=False)
+        for _, arr in arrays:
+            arr.setflags(write=False)
 
     @property
     def n_steps(self) -> int:

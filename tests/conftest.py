@@ -25,6 +25,27 @@ def make_baseline_params(**overrides) -> ModelParams:
     return replace(BASELINE, **overrides)
 
 
+# The declared parameter box: log-uniform factors on BOX_FIELDS of
+# BASELINE, and horizons T, both within these bounds.
+BOX_FIELDS = ("beta", "alpha", "c1", "c2", "c3")
+BOX_FACTORS = (0.5, 2.0)
+BOX_HORIZONS = (5.0, 18.0)
+
+
+def box_draws() -> list[ModelParams]:
+    """The box's catalogue: 100 draws from one default_rng(55), each its
+    factors exp(uniform(log BOX_FACTORS)) on BOX_FIELDS and then
+    T ~ uniform(BOX_HORIZONS), on BASELINE (new functional, 2000 steps)."""
+    rng = np.random.default_rng(55)
+    low, high = (math.log(f) for f in BOX_FACTORS)
+    draws = []
+    for _ in range(100):
+        factors = np.exp(rng.uniform(low, high, len(BOX_FIELDS)))
+        scaled = {name: getattr(BASELINE, name) * f for name, f in zip(BOX_FIELDS, factors)}
+        draws.append(replace(BASELINE, **scaled, horizon=rng.uniform(*BOX_HORIZONS)))
+    return draws
+
+
 def criterion_04_scenarios(functional):
     """The baseline and the five draws of acceptance criterion 04."""
     base = make_baseline_params(functional=functional)

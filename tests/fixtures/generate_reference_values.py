@@ -1,8 +1,19 @@
-"""Regenerate the frozen constants in reference_values.py.
+"""Recompute the frozen constants in reference_values.py.
 
-Run from the repository root:
+The constants are frozen: this script reproduces each of them within
+4e-15 relative, not bit for bit, so a regeneration rewrites their last
+digits.  To compare, run from the repository root (scipy needed):
 
-    python tests/fixtures/generate_reference_values.py > tests/fixtures/reference_values.py
+    PYTHONPATH=src python tests/fixtures/generate_reference_values.py > /tmp/reference_values.py
+    diff /tmp/reference_values.py tests/fixtures/reference_values.py
+
+and only when the constants are meant to change, replace the fixture
+with the complete output:
+
+    mv /tmp/reference_values.py tests/fixtures/reference_values.py
+
+Redirecting straight into the fixture would empty it before the script
+runs, and leave it empty if the script fails.
 
 The constant-control objective comes from an integrator and quadrature
 rule that share nothing with the package's RK4 path: scipy's adaptive
@@ -12,8 +23,9 @@ RK45 at tight tolerance sampled on one million nodes, then trapezoid.
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from sircontrol.integrate import integrate_coupled
 from sircontrol.model import BASELINE, running_cost
-from sircontrol.solvers import shooting_residual, solve_forward_backward, solve_shooting
+from sircontrol.solvers import solve_forward_backward, solve_shooting
 
 
 def constant_control_objective_oracle(u1: float, u2: float) -> float:
@@ -39,7 +51,8 @@ def main() -> None:
 
     obj_const = constant_control_objective_oracle(0.1, 0.1)
 
-    r1, r2 = shooting_residual((0.0, 0.0), cost, p)
+    start = integrate_coupled((0.0, 0.0), cost, p)
+    r1, r2 = float(start.psi1[-1]), float(start.psi2[-1])
 
     shoot = solve_shooting(cost, p)
     assert shoot.converged

@@ -23,8 +23,11 @@ from sircontrol import (
     sweep_alpha,
 )
 
-from conftest import dual_terminal_costates, make_baseline_params
+from conftest import box_draws, dual_terminal_costates, make_baseline_params
 from fixtures import reference_values
+
+# Draws of conftest.box_draws() that test_long_horizons_converge_in_few_newton_steps solves.
+_LONG_BOX_DRAWS = (15, 23, 25, 36, 44, 71, 73, 90)
 
 
 def uncontrolled_objective(p, cost) -> float:
@@ -177,40 +180,25 @@ class TestSolveShooting:
     # Long horizons are where starts not seeded by the sweep fared worst:
     # 38-50 Newton steps, and no convergence on the T = 17.45 draw of the
     # parameter box.  The box cases are draws 15, 23, 25, 36, 44, 71, 73
-    # and 90 (rounded) of 100 drawn with default_rng(55) from the box of
-    # test_box.py.  Each of 15-73 failed after one full step when the
-    # seed sweep stopped at 1e-3; 36, 44 and 90 failed at 2000 steps
-    # (residual norms 6.6, 1.9 and 1.5) while shooting took its seed from
-    # a sweep that held each control constant over a step.
+    # and 90 of conftest.box_draws(), under the legacy functional.  Each
+    # of 15-73 failed after one full step when the seed sweep stopped at
+    # 1e-3; 36, 44 and 90 failed at 2000 steps (residual norms 6.6, 1.9
+    # and 1.5) while shooting took its seed from a sweep that held each
+    # control constant over a step.
     @pytest.mark.parametrize(
-        "overrides",
+        "p",
         [
-            dict(beta=0.009661, alpha=0.1655, c1=1.0013, c2=1.1949, c3=9.8664, horizon=15.92),
-            dict(beta=0.007060, alpha=0.1491, c1=0.9260, c2=0.7781, c3=14.419, horizon=17.45),
-            dict(horizon=18.0),
-            dict(horizon=18.0, functional="legacy"),
-            dict(beta=0.008601, alpha=0.1182, c1=0.9806, c2=0.7615, c3=13.21, horizon=14.63,
-                 functional="legacy"),
-            dict(beta=0.009589, alpha=0.1112, c1=1.267, c2=0.9295, c3=6.831, horizon=13.27,
-                 functional="legacy"),
-            dict(beta=0.01437, alpha=0.1525, c1=0.7658, c2=0.6535, c3=5.897, horizon=14.63,
-                 functional="legacy"),
-            dict(beta=0.01122, alpha=0.148, c1=1.935, c2=0.6859, c3=9.625, horizon=17.23,
-                 functional="legacy"),
-            dict(beta=0.01869, alpha=0.1448, c1=0.7413, c2=0.6895, c3=9.679, horizon=16.87,
-                 functional="legacy"),
-            dict(beta=0.01619, alpha=0.1267, c1=1.782, c2=0.5785, c3=6.614, horizon=16.17,
-                 functional="legacy"),
-            dict(beta=0.01204, alpha=0.06936, c1=1.289, c2=0.8118, c3=11.13, horizon=13.1,
-                 functional="legacy"),
-            dict(beta=0.01851, alpha=0.1286, c1=0.669, c2=0.5281, c3=9.958, horizon=15.84,
-                 functional="legacy"),
+            make_baseline_params(beta=0.009661, alpha=0.1655, c1=1.0013, c2=1.1949, c3=9.8664,
+                                 horizon=15.92),
+            make_baseline_params(beta=0.007060, alpha=0.1491, c1=0.9260, c2=0.7781, c3=14.419,
+                                 horizon=17.45),
+            make_baseline_params(horizon=18.0),
+            make_baseline_params(horizon=18.0, functional="legacy"),
+            *(replace(box_draws()[k], functional="legacy") for k in _LONG_BOX_DRAWS),
         ],
-        ids=["box-T15.92", "box-T17.45", "T18", "legacy-T18",
-             "box15", "box23", "box25", "box36", "box44", "box71", "box73", "box90"],
+        ids=["box-T15.92", "box-T17.45", "T18", "legacy-T18", *(f"box{k}" for k in _LONG_BOX_DRAWS)],
     )
-    def test_long_horizons_converge_in_few_newton_steps(self, monkeypatch, overrides):
-        p = make_baseline_params(**overrides)
+    def test_long_horizons_converge_in_few_newton_steps(self, monkeypatch, p):
         cost = running_cost(p)
         passes = _coupled_passes_by_grid(monkeypatch)
         shoot = solve_shooting(cost, p)
